@@ -9,16 +9,15 @@ from .absorption_engine import (
     AbsorptionTimes,
     DerivativeBundle,
     absorption_times,
+    display_time_to_barrier,
     mean_time_any,
     mean_time_to_barrier,
     spectral_derivatives,
 )
 from .errors import (
     BalancedUnsupported,
-    ConsistencyFailure,
     DegenerateSpectrum,
     ExcessCensoring,
-    FormulaDiscrepancy,
     IllConditioned,
     RejectedParameter,
     SingularSystem,
@@ -44,6 +43,7 @@ from .visit_engine import (
     barrier_recurrence_residual,
     barrier_visits,
     boundary_coefficients,
+    display_barrier_visits,
     occupancy_residual,
     reach_probability,
     site_visits,

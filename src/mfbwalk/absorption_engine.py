@@ -3,13 +3,12 @@
 Two quantities live here:
 
 * ``mean_time_any``: the expected number of steps before absorption from
-  any start site, periodic with period N.  The closed form is checked
-  against the exact periodic linear system on every call; if the two
-  disagree beyond 1e-9 relative, a :class:`FormulaDiscrepancy` warning is
-  emitted and the solve value (the defining system is authoritative) is
-  returned instead.  Step counting convention: the absorbing transition is
-  not counted, which is what the defining system
-  ``(1 - r0) m_0 = p0 m_1 + q0 m_{N-1} + 1 - s0`` encodes.
+  any start site, periodic with period N.  It splits into the time to
+  reach the next barrier, the classical gambler's-ruin expected duration,
+  plus the time m_0 from a barrier.  One expression serves both branches
+  and stays accurate at every rho, near balance included.  Step counting
+  convention: the absorbing transition is not counted, which is what the
+  defining system ``(1 - r0) m_0 = p0 m_1 + q0 m_{N-1} + 1 - s0`` encodes.
 
 * ``mean_time_to_barrier``: the expected time carried by walks absorbed at
   one specific barrier, for drift walks started on a barrier (i0 = 0).  It
@@ -18,9 +17,9 @@ Two quantities live here:
   xi_i^k(z), differentiated term by term through the implicit derivatives
   of the two quadratics.  A compact display form of the coupling-coefficient
   derivative circulates that drops the (1 - r0) and (N-1)(rho q0 + p0)
-  factors; it is evaluated as a diagnostic and flagged with
-  :class:`FormulaDiscrepancy` (it genuinely disagrees), while the
-  chain-rule path is the one that matches the numeric oracle.
+  factors; :func:`display_time_to_barrier` evaluates it as a diagnostic for
+  ``verify`` (it genuinely disagrees), while the chain-rule path is the one
+  that matches the numeric oracle.
 
 The driftless case has no closed form for the per-barrier split; the
 numeric oracle (:func:`mfbwalk.oracle.gf_derivative`) covers it as a
@@ -29,16 +28,10 @@ clearly flagged extension.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
-from .errors import (
-    BalancedUnsupported,
-    ConsistencyFailure,
-    FormulaDiscrepancy,
-    StartNotBarrier,
-)
-from .oracle import periodic_mean_times
+from .errors import BalancedUnsupported, StartNotBarrier
 from .walk_model import Branch, WalkModel, barrier_spectrum, lambda_pair
 
 __all__ = [
@@ -47,10 +40,22 @@ __all__ = [
     "mean_time_any",
     "spectral_derivatives",
     "mean_time_to_barrier",
+    "display_time_to_barrier",
     "absorption_times",
 ]
 
-FORMULA_TOL = 1e-9
+# Taylor coefficients in y of the ruin shape F(u, y) below, each a
+# polynomial in u (lowest power first): -(B_{k+2}(u) - B_{k+2}) / (k+2)!
+# for k = 0..4, with the Bernoulli polynomials of sympy.bernoulli
+_RUIN_SERIES = (
+    (0.0, 1 / 2, -1 / 2),
+    (0.0, -1 / 12, 1 / 4, -1 / 6),
+    (0.0, 0.0, -1 / 24, 1 / 12, -1 / 24),
+    (0.0, 1 / 720, 0.0, -1 / 72, 1 / 48, -1 / 120),
+    (0.0, 0.0, 1 / 1440, 0.0, -1 / 288, 1 / 240, -1 / 720),
+)
+# below this |y| the series replaces the direct form, which cancels
+_RUIN_SERIES_CUT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -94,46 +99,60 @@ class DerivativeBundle:
     domega0_display: float
 
 
-def _drift_formula(model: WalkModel, i: int) -> float:
-    m = model
-    rho, n = m.rho, m.N
-    qp = m.q - m.p
-    denom = 1.0 - rho ** (-n)
-    return (n * rho ** (-i) / (qp * denom)
-            + i / qp
-            + (m.p0 + m.q0 * (n - 1)) / (qp * m.s0)
-            + (1.0 - m.s0) / m.s0
-            + n * (m.p0 / rho + m.q0 * rho ** (1 - n) + m.r0 - 1.0)
-            / (qp * denom * m.s0))
+def _horner(coeffs, t: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
-def _balanced_formula(model: WalkModel, i: int) -> float:
+def _ruin_shape(u: float, y: float) -> float:
+    """F(u, y) = (u - expm1(u y) / expm1(y)) / y, including its y -> 0 limit.
+
+    F(u, y) = F(1 - u, -y), so u is reflected into [0, 1/2], where the
+    direct form loses at most a factor 4/|y| to cancellation.  For y > 0
+    the ratio is rescaled by exp(-y) so that nothing overflows.
+    """
+    if u > 0.5:
+        u, y = 1.0 - u, -y
+    if abs(y) < _RUIN_SERIES_CUT:
+        return _horner([_horner(c, u) for c in _RUIN_SERIES], y)
+    if y > 0.0:
+        ratio = math.exp((u - 1.0) * y) * math.expm1(-u * y) / math.expm1(-y)
+    else:
+        ratio = math.expm1(u * y) / math.expm1(y)
+    return (u - ratio) / y
+
+
+def _time_to_next_barrier(model: WalkModel, i: int) -> float:
+    """Expected steps from site 0 <= i <= N until a barrier is reached.
+
+    This is the gambler's-ruin expected duration (Feller, Vol. 1, Ch. XIV)
+    with holding, T_i = N^2 F(i/N, N x) x / (p expm1(x)) with
+    x = log(q / p); p expm1(x) = q - p, and x / expm1(x) is 1 at x = 0.
+    """
     m = model
-    return (m.N * i / (2.0 * m.p)
-            - i * i / (2.0 * m.p)
-            + (m.p0 + m.q0) * (m.N - 1) / (2.0 * m.p * m.s0)
-            + (1.0 - m.s0) / m.s0)
+    x = math.log(m.q / m.p)
+    scale = 1.0 if x == 0.0 else x / math.expm1(x)
+    return m.N ** 2 * _ruin_shape(i / m.N, m.N * x) * scale / m.p
 
 
 def mean_time_any(model: WalkModel, i: int) -> float:
     """Mean number of steps before absorption when starting from site i.
 
     ``i`` may be any integer; times are periodic, m_i = m_{i mod N}.  The
-    branch formula is cross-checked against the exact periodic solve; on
-    disagreement beyond 1e-9 relative the solve wins (with a
-    FormulaDiscrepancy warning), which also keeps near-balanced drift
-    models accurate where the drift formula cancels catastrophically.
+    value is m_i = m_0 + T_i with T_i the time to reach the next barrier
+    and m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0.
+
+    The interior rate enters as p + q, where the periodic solve of the
+    oracle uses 1 - r.  For p, q near 1e-6 the rounding of 1 - r alone
+    moves the solve by about 1e-9 relative; a 50-digit solve agrees with
+    this form, not with the double-precision solve.
     """
-    i = i % model.N
-    formula = (_balanced_formula(model, i) if model.branch is Branch.BALANCED
-               else _drift_formula(model, i))
-    solved = float(periodic_mean_times(model)[i])
-    if abs(formula - solved) > FORMULA_TOL * max(abs(solved), 1e-30):
-        warnings.warn(FormulaDiscrepancy(
-            f"mean time at i={i}: branch formula {formula!r} vs "
-            f"periodic solve {solved!r}; returning the solve value"))
-        return solved
-    return formula
+    m = model
+    m0 = (m.p0 * _time_to_next_barrier(m, 1)
+          + m.q0 * _time_to_next_barrier(m, m.N - 1) + 1.0 - m.s0) / m.s0
+    return m0 + _time_to_next_barrier(m, i % m.N)
 
 
 def spectral_derivatives(model: WalkModel) -> DerivativeBundle:
@@ -199,16 +218,7 @@ def _time_to_barrier(model: WalkModel, k: int, domega0: float) -> float:
                              + spectrum.Omega * gap * abs(k) * xi_factor)
 
 
-def mean_time_to_barrier(model: WalkModel, k: int) -> float:
-    """Mean time carried by walks absorbed at barrier k*N, start at 0.
-
-    Requires the drift branch and i0 = 0.  The left and right barrier roots
-    both apply at k = 0; the two evaluations must coincide there
-    (:class:`ConsistencyFailure` otherwise).  The verbatim display form
-    built on the compact coupling-derivative is compared on every call and
-    flagged with :class:`FormulaDiscrepancy`; the chain-rule value is
-    returned.
-    """
+def _barrier_split_bundle(model: WalkModel) -> DerivativeBundle:
     if model.branch is Branch.BALANCED:
         raise BalancedUnsupported(
             "per-barrier mean times have no closed form for a balanced "
@@ -217,35 +227,22 @@ def mean_time_to_barrier(model: WalkModel, k: int) -> float:
         raise StartNotBarrier(
             f"per-barrier mean times are derived for a barrier start "
             f"(i0 = 0); model has i0 = {model.i0}")
-    bundle = spectral_derivatives(model)
-    value = _time_to_barrier(model, k, bundle.domega0)
-    if k == 0:
-        # k = 0 belongs to both geometric branches; evaluate the xi1 side
-        # too and require agreement
-        other = _c0_left_branch(model, bundle.domega0)
-        if abs(other - value) > FORMULA_TOL * max(abs(value), 1e-30):
-            warnings.warn(ConsistencyFailure(
-                f"k=0 branch values disagree: {value!r} (right) vs "
-                f"{other!r} (left)"))
-    shown = _time_to_barrier(model, k, bundle.domega0_display)
-    if abs(shown - value) > FORMULA_TOL * max(abs(value), 1e-30):
-        warnings.warn(FormulaDiscrepancy(
-            f"per-barrier mean time at k={k}: chain rule {value!r} vs "
-            f"display form {shown!r}; the chain-rule value is returned"))
-    return value
+    return spectral_derivatives(model)
 
 
-def _c0_left_branch(model: WalkModel, domega0: float) -> float:
-    # same expression as _time_to_barrier at k=0 but forcing the xi1 branch;
-    # identical algebraically because the |k| term vanishes
-    m = model
-    pair = lambda_pair(m, 1.0)
-    spectrum = barrier_spectrum(m)
-    gap = pair.lambda1 ** m.N - pair.lambda2 ** m.N
-    dgap = -m.N * pair.zeta * (pair.lambda1 ** m.N + pair.lambda2 ** m.N)
-    ratio = 4.0 * m.p0 * m.q0 / (m.p * m.q) * m.rho ** m.N
-    domega_big = -spectrum.Omega ** 3 * (spectrum.omega0 * domega0 + ratio * spectrum.alpha)
-    return m.s0 * spectrum.xi1 ** 0 * (domega_big * gap + spectrum.Omega * dgap)
+def mean_time_to_barrier(model: WalkModel, k: int) -> float:
+    """Mean time carried by walks absorbed at barrier k*N, start at 0.
+
+    Requires the drift branch and i0 = 0.
+    """
+    return _time_to_barrier(model, k, _barrier_split_bundle(model).domega0)
+
+
+def display_time_to_barrier(model: WalkModel, k: int) -> float:
+    """The same per-barrier time built on the compact display form of
+    d omega0/dz (diagnostic path; it deviates from the chain rule)."""
+    return _time_to_barrier(model, k,
+                            _barrier_split_bundle(model).domega0_display)
 
 
 def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> AbsorptionTimes:

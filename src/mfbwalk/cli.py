@@ -2,9 +2,11 @@
 
 Subcommands: visits, absorb-dist, reach, mean-time, barrier-time, simulate,
 verify.  Reports go to stdout as JSON (default) or CSV with a fixed column
-order; diagnostics go to stderr.  Exit codes: 0 success, 2 invalid model or
-inapplicable closed form, 3 verify found a discrepancy beyond tolerance,
-64 usage error, 66 model or golden file not found.
+order; diagnostics go to stderr.  Exit codes: 0 success, 2 invalid model,
+inapplicable closed form or a value that cannot be computed in floating
+point (an ArithmeticError such as an overflow), 3 verify found a
+discrepancy beyond tolerance, 64 usage error, 66 model or golden file not
+found.
 """
 
 from __future__ import annotations
@@ -14,18 +16,11 @@ import csv
 import json
 import math
 import sys
-import warnings
 
 from . import absorption_engine as ae
 from . import oracle
 from . import visit_engine as ve
-from .errors import (
-    BalancedUnsupported,
-    ConsistencyFailure,
-    FormulaDiscrepancy,
-    RejectedParameter,
-    StartNotBarrier,
-)
+from .errors import BalancedUnsupported, RejectedParameter, StartNotBarrier
 from .walk_model import Branch, WalkModel, load_model, validate_model
 
 EXIT_OK = 0
@@ -33,6 +28,9 @@ EXIT_INVALID = 2
 EXIT_DISCREPANCY = 3
 EXIT_USAGE = 64
 EXIT_NOFILE = 66
+
+# relative deviation of a display form beyond which verify records a note
+FORMULA_TOL = 1e-9
 
 VERIFY_COLUMNS = ("quantity", "index", "closed_form", "oracle", "delta",
                   "tolerance", "mode", "status")
@@ -351,6 +349,29 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], K, steps,
     return rows
 
 
+def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[str]:
+    """Display forms against the authoritative closed forms, once per model."""
+    def differ(value, shown):
+        return abs(shown - value) > FORMULA_TOL * max(abs(value), 1e-30)
+
+    notes = []
+    for k in range(window[0], window[1] + 1):
+        value = ve.barrier_visits(model, k)
+        shown = ve.display_barrier_visits(model, k)
+        if differ(value, shown):
+            notes.append(f"barrier visits at k={k}: boundary system "
+                         f"{value!r} vs display form {shown!r}")
+    if model.branch is Branch.DRIFT and model.i0 == 0:
+        for k in range(-5, 6):
+            value = ae.mean_time_to_barrier(model, k)
+            shown = ae.display_time_to_barrier(model, k)
+            if differ(value, shown):
+                notes.append(f"per-barrier mean time at k={k}: chain rule "
+                             f"{value!r} vs display form {shown!r}; the "
+                             f"chain-rule value is returned")
+    return notes
+
+
 def _regenerate_record(rec: dict) -> float:
     """Recompute a golden record's value with its stored oracle and params."""
     model = validate_model(rec["model"])
@@ -391,14 +412,9 @@ def _cmd_verify(model, args) -> int:
         print(f"blessed {len(records)} golden records -> {args.golden}",
               file=sys.stderr)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = _verify_rows(model, window, args.K, steps, args.walks,
-                            args.seed)
-    discrepancies = [str(w.message) for w in caught
-                     if isinstance(w.message, (FormulaDiscrepancy,
-                                               ConsistencyFailure))]
-    for note in dict.fromkeys(discrepancies):
+    rows = _verify_rows(model, window, args.K, steps, args.walks, args.seed)
+    discrepancies = _formula_discrepancies(model, window)
+    for note in discrepancies:
         print(f"FormulaDiscrepancy: {note}", file=sys.stderr)
 
     golden_mismatches = []
@@ -421,7 +437,7 @@ def _cmd_verify(model, args) -> int:
     else:
         _emit_json({"model": model.to_dict(), "quantity": "verify",
                     "rows": rows,
-                    "formula_discrepancies": list(dict.fromkeys(discrepancies)),
+                    "formula_discrepancies": discrepancies,
                     "golden_mismatches": golden_mismatches, "ok": ok})
     if not ok:
         return EXIT_DISCREPANCY
@@ -460,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ArithmeticError as exc:
+        print(f"cannot compute: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -41,20 +41,6 @@ class IllConditioned(ArithmeticError):
     the requested tolerance."""
 
 
-class FormulaDiscrepancy(UserWarning):
-    """Two evaluation paths for the same quantity disagree beyond tolerance.
-
-    Emitted when a verbatim display-form evaluation deviates from the
-    authoritative boundary-system / chain-rule path.  Carries both values in
-    the message; never fatal unless the caller opts in (CLI
-    ``--strict-formulas``).
-    """
-
-
-class ConsistencyFailure(UserWarning):
-    """Two branch expressions that must coincide at a shared index do not."""
-
-
 class ExcessCensoring(UserWarning):
     """A simulation hit its step cap on more than 0.1% of the walks; the
     returned statistics are still valid but flagged."""

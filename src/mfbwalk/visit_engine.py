@@ -9,11 +9,10 @@ index k whose characteristic roots ``xi1 > 1 > xi2 > 0`` live in
 
 and the two constants come from the boundary instances of the recurrence at
 k = 0 and k = 1, a plain 2x2 linear system.  That boundary-system path is
-authoritative here.  The same solution also has a compact algebraic display
-form; it is evaluated verbatim as a diagnostic, and any disagreement beyond
-1e-9 relative raises a :class:`FormulaDiscrepancy` warning carrying both
-values (for this quantity the two paths are algebraically identical, so the
-warning indicates a numerical pathology).
+the only one the library evaluates.  The same solution also has a compact
+algebraic display form, :func:`display_barrier_visits`; ``verify`` compares
+the two once per model (they are algebraically identical, so a disagreement
+indicates a numerical pathology).
 
 Interior sites are interpolated between their bracketing barriers by the
 drift-branch power profile in ``rho^n`` or the balanced linear profile, with
@@ -22,17 +21,16 @@ an extra source contribution inside the start interval.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FormulaDiscrepancy
 from .walk_model import Branch, WalkModel, barrier_spectrum, lambda_pair, reanchored
 
 __all__ = [
     "VisitProfile",
     "boundary_coefficients",
     "barrier_visits",
+    "display_barrier_visits",
     "site_visits",
     "absorption_mass",
     "total_absorption",
@@ -41,8 +39,6 @@ __all__ = [
     "barrier_recurrence_residual",
     "occupancy_residual",
 ]
-
-DISPLAY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ def boundary_coefficients(model: WalkModel) -> tuple[float, float]:
     return c1, k2
 
 
-def _display_barrier_visits(model: WalkModel, k: int) -> float:
+def display_barrier_visits(model: WalkModel, k: int) -> float:
     """Verbatim display-form evaluation of x_{kN} (diagnostic path)."""
     m = model
     spectrum = barrier_spectrum(m)
@@ -111,13 +107,7 @@ def barrier_visits(model: WalkModel, k: int) -> float:
     """Expected number of arrivals at barrier site k*N before absorption."""
     spectrum = barrier_spectrum(model)
     c1, k2 = boundary_coefficients(model)
-    value = c1 * spectrum.xi1 ** k if k <= 0 else k2 * spectrum.xi2 ** k
-    shown = _display_barrier_visits(model, k)
-    if abs(shown - value) > DISPLAY_TOL * max(abs(value), 1e-30):
-        warnings.warn(FormulaDiscrepancy(
-            f"barrier visits at k={k}: boundary system {value!r} vs "
-            f"display form {shown!r}"))
-    return value
+    return c1 * spectrum.xi1 ** k if k <= 0 else k2 * spectrum.xi2 ** k
 
 
 def absorption_mass(model: WalkModel, k: int) -> float:

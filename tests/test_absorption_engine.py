@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from mfbwalk import (
     BalancedUnsupported,
     Branch,
-    FormulaDiscrepancy,
     StartNotBarrier,
     absorption_times,
     barrier_spectrum,
+    display_time_to_barrier,
     gf_derivative_profile,
     lambda_pair,
     make_model,
@@ -64,6 +65,44 @@ class TestMeanTimeAny:
             assert all(v > 0.0 for v in values)
             assert values[0] == pytest.approx(values[m.N], rel=1e-12)
 
+    def test_matches_periodic_solve_near_balance(self):
+        # one closed form serves both branches with no cancellation, so it
+        # needs no solve fallback and emits no warning this close to balance
+        rng = np.random.default_rng(31)
+        for gap in (1e-3, 1e-5, 1e-7, 1e-9):
+            for sign in (+1.0, -1.0):
+                base = random_model(rng, "BALANCED", N=int(rng.integers(2, 17)))
+                m = make_model(p=base.q * (1.0 + sign * gap), q=base.q,
+                               p0=base.p0, q0=base.q0, s0=base.s0,
+                               N=base.N, i0=base.i0)
+                solved = periodic_mean_times(m)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    values = [mean_time_any(m, i) for i in range(m.N + 1)]
+                for value, want in zip(values, solved):
+                    assert value == pytest.approx(float(want), rel=1e-12)
+
+    def test_large_drift_stays_finite(self):
+        # N |log rho| = 832: powers of rho overflow a double
+        for p, q in ((0.1, 0.4), (0.4, 0.1)):
+            m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=600, i0=0)
+            solved = periodic_mean_times(m)
+            for i in range(m.N + 1):
+                value = mean_time_any(m, i)
+                assert math.isfinite(value)
+                assert value == pytest.approx(float(solved[i]), rel=1e-10)
+
+    def test_series_coefficients_are_bernoulli(self):
+        sympy = pytest.importorskip("sympy")
+        from mfbwalk.absorption_engine import _RUIN_SERIES
+        u = sympy.Symbol("u")
+        for k, coeffs in enumerate(_RUIN_SERIES):
+            poly = -(sympy.bernoulli(k + 2, u) - sympy.bernoulli(k + 2)) \
+                / sympy.factorial(k + 2)
+            want = sympy.Poly(sympy.expand(poly), u).all_coeffs()[::-1]
+            assert coeffs == pytest.approx([float(c) for c in want],
+                                           rel=1e-15, abs=0.0)
+
     def test_branch_continuity_at_balance(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -74,12 +113,8 @@ class TestMeanTimeAny:
                                   p0=base.p0, q0=base.q0, s0=base.s0,
                                   N=base.N, i0=base.i0)
                 assert pert.branch is Branch.DRIFT
-                with warnings.catch_warnings():
-                    # the drift formula cancels catastrophically this close
-                    # to balance; the periodic-solve fallback takes over
-                    warnings.simplefilter("ignore", FormulaDiscrepancy)
-                    for i in range(base.N + 1):
-                        assert abs(mean_time_any(pert, i) - baseline[i]) < 1e-3
+                for i in range(base.N + 1):
+                    assert abs(mean_time_any(pert, i) - baseline[i]) < 1e-3
 
 
 class TestSpectralDerivatives:
@@ -162,15 +197,14 @@ def _fd(f, h=1e-7):
 
 class TestMeanTimeToBarrier:
     def test_drift_goldens_match_oracle(self, cfg_drift):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FormulaDiscrepancy)
-            for k, want in DRIFT_M0K.items():
-                assert mean_time_to_barrier(cfg_drift, k) == \
-                    pytest.approx(want, rel=1e-9)
+        for k, want in DRIFT_M0K.items():
+            assert mean_time_to_barrier(cfg_drift, k) == \
+                pytest.approx(want, rel=1e-9)
 
     def test_display_form_discrepancy_is_flagged(self, cfg_drift):
-        with pytest.warns(FormulaDiscrepancy):
-            mean_time_to_barrier(cfg_drift, 0)
+        value = mean_time_to_barrier(cfg_drift, 0)
+        shown = display_time_to_barrier(cfg_drift, 0)
+        assert abs(shown - value) > 1e-9 * abs(value)
 
     def test_balanced_unsupported(self, cfg_sym):
         with pytest.raises(BalancedUnsupported):
@@ -185,43 +219,35 @@ class TestMeanTimeToBarrier:
         # the split behaves like xi2^k (a + b k), so successive ratios close
         # in on xi2 at rate 1/k
         spectrum = barrier_spectrum(cfg_drift)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FormulaDiscrepancy)
-            gaps = [abs(mean_time_to_barrier(cfg_drift, k + 1)
-                        / mean_time_to_barrier(cfg_drift, k) - spectrum.xi2)
-                    for k in (5, 9, 20, 40)]
+        gaps = [abs(mean_time_to_barrier(cfg_drift, k + 1)
+                    / mean_time_to_barrier(cfg_drift, k) - spectrum.xi2)
+                for k in (5, 9, 20, 40)]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 0.05 * spectrum.xi2
 
     def test_split_sums_to_total_mean_time(self):
         rng = np.random.default_rng(29)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FormulaDiscrepancy)
-            for _ in range(10):
-                m = random_model(rng, "DRIFT", i0=0)
-                split = truncated_mean_times(m)
-                half = max(split.per_barrier) + 1
-                total = sum(mean_time_to_barrier(m, k)
-                            for k in range(-half + 1, half))
-                assert total == pytest.approx(mean_time_any(m, 0), rel=1e-6)
+        for _ in range(10):
+            m = random_model(rng, "DRIFT", i0=0)
+            split = truncated_mean_times(m)
+            half = max(split.per_barrier) + 1
+            total = sum(mean_time_to_barrier(m, k)
+                        for k in range(-half + 1, half))
+            assert total == pytest.approx(mean_time_any(m, 0), rel=1e-6)
 
     def test_matches_numeric_generating_function_derivative(self):
         rng = np.random.default_rng(30)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FormulaDiscrepancy)
-            for _ in range(5):
-                m = random_model(rng, "DRIFT", i0=0)
-                profile = gf_derivative_profile(m, range(-5, 6))
-                for k, gd in profile.items():
-                    assert mean_time_to_barrier(m, k) == \
-                        pytest.approx(gd.value, rel=1e-6)
+        for _ in range(5):
+            m = random_model(rng, "DRIFT", i0=0)
+            profile = gf_derivative_profile(m, range(-5, 6))
+            for k, gd in profile.items():
+                assert mean_time_to_barrier(m, k) == \
+                    pytest.approx(gd.value, rel=1e-6)
 
 
 class TestAbsorptionTimes:
     def test_drift_bundle(self, cfg_drift):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FormulaDiscrepancy)
-            times = absorption_times(cfg_drift, -2, 2)
+        times = absorption_times(cfg_drift, -2, 2)
         assert times.period_values[0] == pytest.approx(22.0 / 3.0, rel=1e-9)
         assert set(times.per_barrier) == set(range(-2, 3))
 
