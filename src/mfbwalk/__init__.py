@@ -18,7 +18,6 @@ from .errors import (
     BalancedUnsupported,
     DegenerateSpectrum,
     ExcessCensoring,
-    IllConditioned,
     RejectedParameter,
     SingularSystem,
     StartNotBarrier,
@@ -26,15 +25,13 @@ from .errors import (
 )
 from .oracle import (
     EmpiricalStats,
-    GfDerivative,
     MeanTimeSplit,
     TruncatedVisits,
     default_truncation,
-    gf_derivative,
-    gf_derivative_profile,
     periodic_mean_times,
     simulate,
     truncated_mean_times,
+    truncated_visit_derivatives,
     truncated_visits,
 )
 from .visit_engine import (

@@ -19,11 +19,12 @@ Two quantities live here:
   derivative circulates that drops the (1 - r0) and (N-1)(rho q0 + p0)
   factors; :func:`display_time_to_barrier` evaluates it as a diagnostic for
   ``verify`` (it genuinely disagrees), while the chain-rule path is the one
-  that matches the numeric oracle.
+  that matches the exact derivative of the truncated occupancy system
+  (:func:`mfbwalk.oracle.truncated_visit_derivatives`).
 
 The driftless case has no closed form for the per-barrier split; the
-numeric oracle (:func:`mfbwalk.oracle.gf_derivative`) covers it as a
-clearly flagged extension.
+``per_barrier`` field of :func:`mfbwalk.oracle.truncated_mean_times` gives
+it numerically.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ def _barrier_split_bundle(model: WalkModel) -> DerivativeBundle:
     if model.branch is Branch.BALANCED:
         raise BalancedUnsupported(
             "per-barrier mean times have no closed form for a balanced "
-            "walk; use the numeric oracle gf_derivative instead")
+            "walk; use oracle.truncated_mean_times(model).per_barrier "
+            "instead")
     if model.i0 != 0:
         raise StartNotBarrier(
             f"per-barrier mean times are derived for a barrier start "

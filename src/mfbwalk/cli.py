@@ -77,16 +77,6 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_steps(text: str) -> tuple[float, ...]:
-    try:
-        steps = tuple(float(s) for s in text.split(","))
-    except ValueError:
-        raise _UsageError(f"steps must be comma-separated floats (got {text!r})")
-    if len(steps) < 2:
-        raise _UsageError("need at least two step sizes")
-    return steps
-
-
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", metavar="FILE", help="model JSON file "
                    "{p,q,r,p0,q0,r0,s0,N,i0}; exclusive with explicit flags")
@@ -152,8 +142,6 @@ def build_parser() -> _Parser:
                     help="Monte-Carlo walks (0 skips simulation)")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--K", type=int, default=None, help="truncation override")
-    sp.add_argument("--steps", default="1e-4,5e-5,2.5e-5,1.25e-5",
-                    help="difference steps for the derivative oracle")
     sp.add_argument("--golden", metavar="FILE",
                     help="golden record file to diff (or write with --bless)")
     sp.add_argument("--bless", action="store_true",
@@ -301,7 +289,7 @@ def _row(quantity, index, closed, reference, tol, mode) -> dict:
             "mode": mode, "status": "pass" if delta <= tol else "fail"}
 
 
-def _verify_rows(model: WalkModel, window: tuple[int, int], K, steps,
+def _verify_rows(model: WalkModel, window: tuple[int, int], K,
                  walks: int, seed: int) -> list[dict]:
     lo, hi = window
     rows = [_row("total_absorption", "", ve.total_absorption(model), 1.0,
@@ -328,12 +316,11 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], K, steps,
                          ve.occupancy_residual(model, j), 0.0, 1e-10, "abs"))
 
     if model.branch is Branch.DRIFT and model.i0 == 0:
-        profile = oracle.gf_derivative_profile(model, range(-5, 6),
-                                               steps=steps, K=K)
-        for k, gd in sorted(profile.items()):
+        deriv = oracle.truncated_visit_derivatives(model, K=K)
+        for k in range(-5, 6):
             rows.append(_row("mean_time_to_barrier", k,
-                             ae.mean_time_to_barrier(model, k), gd.value,
-                             1e-6, "rel"))
+                             ae.mean_time_to_barrier(model, k),
+                             model.s0 * deriv[k * model.N], 1e-6, "rel"))
 
     if walks > 0:
         stats = oracle.simulate(model, walks=walks, seed=seed)
@@ -382,11 +369,9 @@ def _regenerate_record(rec: dict) -> float:
         return tv.values[rec["index"]]
     if which == "periodic_solve":
         return float(oracle.periodic_mean_times(model)[rec["index"]])
-    if which == "gf_derivative":
-        gd = oracle.gf_derivative(model, rec["index"],
-                                  steps=params.get("steps", oracle.DEFAULT_STEPS),
-                                  K=params.get("K"))
-        return gd.value
+    if which == "truncated_derivative":
+        deriv = oracle.truncated_visit_derivatives(model, K=params.get("K"))
+        return model.s0 * deriv[rec["index"] * model.N]
     if which == "simulate":
         stats = oracle.simulate(model, walks=params["walks"],
                                 seed=params["seed"],
@@ -399,20 +384,19 @@ def _regenerate_record(rec: dict) -> float:
 
 def _cmd_verify(model, args) -> int:
     window = _parse_window(args.window)
-    steps = _parse_steps(args.steps)
 
     if args.bless:
         if not args.golden:
             raise _UsageError("--bless requires --golden FILE")
         records = oracle.oracle_battery(model, window=max(abs(window[0]),
                                                           abs(window[1])),
-                                        K=args.K, steps=steps,
-                                        walks=args.walks, seed=args.seed)
+                                        K=args.K, walks=args.walks,
+                                        seed=args.seed)
         oracle.write_golden(args.golden, records)
         print(f"blessed {len(records)} golden records -> {args.golden}",
               file=sys.stderr)
 
-    rows = _verify_rows(model, window, args.K, steps, args.walks, args.seed)
+    rows = _verify_rows(model, window, args.K, args.walks, args.seed)
     discrepancies = _formula_discrepancies(model, window)
     for note in discrepancies:
         print(f"FormulaDiscrepancy: {note}", file=sys.stderr)

@@ -36,11 +36,6 @@ class TruncationInsufficient(ValueError):
     chosen truncation."""
 
 
-class IllConditioned(ArithmeticError):
-    """Stages of a difference-quotient extrapolation tableau disagree beyond
-    the requested tolerance."""
-
-
 class ExcessCensoring(UserWarning):
     """A simulation hit its step cap on more than 0.1% of the walks; the
     returned statistics are still valid but flagged."""

@@ -20,30 +20,22 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (
-    ExcessCensoring,
-    IllConditioned,
-    SingularSystem,
-    TruncationInsufficient,
-)
+from .errors import ExcessCensoring, SingularSystem, TruncationInsufficient
 from .walk_model import Branch, WalkModel, barrier_spectrum
 
 __all__ = [
     "TruncatedVisits",
     "MeanTimeSplit",
-    "GfDerivative",
     "EmpiricalStats",
     "default_truncation",
     "truncated_visits",
+    "truncated_visit_derivatives",
     "periodic_mean_times",
     "truncated_mean_times",
-    "gf_derivative",
-    "gf_derivative_profile",
     "simulate",
     "write_golden",
     "read_golden",
@@ -51,9 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
-# one-sided difference steps for the generating-function derivative; the
-# expansion parameter is (mean time) * h, so slow walks need small steps
-DEFAULT_STEPS = (1e-4, 5e-5, 2.5e-5, 1.25e-5)
+# largest truncated lattice (2KN + 1 sites) the banded solvers will build;
+# at s0 = 1e-7 the default truncation would ask for about 1e8 sites
+MAX_SITES = 2_000_000
 
 # Monte-Carlo stream layout constants.  Walk w belongs to batch w // BATCH;
 # block b of batch j is drawn from Philox counter (j << 128) | (b << 64),
@@ -132,7 +124,8 @@ def truncated_visits(model: WalkModel, K: int | None = None, z: float = 1.0,
         smallest K whose geometric tail bound is below ``tol``.
     z : evaluation point of the generating function, 0 < z <= 1.
 
-    Raises ``TruncationInsufficient`` if an explicit K cannot meet ``tol``.
+    Raises ``TruncationInsufficient`` if an explicit K cannot meet ``tol``,
+    or if the lattice would hold more than ``MAX_SITES`` sites.
     """
     if not 0.0 < z <= 1.0:
         raise ValueError(f"z must lie in (0, 1] (got {z})")
@@ -140,6 +133,10 @@ def truncated_visits(model: WalkModel, K: int | None = None, z: float = 1.0,
         K = default_truncation(model, tol)
     if K < 3:
         raise ValueError(f"K must be >= 3 (got {K})")
+    if 2 * K * model.N + 1 > MAX_SITES:
+        raise TruncationInsufficient(
+            f"K={K} needs {2 * K * model.N + 1} sites, above the budget of "
+            f"{MAX_SITES}")
     rate = _decay_rate(model)
     tail = rate ** K
     if tail > tol:
@@ -204,12 +201,14 @@ def periodic_mean_times(model: WalkModel) -> np.ndarray:
     n = m.N
     A = np.zeros((n, n))
     b = np.zeros(n)
-    A[0, 0] = 1.0 - m.r0
+    # the diagonals are 1 - r0 and 1 - r, summed from the model's own
+    # probabilities: the subtraction rounds when p, q are tiny
+    A[0, 0] = m.p0 + m.q0 + m.s0
     A[0, 1 % n] -= m.p0
     A[0, (n - 1) % n] -= m.q0
     b[0] = 1.0 - m.s0
     for i in range(1, n):
-        A[i, i] = 1.0 - m.r
+        A[i, i] = m.p + m.q
         A[i, (i + 1) % n] -= m.p
         A[i, (i - 1) % n] -= m.q
         b[i] = 1.0
@@ -243,91 +242,6 @@ def truncated_mean_times(model: WalkModel, K: int | None = None,
                    for k in range(-(K - 1), K)}
     return MeanTimeSplit(model=model, period=period, per_barrier=per_barrier,
                          tail_bound=_decay_rate(model) ** K)
-
-
-# ---------------------------------------------------------------------------
-# numeric generating-function derivative
-
-@dataclass(frozen=True)
-class GfDerivative:
-    """One-sided difference-quotient estimate of s0 * dX_{kN}/dz at z = 1.
-
-    ``error_estimate`` is the spread of the last two extrapolation stages.
-    ``balanced_extension`` marks values computed for a balanced walk, where
-    no closed-form counterpart exists.
-    """
-
-    model: WalkModel
-    k: int
-    value: float
-    error_estimate: float
-    steps: tuple[float, ...]
-    K: int
-    balanced_extension: bool
-
-
-def gf_derivative_profile(model: WalkModel, ks: Iterable[int],
-                          steps: Sequence[float] = DEFAULT_STEPS,
-                          K: int | None = None,
-                          tol: float | None = None) -> dict[int, GfDerivative]:
-    """Numeric s0 * X'_{kN}(1) for several k sharing the same solves.
-
-    One-sided differences from below (the series is only guaranteed on
-    z <= 1) extrapolated to step zero by Neville's scheme over the given
-    step sizes.  At least two steps are required; three or more give a
-    usable error estimate.
-    """
-    steps = tuple(float(h) for h in steps)
-    if len(steps) < 2:
-        raise ValueError("need at least two step sizes")
-    if any(not 0.0 < h < 1.0 for h in steps):
-        raise ValueError(f"step sizes must lie in (0, 1): {steps}")
-    ks = list(ks)
-    if K is None:
-        K = default_truncation(model)
-    base = truncated_visits(model, K=K, z=1.0)
-    shifted = [truncated_visits(model, K=K, z=1.0 - h) for h in steps]
-
-    balanced = model.branch is Branch.BALANCED
-    out = {}
-    for k in ks:
-        site = k * model.N
-        quotients = [(base.values[site] - tv.values[site]) / h
-                     for h, tv in zip(steps, shifted)]
-        value, err = _neville_to_zero(steps, quotients)
-        value *= model.s0
-        err *= model.s0
-        if tol is not None and err > tol * max(1.0, abs(value)):
-            raise IllConditioned(
-                f"extrapolation stages disagree by {err:.3e} at k={k} "
-                f"(requested tolerance {tol:.3e})")
-        out[k] = GfDerivative(model=model, k=k, value=value, error_estimate=err,
-                              steps=steps, K=K, balanced_extension=balanced)
-    return out
-
-
-def gf_derivative(model: WalkModel, k: int,
-                  steps: Sequence[float] = DEFAULT_STEPS,
-                  K: int | None = None, tol: float | None = None) -> GfDerivative:
-    """Numeric estimate of s0 * dX_{kN}/dz at z = 1 for a single barrier."""
-    return gf_derivative_profile(model, [k], steps=steps, K=K, tol=tol)[k]
-
-
-def _neville_to_zero(hs: Sequence[float], vals: Sequence[float]) -> tuple[float, float]:
-    # polynomial extrapolation of vals(h) to h = 0; the difference quotient
-    # has a smooth expansion in h, so each stage gains one order
-    tableau = [list(vals)]
-    n = len(vals)
-    for m in range(1, n):
-        prev = tableau[-1]
-        row = []
-        for i in range(n - m):
-            num = hs[i] * prev[i + 1] - hs[i + m] * prev[i]
-            row.append(num / (hs[i] - hs[i + m]))
-        tableau.append(row)
-    best = tableau[-1][0]
-    err = abs(best - tableau[-2][-1]) if n >= 2 else float("inf")
-    return best, err
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +437,6 @@ def _mean_se(total: int, total_sq: int, n: int) -> tuple[float, float]:
 # golden-value records
 
 def oracle_battery(model: WalkModel, window: int = 3, K: int | None = None,
-                   steps: Sequence[float] = DEFAULT_STEPS,
                    walks: int = 0, seed: int = 42) -> list[dict]:
     """Oracle ground-truth records for a model.
 
@@ -548,13 +461,12 @@ def oracle_battery(model: WalkModel, window: int = 3, K: int | None = None,
                         "oracle": "periodic_solve", "params": {}})
 
     if model.branch is Branch.DRIFT and model.i0 == 0:
-        profile = gf_derivative_profile(model, range(-5, 6), steps=steps, K=K)
-        for k, gd in profile.items():
+        for k in range(-5, 6):
             records.append({"model": mdl, "quantity": "mean_time_to_barrier",
-                            "index": k, "value": gd.value,
-                            "error_bound": max(gd.error_estimate * 10, 1e-9),
-                            "oracle": "gf_derivative",
-                            "params": {"K": K, "steps": list(steps)}})
+                            "index": k, "value": mts.per_barrier[k],
+                            "error_bound": 1e-9,
+                            "oracle": "truncated_derivative",
+                            "params": {"K": K}})
 
     if walks > 0:
         stats = simulate(model, walks=walks, seed=seed)

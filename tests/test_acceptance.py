@@ -14,7 +14,6 @@ from mfbwalk import (
     absorption_mass,
     barrier_recurrence_residual,
     display_time_to_barrier,
-    gf_derivative_profile,
     make_model,
     mean_time_any,
     mean_time_to_barrier,
@@ -23,6 +22,7 @@ from mfbwalk import (
     simulate,
     site_visits,
     total_absorption,
+    truncated_mean_times,
     truncated_visits,
 )
 from conftest import random_model
@@ -129,18 +129,18 @@ def test_criterion_4_branch_continuity():
             f"balanced vs |rho-1|=1e-6 drift mean times, worst = {worst:.2e}")
 
 
-def test_criterion_5_barrier_time_vs_gf_derivative(drift):
+def test_criterion_5_barrier_time_vs_exact_derivative(drift):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1005)
     models = [drift] + [random_model(rng, "DRIFT", i0=0) for _ in range(20)]
     worst = 0.0
     discrepancy_notes = 0
     for m in models:
-        profile = gf_derivative_profile(m, range(-5, 6))
-        for k, gd in profile.items():
+        split = truncated_mean_times(m)
+        for k in range(-5, 6):
+            exact = split.per_barrier[k]
             closed = mean_time_to_barrier(m, k)
-            worst = max(worst,
-                        abs(closed - gd.value) / max(abs(gd.value), 1e-30))
+            worst = max(worst, abs(closed - exact) / max(abs(exact), 1e-30))
             shown = display_time_to_barrier(m, k)
             discrepancy_notes += abs(shown - closed) > 1e-9 * max(abs(closed), 1e-30)
     elapsed = time.perf_counter() - t0
@@ -148,7 +148,7 @@ def test_criterion_5_barrier_time_vs_gf_derivative(drift):
     # recorded as a formula discrepancy, which is the documented outcome
     _report(5, worst < 1e-6 and discrepancy_notes > 0 and elapsed < 30.0,
             elapsed,
-            f"chain-rule m0k vs numeric derivative on 21 models, worst rel "
+            f"chain-rule m0k vs exact derivative on 21 models, worst rel "
             f"= {worst:.2e}; display-form discrepancies recorded = "
             f"{discrepancy_notes}")
 

@@ -232,6 +232,26 @@ class TestVerify:
         assert json.loads(out)["golden_mismatches"]
         assert "golden mismatch" in err
 
+    def test_barrier_times_exact_at_n100(self, capsys):
+        # m_0 is about 300 here, so a difference quotient in z with a fixed
+        # step is far off; the exact derivative agrees to round-off
+        code, out, _ = run(["verify", "--p", ".26", "--q", ".24", "--p0", ".3",
+                            "--q0", ".3", "--s0", ".2", "--N", "100",
+                            "--i0", "0"], capsys)
+        assert code == 0
+        rows = [r for r in json.loads(out)["rows"]
+                if r["quantity"] == "mean_time_to_barrier"]
+        assert len(rows) == 11
+        assert all(r["delta"] < 1e-12 for r in rows)
+
+    def test_oversized_truncation_is_2(self, capsys):
+        code, _, err = run(["verify", "--p", "0.3", "--q", "0.25", "--p0", "0.3",
+                            "--q0", "0.3", "--s0", "1e-7", "--N", "10",
+                            "--i0", "0"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_bless_requires_golden_path(self, drift_file, capsys):
         assert run(["verify", "--model", drift_file, "--bless"],
                    capsys)[0] == 64

@@ -1,22 +1,22 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from mfbwalk import (
     ExcessCensoring,
-    IllConditioned,
     TruncationInsufficient,
     default_truncation,
-    gf_derivative,
-    gf_derivative_profile,
+    make_model,
+    mean_time_any,
     periodic_mean_times,
     simulate,
     site_visits,
     truncated_mean_times,
+    truncated_visit_derivatives,
     truncated_visits,
 )
+from mfbwalk.oracle import MAX_SITES
 from conftest import random_model
 
 
@@ -54,6 +54,15 @@ class TestTruncatedVisits:
     def test_truncation_insufficient(self, cfg_drift):
         with pytest.raises(TruncationInsufficient):
             truncated_visits(cfg_drift, K=5, tol=1e-12)
+
+    def test_size_budget(self):
+        # at s0 = 1e-7 the default truncation asks for about 2.7e8 sites
+        m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=1e-7, N=10, i0=0)
+        assert 2 * default_truncation(m) * m.N + 1 > MAX_SITES
+        with pytest.raises(TruncationInsufficient):
+            truncated_visits(m)
+        with pytest.raises(TruncationInsufficient):
+            truncated_visit_derivatives(m)
 
     def test_parameter_domains(self, cfg_sym):
         with pytest.raises(ValueError):
@@ -96,43 +105,22 @@ class TestMeanTimes:
         assert m_dr[0] == pytest.approx(22.0 / 3.0, rel=1e-12)
         assert m_dr[1] == pytest.approx(9.0, rel=1e-12)
 
-    def test_split_mass_sums_to_total_time(self, cfg_drift):
-        split = truncated_mean_times(cfg_drift, K=40)
+    @pytest.mark.parametrize("fixture", ["cfg_drift", "cfg_sym"])
+    def test_split_mass_sums_to_total_time(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        split = truncated_mean_times(model, K=40)
         assert sum(split.per_barrier.values()) == \
             pytest.approx(float(split.period[0]), abs=1e-8)
 
-    def test_cross_oracle_agreement(self, cfg_drift):
-        # numeric differentiation against the exact derivative solve
-        split = truncated_mean_times(cfg_drift)
-        profile = gf_derivative_profile(cfg_drift, range(-5, 6))
-        for k, gd in profile.items():
-            assert gd.value == pytest.approx(split.per_barrier[k], rel=1e-6)
-
-
-class TestGfDerivative:
-    def test_reference_value_and_estimate(self, cfg_drift):
-        exact = truncated_mean_times(cfg_drift).per_barrier[0]
-        gd = gf_derivative(cfg_drift, 0)
-        assert gd.error_estimate < 1e-7
-        assert gd.value == pytest.approx(exact, abs=1e-7)
-        # the documented three-step call stays inside 1e-7 of truth as well
-        gd3 = gf_derivative(cfg_drift, 0, steps=(1e-3, 5e-4, 2.5e-4))
-        assert gd3.value == pytest.approx(exact, abs=1e-7)
-
-    def test_balanced_extension_is_flagged(self, cfg_sym):
-        gd = gf_derivative(cfg_sym, 0)
-        assert gd.balanced_extension
-        assert math.isfinite(gd.value)
-
-    def test_ill_conditioned_raises(self, cfg_drift):
-        with pytest.raises(IllConditioned):
-            gf_derivative(cfg_drift, 0, steps=(0.3, 0.15), tol=1e-12)
-
-    def test_step_validation(self, cfg_drift):
-        with pytest.raises(ValueError):
-            gf_derivative(cfg_drift, 0, steps=(1e-3,))
-        with pytest.raises(ValueError):
-            gf_derivative(cfg_drift, 0, steps=(1e-3, 2.0))
+    def test_periodic_solve_tiny_steps(self):
+        # with p, q near 1e-6 the diagonal 1 - r rounds when it is formed by
+        # subtraction; summed from p and q it does not
+        for p, q, N in [(4e-7, 3e-6, 2), (3e-6, 4e-7, 5), (1e-6, 2e-6, 10),
+                        (7e-7, 7e-7, 3)]:
+            m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=N, i0=0)
+            solved = periodic_mean_times(m)
+            for i in range(N + 1):
+                assert solved[i] == pytest.approx(mean_time_any(m, i), rel=1e-12)
 
 
 class TestSimulate:
