@@ -7,16 +7,14 @@ linear-system solver and a seeded Monte-Carlo simulator.
 
 from .absorption_engine import (
     AbsorptionTimes,
-    DerivativeBundle,
     absorption_times,
     display_time_to_barrier,
+    has_barrier_split,
     mean_time_any,
     mean_time_to_barrier,
-    spectral_derivatives,
 )
 from .errors import (
     BalancedUnsupported,
-    DegenerateSpectrum,
     ExcessCensoring,
     RejectedParameter,
     SingularSystem,
@@ -51,10 +49,8 @@ from .walk_model import (
     BALANCE_EPS,
     BarrierSpectrum,
     Branch,
-    SpectralPair,
     WalkModel,
     barrier_spectrum,
-    lambda_pair,
     load_model,
     make_model,
     model_from_json,

@@ -15,16 +15,17 @@ Two quantities live here:
   equals s0 times the z-derivative at z = 1 of the barrier occupancy
   generating function X_{kN}(z) = Omega(z) (lambda1^N(z) - lambda2^N(z))
   xi_i^k(z), differentiated term by term through the implicit derivatives
-  of the two quadratics.  A compact display form of the coupling-coefficient
-  derivative circulates that drops the (1 - r0) and (N-1)(rho q0 + p0)
-  factors; :func:`display_time_to_barrier` evaluates it as a diagnostic for
-  ``verify`` (it genuinely disagrees), while the chain-rule path is the one
-  that matches the exact derivative of the truncated occupancy system
-  (:func:`mfbwalk.oracle.truncated_visit_derivatives`).
+  of the two quadratics, all written out at z = 1.  A compact display form
+  of the coupling-coefficient derivative circulates that drops the
+  (1 - r0) and (N-1)(rho q0 + p0) factors (36.8 against the chain rule's
+  22.8 on the drift reference model); :func:`display_time_to_barrier`
+  evaluates it as a diagnostic for ``verify``, while the chain-rule path is
+  the one that matches the exact derivative of the truncated occupancy
+  system (:func:`mfbwalk.oracle.truncated_visit_derivatives`).
 
-The driftless case has no closed form for the per-barrier split; the
-``per_barrier`` field of :func:`mfbwalk.oracle.truncated_mean_times` gives
-it numerically.
+The per-barrier split has no closed form for a driftless walk, and near
+balance the drift form cancels; :func:`has_barrier_split` says where it
+serves.  :func:`mfbwalk.oracle.truncated_mean_times` gives it everywhere.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import BalancedUnsupported, StartNotBarrier
-from .walk_model import Branch, WalkModel, barrier_spectrum, lambda_pair
+from .walk_model import BarrierSpectrum, Branch, WalkModel, barrier_spectrum
 
 __all__ = [
     "AbsorptionTimes",
-    "DerivativeBundle",
     "mean_time_any",
-    "spectral_derivatives",
+    "has_barrier_split",
     "mean_time_to_barrier",
     "display_time_to_barrier",
     "absorption_times",
@@ -64,40 +64,13 @@ class AbsorptionTimes:
     """Mean times over one period plus the per-barrier split.
 
     ``period_values[i]`` is m_i for i = 0..N (so m_0 appears at both ends);
-    ``per_barrier`` maps k to m_{0k} and is empty for balanced walks or
-    off-barrier starts, where the closed form does not exist.
+    ``per_barrier`` maps k to m_{0k} and is empty wherever
+    :func:`has_barrier_split` is false.
     """
 
     model: WalkModel
     period_values: tuple[float, ...]
     per_barrier: dict[int, float]
-
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """z-derivatives at z = 1 of every spectral ingredient (drift branch).
-
-    All follow from implicit differentiation:
-
-        dlambda_i/dz = (-1)^i zeta lambda_i
-        dzeta/dz     = zeta^3 alpha,           alpha = r(1 - r) + 4 p q
-        dxi_i/dz     = (-1)^i xi_i Omega [alpha omega0 zeta^2 + domega0]
-
-    ``domega0`` is the chain-rule derivative of the z-dependent coupling
-    coefficient omega0(z); ``domega0_display`` is the compact display form
-    of the same derivative, retained for diagnostics only (it drops two
-    factors and does not match finite differences).
-    """
-
-    model: WalkModel
-    dlambda1: float
-    dlambda2: float
-    dzeta: float
-    domega0: float
-    dxi1: float
-    dxi2: float
-    alpha: float
-    domega0_display: float
 
 
 def _horner(coeffs, t: float) -> float:
@@ -156,58 +129,72 @@ def mean_time_any(model: WalkModel, i: int) -> float:
     return m0 + _time_to_next_barrier(m, i % m.N)
 
 
-def spectral_derivatives(model: WalkModel) -> DerivativeBundle:
-    """All z = 1 derivatives needed to differentiate X_{kN}(z) (drift only).
+def _split_refusal(model: WalkModel) -> ValueError | None:
+    """The error that refuses the per-barrier closed form, or None.
 
-    Raises :class:`BalancedUnsupported` for balanced walks, whose root pair
-    degenerates at z = 1.
+    Near balance the chain rule below cancels: against the exact derivative
+    its error stays below 1e-6 at y = N |log(q/p)| = 1e-2 for N up to 1000
+    and grows about as y^-3 below that, so it serves only above the cut of
+    the ruin series, which bounds the same variable.
     """
-    if model.branch is Branch.BALANCED:
-        raise BalancedUnsupported(
-            "spectral z-derivatives require drift (p != q); no closed form "
-            "exists in the balanced case")
+    y = model.N * abs(math.log(model.q / model.p))
+    if model.branch is Branch.BALANCED or (model.i0 == 0 and y < _RUIN_SERIES_CUT):
+        return BalancedUnsupported(
+            f"per-barrier mean times have no closed form for a balanced "
+            f"walk and lose their precision near balance (N |log(q/p)| = "
+            f"{y:.3g} < {_RUIN_SERIES_CUT:g}); use "
+            f"oracle.truncated_mean_times(model).per_barrier instead")
+    if model.i0 != 0:
+        return StartNotBarrier(
+            f"per-barrier mean times are derived for a barrier start "
+            f"(i0 = 0); model has i0 = {model.i0}")
+    return None
+
+
+def has_barrier_split(model: WalkModel) -> bool:
+    """Whether :func:`mean_time_to_barrier` serves this model."""
+    return _split_refusal(model) is None
+
+
+def _domega0(model: WalkModel, spectrum: BarrierSpectrum, zeta: float,
+             display: bool) -> float:
+    """d omega0/dz at z = 1 by the chain rule through
+
+        omega0(z) = (l2^N - l1^N)(1 - r0 z) + z (l1^(N-1) - l2^(N-1))(rho q0 + p0)
+
+    with dl_i/dz = (-1)^i zeta l_i, or the compact display form if
+    ``display`` (diagnostic only)."""
     m = model
-    pair = lambda_pair(m, 1.0)
-    spectrum = barrier_spectrum(m)
-    l1, l2, zeta = pair.lambda1, pair.lambda2, pair.zeta
-    n, rho = m.N, m.rho
-    alpha = spectrum.alpha
+    l1, l2, n = spectrum.lambda1, spectrum.lambda2, m.N
     coup = m.rho * m.q0 + m.p0
-
-    # chain rule through omega0(z) = (l2^N - l1^N)(1 - r0 z)
-    #                                + z (l1^(N-1) - l2^(N-1)) (rho q0 + p0)
-    domega0 = (n * zeta * (1.0 - m.r0) * (l1 ** n + l2 ** n)
-               + m.r0 * (l1 ** n - l2 ** n)
-               + coup * (l1 ** (n - 1) - l2 ** (n - 1))
-               - (n - 1) * zeta * coup * (l1 ** (n - 1) + l2 ** (n - 1)))
-    # display form of the same derivative (diagnostic only)
-    domega0_display = (m.r0 * (l1 ** n - l2 ** n)
-                       + coup * (l1 ** (n - 1) - l2 ** (n - 1))
-                       + zeta * (n * (l1 ** n + l2 ** n)
-                                 - (l1 ** (n - 1) + l2 ** (n - 1))))
-
-    xi_factor = spectrum.Omega * (alpha * spectrum.omega0 * zeta ** 2 + domega0)
-    return DerivativeBundle(
-        model=m,
-        dlambda1=-zeta * l1,
-        dlambda2=zeta * l2,
-        dzeta=zeta ** 3 * alpha,
-        domega0=domega0,
-        dxi1=-spectrum.xi1 * xi_factor,
-        dxi2=spectrum.xi2 * xi_factor,
-        alpha=alpha,
-        domega0_display=domega0_display,
-    )
+    if display:
+        return (m.r0 * (l1 ** n - l2 ** n)
+                + coup * (l1 ** (n - 1) - l2 ** (n - 1))
+                + zeta * (n * (l1 ** n + l2 ** n)
+                          - (l1 ** (n - 1) + l2 ** (n - 1))))
+    return (n * zeta * (1.0 - m.r0) * (l1 ** n + l2 ** n)
+            + m.r0 * (l1 ** n - l2 ** n)
+            + coup * (l1 ** (n - 1) - l2 ** (n - 1))
+            - (n - 1) * zeta * coup * (l1 ** (n - 1) + l2 ** (n - 1)))
 
 
-def _time_to_barrier(model: WalkModel, k: int, domega0: float) -> float:
-    """s0 * d/dz [Omega(z) (l1^N - l2^N) xi^k] at z = 1 for one derivative
-    choice of the coupling coefficient."""
+def _time_to_barrier(model: WalkModel, k: int, display: bool) -> float:
+    """s0 * d/dz [Omega(z) (l1^N - l2^N) xi^k] at z = 1, with
+
+        dl_i/dz   = (-1)^i zeta l_i,           zeta = 1 / |p - q|
+        dOmega/dz = -Omega^3 [omega0 domega0 + 4 p0 q0 rho^N alpha / (p q)]
+        dxi_i/dz  = (-1)^i xi_i Omega [alpha omega0 zeta^2 + domega0]
+
+    where alpha = r (1 - r) + 4 p q.
+    """
+    refusal = _split_refusal(model)
+    if refusal is not None:
+        raise refusal
     m = model
-    pair = lambda_pair(m, 1.0)
     spectrum = barrier_spectrum(m)
-    l1, l2, zeta = pair.lambda1, pair.lambda2, pair.zeta
+    l1, l2, zeta = spectrum.lambda1, spectrum.lambda2, 1.0 / abs(m.p - m.q)
     n, rho = m.N, m.rho
+    domega0 = _domega0(m, spectrum, zeta, display)
     gap = l1 ** n - l2 ** n
     dgap = -n * zeta * (l1 ** n + l2 ** n)
     ratio = 4.0 * m.p0 * m.q0 / (m.p * m.q) * rho ** n
@@ -219,43 +206,30 @@ def _time_to_barrier(model: WalkModel, k: int, domega0: float) -> float:
                              + spectrum.Omega * gap * abs(k) * xi_factor)
 
 
-def _barrier_split_bundle(model: WalkModel) -> DerivativeBundle:
-    if model.branch is Branch.BALANCED:
-        raise BalancedUnsupported(
-            "per-barrier mean times have no closed form for a balanced "
-            "walk; use oracle.truncated_mean_times(model).per_barrier "
-            "instead")
-    if model.i0 != 0:
-        raise StartNotBarrier(
-            f"per-barrier mean times are derived for a barrier start "
-            f"(i0 = 0); model has i0 = {model.i0}")
-    return spectral_derivatives(model)
-
-
 def mean_time_to_barrier(model: WalkModel, k: int) -> float:
     """Mean time carried by walks absorbed at barrier k*N, start at 0.
 
-    Requires the drift branch and i0 = 0.
+    Requires :func:`has_barrier_split`: raises :class:`BalancedUnsupported`
+    at or near balance and :class:`StartNotBarrier` for i0 != 0.
     """
-    return _time_to_barrier(model, k, _barrier_split_bundle(model).domega0)
+    return _time_to_barrier(model, k, display=False)
 
 
 def display_time_to_barrier(model: WalkModel, k: int) -> float:
     """The same per-barrier time built on the compact display form of
     d omega0/dz (diagnostic path; it deviates from the chain rule)."""
-    return _time_to_barrier(model, k,
-                            _barrier_split_bundle(model).domega0_display)
+    return _time_to_barrier(model, k, display=True)
 
 
 def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> AbsorptionTimes:
     """Period of mean times plus the per-barrier split over a window.
 
-    The split is included only where its closed form exists (drift branch,
-    barrier start); otherwise ``per_barrier`` is empty.
+    The split is included only where :func:`has_barrier_split` holds;
+    otherwise ``per_barrier`` is empty.
     """
     period = tuple(mean_time_any(model, i) for i in range(model.N + 1))
     per_barrier: dict[int, float] = {}
-    if model.branch is Branch.DRIFT and model.i0 == 0:
+    if has_barrier_split(model):
         per_barrier = {k: mean_time_to_barrier(model, k)
                        for k in range(k_min, k_max + 1)}
     return AbsorptionTimes(model=model, period_values=period,

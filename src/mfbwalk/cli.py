@@ -21,7 +21,7 @@ from . import absorption_engine as ae
 from . import oracle
 from . import visit_engine as ve
 from .errors import BalancedUnsupported, RejectedParameter, StartNotBarrier
-from .walk_model import Branch, WalkModel, load_model, validate_model
+from .walk_model import WalkModel, load_model, validate_model
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -315,7 +315,7 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], K,
         rows.append(_row("occupancy_residual", j,
                          ve.occupancy_residual(model, j), 0.0, 1e-10, "abs"))
 
-    if model.branch is Branch.DRIFT and model.i0 == 0:
+    if ae.has_barrier_split(model):
         deriv = oracle.truncated_visit_derivatives(model, K=K)
         for k in range(-5, 6):
             rows.append(_row("mean_time_to_barrier", k,
@@ -348,7 +348,7 @@ def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[st
         if differ(value, shown):
             notes.append(f"barrier visits at k={k}: boundary system "
                          f"{value!r} vs display form {shown!r}")
-    if model.branch is Branch.DRIFT and model.i0 == 0:
+    if ae.has_barrier_split(model):
         for k in range(-5, 6):
             value = ae.mean_time_to_barrier(model, k)
             shown = ae.display_time_to_barrier(model, k)

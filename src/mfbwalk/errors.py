@@ -10,14 +10,9 @@ class RejectedParameter(ValueError):
     """
 
 
-class DegenerateSpectrum(ArithmeticError):
-    """The interior root pair coincides (balanced walk at z = 1), so the
-    reciprocal square-root normalizer is undefined.  Balanced-branch callers
-    must use the polynomial forms instead."""
-
-
 class BalancedUnsupported(ValueError):
-    """The requested closed form exists only for walks with drift (p != q)."""
+    """The requested closed form exists only for walks with enough drift
+    (p != q, and not so close to balance that it loses its precision)."""
 
 
 class StartNotBarrier(ValueError):

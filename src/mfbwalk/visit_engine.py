@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .walk_model import Branch, WalkModel, barrier_spectrum, lambda_pair, reanchored
+from .walk_model import Branch, WalkModel, barrier_spectrum, reanchored
 
 __all__ = [
     "VisitProfile",
@@ -66,7 +66,7 @@ def boundary_coefficients(model: WalkModel) -> tuple[float, float]:
     right-hand sides carry the start-site source:
 
     * drift branch:  R1 = (q zeta / q0)(lambda2^(N-i0) - lambda1^(N-i0)),
-      R2 = (p zeta / p0)(lambda1^(-i0) - lambda2^(-i0));
+      R2 = (p zeta / p0)(lambda1^(-i0) - lambda2^(-i0)), zeta = 1 / |p - q|;
     * balanced branch:  R1 = (i0 - N) / q0,  R2 = -i0 / p0.
     """
     m = model
@@ -75,8 +75,7 @@ def boundary_coefficients(model: WalkModel) -> tuple[float, float]:
         r1 = (m.i0 - m.N) / m.q0
         r2 = -m.i0 / m.p0
     else:
-        pair = lambda_pair(m, 1.0)
-        l1, l2, zeta = pair.lambda1, pair.lambda2, pair.zeta
+        l1, l2, zeta = spectrum.lambda1, spectrum.lambda2, 1.0 / abs(m.p - m.q)
         r1 = (m.q * zeta / m.q0) * (l2 ** (m.N - m.i0) - l1 ** (m.N - m.i0))
         r2 = (m.p * zeta / m.p0) * (l1 ** (-m.i0) - l2 ** (-m.i0))
     gap = spectrum.xi1 - spectrum.xi2
@@ -95,8 +94,7 @@ def display_barrier_visits(model: WalkModel, k: int) -> float:
         decay = spectrum.xi1 if k <= 0 else spectrum.xi2
         bracket = m.i0 * m.q0 * inner / m.p0 + m.N - m.i0
         return bracket * decay ** k * spectrum.Omega
-    pair = lambda_pair(m, 1.0)
-    l1, l2, rho = pair.lambda1, pair.lambda2, m.rho
+    l1, l2, rho = spectrum.lambda1, spectrum.lambda2, m.rho
     xi = spectrum.xi1 if k <= 0 else spectrum.xi2
     bracket = ((l1 ** (m.N - m.i0) - l2 ** (m.N - m.i0)) * xi
                + rho ** m.N * (l2 ** (-m.i0) - l1 ** (-m.i0)))
@@ -209,8 +207,7 @@ def barrier_recurrence_residual(model: WalkModel, k: int) -> float:
         elif k == 1:
             rhs = -m.i0
         return lhs - rhs
-    pair = lambda_pair(m, 1.0)
-    l1, l2, rho = pair.lambda1, pair.lambda2, m.rho
+    l1, l2, rho = spectrum.lambda1, spectrum.lambda2, m.rho
     scale = abs(1.0 - rho)
     lhs = m.q0 * xp + (spectrum.omega0 / scale) * x0 + m.p0 * rho ** (m.N - 1) * xm
     rhs = 0.0

@@ -6,13 +6,17 @@ Every multiple of ``N`` carries a multiple-function barrier that lets the
 walker through with ``p0``, reflects with ``q0``, holds with ``r0`` and
 absorbs with ``s0``.  The walk starts at ``i0`` with ``0 <= i0 < N``.
 
-Everything downstream is driven by two quadratics solved here:
+Everything downstream is driven by two quadratics, both taken at z = 1,
+the only point at which the library evaluates its generating functions:
 
-* the interior characteristic equation ``q z L^2 - (1 - r z) L + p z = 0``
-  with roots ``lambda1 >= lambda2`` (at ``z = 1`` these are ``max(1, rho)``
-  and ``min(1, rho)`` where ``rho = p / q``), and
+* the interior characteristic equation ``q L^2 - (1 - r) L + p = 0``, whose
+  roots ``lambda1 = max(1, rho)`` and ``lambda2 = min(1, rho)`` with
+  ``rho = p / q`` are known exactly, and
 * the barrier-level recurrence quadratic whose roots ``xi1 > 1 > xi2 > 0``
   govern the geometric decay of barrier visits away from the start.
+
+The z-derivatives at z = 1 that the per-barrier times need are written out
+in closed form in :mod:`mfbwalk.absorption_engine`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import DegenerateSpectrum, RejectedParameter
+from .errors import RejectedParameter
 
 # |p - q| below this is treated as the balanced (driftless) case: the
 # drift-branch closed forms divide by 1 - rho and lose all precision there,
@@ -160,71 +164,14 @@ def reanchored(model: WalkModel, i0: int) -> WalkModel:
 
 
 # ---------------------------------------------------------------------------
-# interior spectrum
-
-@dataclass(frozen=True)
-class SpectralPair:
-    """Roots of the interior characteristic equation at a given z.
-
-    ``lambda1 >= lambda2 > 0`` and ``lambda1 * lambda2 = rho`` for every z.
-    ``zeta`` is the reciprocal square root of the discriminant,
-    ``[(1 - r z)^2 - 4 p q z^2]^(-1/2)``; at z = 1 it equals ``1 / |p - q|``
-    and does not exist for a balanced walk (access raises
-    :class:`DegenerateSpectrum`).
-    """
-
-    z: float
-    lambda1: float
-    lambda2: float
-    _zeta: float | None = None
-
-    @property
-    def zeta(self) -> float:
-        if self._zeta is None:
-            raise DegenerateSpectrum(
-                "zeta is undefined for a balanced walk at z = 1 "
-                "(coincident roots); use the balanced polynomial forms")
-        return self._zeta
-
-    @property
-    def degenerate(self) -> bool:
-        return self._zeta is None
-
-
-def lambda_pair(model: WalkModel, z: float = 1.0) -> SpectralPair:
-    """Solve ``q z L^2 - (1 - r z) L + p z = 0`` for 0 < z <= 1.
-
-    The larger root is computed by the sign-matched quadratic formula and
-    the smaller via the product of roots, which keeps both accurate when the
-    discriminant is small.  At z = 1 the exact values ``max(1, rho)`` and
-    ``min(1, rho)`` are used directly.
-    """
-    if not 0.0 < z <= 1.0:
-        raise ValueError(f"z must lie in (0, 1] (got {z})")
-    p, q, r = model.p, model.q, model.r
-    if z == 1.0:
-        if model.branch is Branch.BALANCED:
-            return SpectralPair(z=1.0, lambda1=1.0, lambda2=1.0, _zeta=None)
-        rho = model.rho
-        return SpectralPair(z=1.0, lambda1=max(1.0, rho), lambda2=min(1.0, rho),
-                            _zeta=1.0 / abs(p - q))
-    one_minus_rz = 1.0 - r * z
-    disc = one_minus_rz * one_minus_rz - 4.0 * p * q * z * z
-    # (1-rz)^2 - 4pq z^2 >= (p+q)^2 z^2 - 4pq z^2 = (p-q)^2 z^2 >= 0, with
-    # equality only at z = 1 in the balanced case
-    root = math.sqrt(disc)
-    lam1 = (one_minus_rz + root) / (2.0 * q * z)
-    lam2 = model.rho / lam1
-    return SpectralPair(z=z, lambda1=lam1, lambda2=lam2, _zeta=1.0 / root)
-
-
-# ---------------------------------------------------------------------------
 # barrier-level spectrum
 
 @dataclass(frozen=True)
 class BarrierSpectrum:
-    """Coefficients and roots of the barrier-level recurrence.
+    """Interior roots, coefficients and roots of the barrier-level recurrence.
 
+    ``lambda1`` and ``lambda2`` are the interior roots at z = 1,
+    ``max(1, rho)`` and ``min(1, rho)``; both are 1 for a balanced walk.
     On the drift branch the recurrence quadratic is
     ``q0 xi^2 + (omega0 / |1 - rho|) xi + p0 rho^(N-1) = 0`` with
 
@@ -244,6 +191,8 @@ class BarrierSpectrum:
     """
 
     model: WalkModel
+    lambda1: float
+    lambda2: float
     omega0: float
     psi0: float
     xi1: float
@@ -257,18 +206,6 @@ class BarrierSpectrum:
         if m.branch is Branch.BALANCED:
             return m.q0, self.psi0, m.p0
         return m.q0, self.omega0 / abs(1.0 - m.rho), m.p0 * m.rho ** (m.N - 1)
-
-    def omega0_of_z(self, z: float) -> float:
-        """The z-dependent barrier coupling coefficient
-
-        ``omega0(z) = (lambda2(z)^N - lambda1(z)^N)(1 - r0 z)
-                      + z (lambda1(z)^(N-1) - lambda2(z)^(N-1))(rho q0 + p0)``.
-        """
-        m = self.model
-        pair = lambda_pair(m, z)
-        l1, l2, n = pair.lambda1, pair.lambda2, m.N
-        return ((l2 ** n - l1 ** n) * (1.0 - m.r0 * z)
-                + z * (l1 ** (n - 1) - l2 ** (n - 1)) * (m.rho * m.q0 + m.p0))
 
 
 def _stable_roots(a: float, b: float, c: float) -> tuple[float, float]:
@@ -284,7 +221,7 @@ def _stable_roots(a: float, b: float, c: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=512)
 def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
-    """Barrier-level recurrence data for a validated model.
+    """Interior roots and barrier-level recurrence data for a validated model.
 
     Root residuals are below 1e-12 by construction (stable quadratic
     formula); the ordering ``xi1 > 1 > xi2 > 0`` is guaranteed because the
@@ -296,14 +233,14 @@ def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
     if m.branch is Branch.BALANCED:
         xi1, xi2 = _stable_roots(m.q0, psi0, m.p0)
         Omega = 1.0 / math.sqrt(psi0 * psi0 - 4.0 * m.p0 * m.q0)
-        return BarrierSpectrum(model=m, omega0=0.0, psi0=psi0,
+        return BarrierSpectrum(model=m, lambda1=1.0, lambda2=1.0, omega0=0.0, psi0=psi0,
                                xi1=xi1, xi2=xi2, Omega=Omega, alpha=alpha)
-    pair = lambda_pair(m, 1.0)
-    l1, l2, n, rho = pair.lambda1, pair.lambda2, m.N, m.rho
+    n, rho = m.N, m.rho
+    l1, l2 = max(1.0, rho), min(1.0, rho)
     omega0 = ((l2 ** n - l1 ** n) * (1.0 - m.r0)
               + (l1 ** (n - 1) - l2 ** (n - 1)) * (rho * m.q0 + m.p0))
     xi1, xi2 = _stable_roots(m.q0, omega0 / abs(1.0 - rho), m.p0 * rho ** (n - 1))
     disc = omega0 * omega0 - 4.0 * m.p0 * m.q0 * (1.0 - rho) ** 2 * rho ** (n - 1)
     Omega = 1.0 / math.sqrt(disc)
-    return BarrierSpectrum(model=m, omega0=omega0, psi0=psi0,
-                           xi1=xi1, xi2=xi2, Omega=Omega, alpha=alpha)
+    return BarrierSpectrum(model=m, lambda1=l1, lambda2=l2, omega0=omega0,
+                           psi0=psi0, xi1=xi1, xi2=xi2, Omega=Omega, alpha=alpha)

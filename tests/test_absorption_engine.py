@@ -11,13 +11,13 @@ from mfbwalk import (
     absorption_times,
     barrier_spectrum,
     display_time_to_barrier,
-    lambda_pair,
+    has_barrier_split,
     make_model,
     mean_time_any,
     mean_time_to_barrier,
     periodic_mean_times,
-    spectral_derivatives,
     truncated_mean_times,
+    truncated_visit_derivatives,
 )
 from conftest import random_model
 
@@ -28,6 +28,8 @@ DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
              1: 1.894197936091449, 2: 1.0743847077703073,
              3: 0.5234918077953412, 4: 0.23606574386116255,
              5: 0.10155785664187866}
+
+NEAR_BALANCE = dict(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6, i0=0)
 
 
 class TestMeanTimeAny:
@@ -118,80 +120,18 @@ class TestMeanTimeAny:
 
 class TestSpectralDerivatives:
     def test_drift_reference_values(self, cfg_drift):
-        b = spectral_derivatives(cfg_drift)
-        assert b.dlambda1 == pytest.approx(-10.0, rel=1e-12)
-        assert b.dlambda2 == pytest.approx(5.0, rel=1e-12)
-        assert b.alpha == pytest.approx(0.56, rel=1e-14)
-        assert b.dzeta == pytest.approx(70.0, rel=1e-12)
+        from mfbwalk.absorption_engine import _domega0
+        spectrum = barrier_spectrum(cfg_drift)
+        zeta = 1.0 / abs(cfg_drift.p - cfg_drift.q)
+        assert spectrum.alpha == pytest.approx(0.56, rel=1e-14)
+        assert _domega0(cfg_drift, spectrum, zeta, display=False) == \
+            pytest.approx(22.8, rel=1e-12)
+        assert _domega0(cfg_drift, spectrum, zeta, display=True) == \
+            pytest.approx(36.8, rel=1e-12)
 
     def test_balanced_unsupported(self, cfg_sym):
         with pytest.raises(BalancedUnsupported):
-            spectral_derivatives(cfg_sym)
-
-    def test_lambda_derivatives_match_finite_differences(self):
-        rng = np.random.default_rng(24)
-        for _ in range(10):
-            m = random_model(rng, "DRIFT", pq_floor=0.1, min_gap=0.3)
-            b = spectral_derivatives(m)
-            fd1 = _fd(lambda z: lambda_pair(m, z).lambda1)
-            fd2 = _fd(lambda z: lambda_pair(m, z).lambda2)
-            assert b.dlambda1 == pytest.approx(fd1, rel=1e-6)
-            assert b.dlambda2 == pytest.approx(fd2, rel=1e-6)
-
-    def test_zeta_derivative_matches_finite_differences(self):
-        rng = np.random.default_rng(25)
-        for _ in range(10):
-            m = random_model(rng, "DRIFT", pq_floor=0.1, min_gap=0.3)
-            b = spectral_derivatives(m)
-            fd = _fd(lambda z: lambda_pair(m, z).zeta)
-            assert b.dzeta == pytest.approx(fd, rel=1e-6)
-
-    def test_omega0_derivative_matches_finite_differences(self):
-        rng = np.random.default_rng(26)
-        for _ in range(10):
-            m = random_model(rng, "DRIFT", pq_floor=0.1, min_gap=0.3)
-            b = spectral_derivatives(m)
-            spectrum = barrier_spectrum(m)
-            fd = _fd(spectrum.omega0_of_z)
-            assert b.domega0 == pytest.approx(fd, rel=1e-6)
-            # the compact display form genuinely differs
-            assert abs(b.domega0_display - fd) > 1e-3 * max(1.0, abs(fd))
-
-    def test_xi_derivatives_match_finite_differences(self):
-        rng = np.random.default_rng(27)
-        for _ in range(10):
-            m = random_model(rng, "DRIFT", pq_floor=0.1, min_gap=0.3)
-            b = spectral_derivatives(m)
-            spectrum = barrier_spectrum(m)
-
-            def xi_roots(z):
-                pair = lambda_pair(m, z)
-                beta = m.q * pair.zeta * spectrum.omega0_of_z(z)
-                disc = beta * beta - 4.0 * m.q0 * m.p0 * m.rho ** (m.N - 1)
-                big = (-beta + np.sqrt(disc)) / (2.0 * m.q0)
-                return big, m.p0 * m.rho ** (m.N - 1) / (m.q0 * big)
-
-            fd1 = _fd(lambda z: xi_roots(z)[0])
-            fd2 = _fd(lambda z: xi_roots(z)[1])
-            assert b.dxi1 == pytest.approx(fd1, rel=1e-6)
-            assert b.dxi2 == pytest.approx(fd2, rel=1e-6)
-
-    def test_z_quadratic_normalizations_agree_at_one(self):
-        # the z-form q0 xi^2 + q zeta(z) omega0(z) xi + p0 rho^(N-1) and the
-        # z = 1 form with |1 - rho| in the middle coefficient share roots
-        rng = np.random.default_rng(28)
-        for _ in range(10):
-            m = random_model(rng, "DRIFT")
-            spectrum = barrier_spectrum(m)
-            pair = lambda_pair(m, 1.0)
-            beta = m.q * pair.zeta * spectrum.omega0_of_z(1.0)
-            assert beta == pytest.approx(spectrum.omega0 / abs(1.0 - m.rho),
-                                         rel=1e-12)
-
-
-def _fd(f, h=1e-7):
-    # one-sided second-order difference from below at z = 1
-    return (3.0 * f(1.0) - 4.0 * f(1.0 - h) + f(1.0 - 2.0 * h)) / (2.0 * h)
+            display_time_to_barrier(cfg_sym, 0)
 
 
 class TestMeanTimeToBarrier:
@@ -214,6 +154,13 @@ class TestMeanTimeToBarrier:
         with pytest.raises(StartNotBarrier):
             mean_time_to_barrier(m, 0)
 
+    def test_near_balance_refused(self):
+        # N |log(q/p)| = 2e-6, where the chain rule would give -158.97 at k = 0
+        m = make_model(**NEAR_BALANCE)
+        assert not has_barrier_split(m)
+        with pytest.raises(BalancedUnsupported):
+            mean_time_to_barrier(m, 0)
+
     def test_tail_ratio_approaches_xi2(self, cfg_drift):
         # the split behaves like xi2^k (a + b k), so successive ratios close
         # in on xi2 at rate 1/k
@@ -234,6 +181,18 @@ class TestMeanTimeToBarrier:
                         for k in range(-half + 1, half))
             assert total == pytest.approx(mean_time_any(m, 0), rel=1e-6)
 
+    @pytest.mark.parametrize("N", [10, 100, 1000])
+    @pytest.mark.parametrize("y", [-2e-2, 2e-2, 1.0, -5.0])
+    def test_matches_exact_derivative_at_large_n(self, N, y):
+        # N |log(q/p)| = y; |y| = 2e-2 sits just above the refusal cut
+        q = 0.5 / (1.0 + math.exp(-y / N))
+        for p0, q0, s0 in ((0.3, 0.3, 0.2), (0.1, 0.1, 0.05)):
+            m = make_model(p=0.5 - q, q=q, p0=p0, q0=q0, s0=s0, N=N, i0=0)
+            deriv = truncated_visit_derivatives(m)
+            for k in range(-5, 6):
+                assert mean_time_to_barrier(m, k) == \
+                    pytest.approx(m.s0 * deriv[k * N], rel=1e-6)
+
     def test_matches_numeric_generating_function_derivative(self):
         rng = np.random.default_rng(30)
         for _ in range(5):
@@ -253,4 +212,9 @@ class TestAbsorptionTimes:
     def test_balanced_has_no_split(self, cfg_sym):
         times = absorption_times(cfg_sym)
         assert times.period_values == (5.0, 6.0, 5.0)
+        assert times.per_barrier == {}
+
+    def test_near_balance_has_no_split(self):
+        times = absorption_times(make_model(**NEAR_BALANCE), -2, 2)
+        assert len(times.period_values) == 7
         assert times.per_barrier == {}

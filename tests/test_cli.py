@@ -12,6 +12,9 @@ SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
             "--r0", "0.25", "--s0", "0.25", "--N", "2", "--i0", "0"]
 DRIFT_ARGS = ["--p", "0.4", "--q", "0.2", "--p0", "0.2", "--q0", "0.2",
               "--s0", "0.2", "--N", "2", "--i0", "0"]
+# |p - q| = 1e-7, so N |log(q/p)| = 2e-6: below the per-barrier cut
+NEAR_BALANCE_ARGS = ["--p", "0.30000005", "--q", "0.29999995", "--p0", ".2",
+                     "--q0", ".3", "--s0", ".1", "--N", "6", "--i0", "0"]
 
 
 @pytest.fixture
@@ -112,6 +115,14 @@ class TestBarrierTime:
         code, _, err = run(["barrier-time", *args], capsys)
         assert code == 2
         assert "i0" in err
+
+    def test_near_balance_rejected(self, capsys):
+        # the chain rule cancels here: it would give m_00 = -158.97
+        code, out, err = run(["barrier-time", *NEAR_BALANCE_ARGS], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSimulate:
@@ -243,6 +254,18 @@ class TestVerify:
                 if r["quantity"] == "mean_time_to_barrier"]
         assert len(rows) == 11
         assert all(r["delta"] < 1e-12 for r in rows)
+
+    def test_near_balance_has_no_barrier_time_checks(self, capsys):
+        # the exit code is not asserted: near balance the drift recurrence
+        # residual is 1.3e-10 at k = 0 on this model, over its 1e-10 bound
+        _, out, err = run(["verify", *NEAR_BALANCE_ARGS], capsys)
+        report = json.loads(out)
+        assert report["rows"]
+        assert not [r for r in report["rows"]
+                    if r["quantity"] == "mean_time_to_barrier"]
+        assert not [n for n in report["formula_discrepancies"]
+                    if "per-barrier" in n]
+        assert "per-barrier" not in err
 
     def test_oversized_truncation_is_2(self, capsys):
         code, _, err = run(["verify", "--p", "0.3", "--q", "0.25", "--p0", "0.3",

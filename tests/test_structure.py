@@ -1,0 +1,35 @@
+"""The closed-form engines are plain arithmetic: no oracle, no numpy, no scipy."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mfbwalk
+
+PACKAGE = Path(mfbwalk.__file__).parent
+FORBIDDEN = {"oracle", "numpy", "scipy"}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.split(".")[0])
+            if node.level:  # "from . import oracle" names a sibling module
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["walk_model", "visit_engine", "absorption_engine"])
+def test_engine_imports_no_oracle_or_numeric_library(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert not _imported_modules(tree) & FORBIDDEN
+
+
+def test_the_check_sees_the_oracle_imports_of_the_cli():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert "oracle" in _imported_modules(tree)

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 
 from mfbwalk import (
     Branch,
-    DegenerateSpectrum,
     RejectedParameter,
     barrier_spectrum,
-    lambda_pair,
     make_model,
     model_from_json,
     validate_model,
@@ -74,54 +72,32 @@ class TestValidation:
 
 
 class TestLambdaPair:
+    # the interior roots at z = 1 live on the barrier spectrum
     def test_balanced_at_one_degenerates(self, cfg_sym):
-        pair = lambda_pair(cfg_sym, 1.0)
-        assert pair.lambda1 == pair.lambda2 == 1.0
-        with pytest.raises(DegenerateSpectrum):
-            _ = pair.zeta
+        spectrum = barrier_spectrum(cfg_sym)
+        assert spectrum.lambda1 == spectrum.lambda2 == 1.0
 
     def test_drift_at_one(self, cfg_drift):
-        pair = lambda_pair(cfg_drift, 1.0)
-        assert pair.lambda1 == pytest.approx(2.0, abs=0)
-        assert pair.lambda2 == pytest.approx(1.0, abs=0)
-        assert pair.zeta == pytest.approx(5.0, rel=1e-15)
-
-    def test_symmetric_at_half(self, cfg_sym):
-        # 0.25 L^2 - L + 0.25 = 0  =>  L = 2 +- sqrt(3)
-        pair = lambda_pair(cfg_sym, 0.5)
-        assert pair.lambda1 == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-14)
-        assert pair.lambda2 == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-14)
-        assert _char_residual(cfg_sym, 0.5, pair.lambda1) < 1e-12
-        assert _char_residual(cfg_sym, 0.5, pair.lambda2) < 1e-12
-
-    @pytest.mark.parametrize("z", [0.0, -0.5, 1.1])
-    def test_z_domain(self, cfg_sym, z):
-        with pytest.raises(ValueError):
-            lambda_pair(cfg_sym, z)
-
-    def test_interior_roots_bracket_one(self, cfg_drift):
-        for z in (0.2, 0.5, 0.9, 0.999):
-            pair = lambda_pair(cfg_drift, z)
-            assert pair.lambda1 > 1.0 > pair.lambda2 > 0.0
+        spectrum = barrier_spectrum(cfg_drift)
+        assert spectrum.lambda1 == pytest.approx(2.0, abs=0)
+        assert spectrum.lambda2 == pytest.approx(1.0, abs=0)
 
     def test_residuals_and_product_over_many_models(self):
         rng = np.random.default_rng(20250809)
-        zs = np.linspace(0.1, 1.0, 10)
         for trial in range(1000):
             branch = "DRIFT" if trial % 2 else "BALANCED"
             m = random_model(rng, branch)
-            for z in zs:
-                pair = lambda_pair(m, float(z))
-                assert _char_residual(m, z, pair.lambda1) < 1e-10
-                assert _char_residual(m, z, pair.lambda2) < 1e-10
-                assert pair.lambda1 * pair.lambda2 == \
-                    pytest.approx(m.rho, rel=1e-10)
+            spectrum = barrier_spectrum(m)
+            assert _char_residual(m, spectrum.lambda1) < 1e-10
+            assert _char_residual(m, spectrum.lambda2) < 1e-10
+            assert spectrum.lambda1 * spectrum.lambda2 == \
+                pytest.approx(m.rho, rel=1e-10)
 
 
-def _char_residual(model, z, lam):
-    # scaled residual of q z L^2 - (1 - r z) L + p z at L = lam
-    num = abs(model.q * z * lam * lam - (1.0 - model.r * z) * lam + model.p * z)
-    den = model.q * z * lam * lam + (1.0 - model.r * z) * lam + model.p * z
+def _char_residual(model, lam):
+    # scaled residual of q L^2 - (1 - r) L + p at L = lam
+    num = abs(model.q * lam * lam - (1.0 - model.r) * lam + model.p)
+    den = model.q * lam * lam + (1.0 - model.r) * lam + model.p
     return num / den
 
 
@@ -168,7 +144,6 @@ class TestBarrierSpectrum:
                 assert abs(spectrum1.xi1 - spectrum0.xi1) < 1e-4
                 assert abs(spectrum1.xi2 - spectrum0.xi2) < 1e-4
 
-    def test_omega0_of_z_matches_scalar_at_one(self, cfg_drift):
-        spectrum = barrier_spectrum(cfg_drift)
-        assert spectrum.omega0_of_z(1.0) == pytest.approx(spectrum.omega0, rel=1e-14)
-        assert spectrum.omega0 == pytest.approx(-1.2, rel=1e-14)
+    def test_drift_omega0(self, cfg_drift):
+        # (1 - 4)(1 - 0.4) + (2 - 1)(2 * 0.2 + 0.2)
+        assert barrier_spectrum(cfg_drift).omega0 == pytest.approx(-1.2, rel=1e-14)
