@@ -359,27 +359,45 @@ def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[st
     return notes
 
 
-def _regenerate_record(rec: dict) -> float:
-    """Recompute a golden record's value with its stored oracle and params."""
+def _golden_oracle(which: str, model: WalkModel, params: dict):
+    """Run the oracle call that a golden record names."""
+    if which == "truncated_solver":
+        return oracle.truncated_visits(model, K=params.get("K"))
+    if which == "periodic_solve":
+        return oracle.periodic_mean_times(model)
+    if which == "truncated_derivative":
+        return oracle.truncated_visit_derivatives(model, K=params.get("K"))
+    if which == "simulate":
+        return oracle.simulate(model, walks=params["walks"],
+                               seed=params["seed"],
+                               step_cap=params.get("step_cap"))
+    raise _UsageError(f"unknown oracle {which!r} in golden record")
+
+
+def _regenerate_record(rec: dict, results: dict) -> float:
+    """Recompute a golden record's value with its stored oracle and params.
+
+    ``results`` memoises the oracle calls by (oracle, model, params), so the
+    records of one file that share a call, such as the six ``simulate``
+    records of a model, read their values from a single run.
+    """
     model = validate_model(rec["model"])
     params = rec.get("params", {})
     which = rec["oracle"]
+    key = (which, model, json.dumps(params, sort_keys=True))
+    if key not in results:
+        results[key] = _golden_oracle(which, model, params)
+    result = results[key]
+    index = rec["index"]
     if which == "truncated_solver":
-        tv = oracle.truncated_visits(model, K=params.get("K"))
-        return tv.values[rec["index"]]
+        return result.values[index]
     if which == "periodic_solve":
-        return float(oracle.periodic_mean_times(model)[rec["index"]])
+        return float(result[index])
     if which == "truncated_derivative":
-        deriv = oracle.truncated_visit_derivatives(model, K=params.get("K"))
-        return model.s0 * deriv[rec["index"] * model.N]
-    if which == "simulate":
-        stats = oracle.simulate(model, walks=params["walks"],
-                                seed=params["seed"],
-                                step_cap=params.get("step_cap"))
-        if rec["quantity"] == "mean_steps":
-            return stats.mean_steps
-        return stats.absorption_hist.get(rec["index"], 0.0)
-    raise _UsageError(f"unknown oracle {which!r} in golden record")
+        return model.s0 * result[index * model.N]
+    if rec["quantity"] == "mean_steps":
+        return result.mean_steps
+    return result.absorption_hist.get(index, 0.0)
 
 
 def _cmd_verify(model, args) -> int:
@@ -403,8 +421,9 @@ def _cmd_verify(model, args) -> int:
 
     golden_mismatches = []
     if args.golden and not args.bless:
+        results: dict = {}
         for rec in oracle.read_golden(args.golden):
-            fresh = _regenerate_record(rec)
+            fresh = _regenerate_record(rec, results)
             bound = max(rec.get("error_bound", 0.0), 1e-12)
             if abs(fresh - rec["value"]) > bound:
                 golden_mismatches.append(

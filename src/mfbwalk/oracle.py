@@ -281,65 +281,76 @@ def _uniform_block(seed: int, batch_index: int, block_index: int,
 
 def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
                     step_cap: int, lo: int, hi: int):
-    """One batch of walks; returns integer accumulators only."""
+    """One batch of walks; returns integer accumulators only.
+
+    Each step touches only the live walkers.  ``live`` holds their original
+    rows in ascending order and ``pos`` their sites; absorbed walkers are
+    dropped from both.  Three invariants keep every walk on its own stream:
+
+    * draws are indexed by original row: the walker of row w reads
+      ``uniforms[w, t % _BLOCK]`` at step t, and the block itself is never
+      compacted;
+    * a block holds only the prefix of rows up to the highest live row,
+      which is what the full ``(rows, _BLOCK)`` draw holds there, since
+      Philox fills it row by row;
+    * at most one block is alive at a time.
+    """
     m = model
     n_sites = hi - lo + 1
-    pos = np.full(rows, m.i0, dtype=np.int64)
-    alive = np.ones(rows, dtype=bool)
-    steps = np.zeros(rows, dtype=np.int64)
-    absorbed_site = np.zeros(rows, dtype=np.int64)
-    was_absorbed = np.zeros(rows, dtype=bool)
     visits = np.zeros((rows, n_sites), dtype=np.int64)
-    visits[:, m.i0 - lo] += 1  # the time-zero arrival at the start site
+    if lo <= m.i0 <= hi:
+        visits[:, m.i0 - lo] = 1  # the time-zero arrival at the start site
+    counts = visits.reshape(-1)   # flat (row, site) view of ``visits``
+    live = np.arange(rows)
+    pos = np.full(rows, m.i0, dtype=np.int64)
+    # a walk absorbed at step t made t non-absorbing transitions
+    sum_steps = sum_steps_sq = 0
+    barriers = [np.zeros(0, dtype=np.int64)]   # barrier index per absorption
 
     t = 0
-    block = -1
     uniforms = None
-    while t < step_cap and alive.any():
+    while t < step_cap and live.size:
         b, off = divmod(t, _BLOCK)
-        if b != block:
-            uniforms = _uniform_block(seed, batch_index, b, rows)
-            block = b
-        u = uniforms[:, off]
+        if off == 0:
+            uniforms = None   # release the spent block before the next draw
+            uniforms = _uniform_block(seed, batch_index, b, int(live[-1]) + 1)
+        u = uniforms[live, off]
 
-        at_barrier = alive & (pos % m.N == 0)
-        interior = alive & ~at_barrier
+        at_barrier = pos % m.N == 0
         absorb = at_barrier & (u < m.s0)
-        fwd = (at_barrier & ~absorb & (u < m.s0 + m.p0)) | (interior & (u < m.p))
-        back = ((at_barrier & (u >= m.s0 + m.p0) & (u < m.s0 + m.p0 + m.q0))
-                | (interior & (u >= m.p) & (u < m.p + m.q)))
-        # anything else alive holds in place
+        # u below the forward threshold steps forward, u between it and the
+        # backward threshold steps back, anything else holds in place
+        fwd = u < np.where(at_barrier, m.s0 + m.p0, m.p)
+        back = u < np.where(at_barrier, m.s0 + m.p0 + m.q0, m.p + m.q)
+        step = 2 * fwd - back
+        n = int(np.count_nonzero(absorb))
+        if n:
+            sum_steps += t * n
+            sum_steps_sq += t * t * n
+            barriers.append(pos[absorb] // m.N)
+            keep = ~absorb
+            live = live[keep]
+            pos = pos[keep] + step[keep]
+        else:
+            pos += step
 
-        absorbed_site[absorb] = pos[absorb]
-        was_absorbed |= absorb
-        alive &= ~absorb
-        pos[fwd] += 1
-        pos[back] -= 1
-        steps[alive] += 1
-
-        walkers = np.nonzero(alive)[0]
-        here = pos[walkers]
-        inside = (here >= lo) & (here <= hi)
-        np.add.at(visits, (walkers[inside], here[inside] - lo), 1)
+        inside = (pos >= lo) & (pos <= hi)
+        np.add.at(counts, live[inside] * n_sites + (pos[inside] - lo), 1)
         t += 1
 
-    abs_steps = steps[was_absorbed]
-    barrier_idx = absorbed_site[was_absorbed] // m.N
     # int64 squares cannot overflow while step_cap stays below ~3e7 per
     # batch; beyond that fall back to Python integers (still exact)
     if step_cap <= 30_000_000:
-        sum_steps_sq = int(np.dot(abs_steps, abs_steps))
         visit_sum_sq = (visits * visits).sum(axis=0)
     else:
-        sum_steps_sq = sum(int(s) * int(s) for s in abs_steps)
         visit_sum_sq = np.array([sum(int(v) * int(v) for v in visits[:, c])
                                  for c in range(visits.shape[1])], dtype=object)
     return {
-        "absorbed": int(was_absorbed.sum()),
-        "censored": int(rows - was_absorbed.sum()),
-        "sum_steps": int(abs_steps.sum()),
+        "absorbed": rows - live.size,
+        "censored": live.size,
+        "sum_steps": sum_steps,
         "sum_steps_sq": sum_steps_sq,
-        "hist": _count_dict(barrier_idx),
+        "hist": _count_dict(np.concatenate(barriers)),
         "visit_sum": visits.sum(axis=0),
         "visit_sum_sq": visit_sum_sq,
     }

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from mfbwalk import validate_model
+from mfbwalk import oracle, validate_model
 from mfbwalk.cli import main
 from conftest import CFG_DRIFT, CFG_SYM
 
@@ -13,6 +14,8 @@ SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
 DRIFT_ARGS = ["--p", "0.4", "--q", "0.2", "--p0", "0.2", "--q0", "0.2",
               "--s0", "0.2", "--N", "2", "--i0", "0"]
 # |p - q| = 1e-7, so N |log(q/p)| = 2e-6: below the per-barrier cut
+REPO = Path(__file__).resolve().parent.parent
+REFERENCE_MODELS = ["cfg-drift", "cfg-sym"]
 NEAR_BALANCE_ARGS = ["--p", "0.30000005", "--q", "0.29999995", "--p0", ".2",
                      "--q0", ".3", "--s0", ".1", "--N", "6", "--i0", "0"]
 
@@ -142,6 +145,17 @@ class TestSimulate:
         kinds = {r["kind"] for r in rows}
         assert kinds == {"mean_steps", "absorption_frequency", "visit_mean"}
 
+    @pytest.mark.parametrize("window", ["--window=5..6", "--window=3..6",
+                                        "--window=-9..-7"])
+    def test_window_without_start_site(self, drift_file, window, capsys):
+        code, out, err = run(["simulate", "--model", drift_file,
+                              "--walks", "3000", window], capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        lo, hi = (int(x) for x in window.split("=")[1].split(".."))
+        assert [int(k) for k in json.loads(out)["visit_means"]] == \
+            list(range(lo, hi + 1))
+
 
 class TestExitCodes:
     def test_usage_unknown_command(self, capsys):
@@ -242,6 +256,49 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["golden_mismatches"]
         assert "golden mismatch" in err
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_golden_simulate_runs_once(self, name, monkeypatch, capsys):
+        calls = []
+        real = oracle.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "simulate", counting)
+        golden = REPO / "goldens" / f"{name}.json"
+        records = json.loads(golden.read_text())
+        assert sum(r["oracle"] == "simulate" for r in records) == 6
+        code, out, _ = run(["verify", "--model",
+                            str(REPO / "models" / f"{name}.json"),
+                            "--golden", str(golden)], capsys)
+        assert code == 0
+        assert json.loads(out)["golden_mismatches"] == []
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_golden_tampering_detected_per_record(self, name, tmp_path,
+                                                  capsys):
+        records = json.loads((REPO / "goldens" / f"{name}.json").read_text())
+        freq = next(r for r in records
+                    if r["quantity"] == "absorption_frequency"
+                    and r["index"] == 1)
+        site = next(r for r in records
+                    if r["quantity"] == "site_visits" and r["index"] == 2)
+        freq["value"] += 1e-5
+        site["value"] *= 1.0 + 1e-6
+        golden = tmp_path / f"{name}.json"
+        golden.write_text(json.dumps(records))
+        code, out, err = run(["verify", "--model",
+                              str(REPO / "models" / f"{name}.json"),
+                              "--golden", str(golden)], capsys)
+        assert code == 3
+        misses = json.loads(out)["golden_mismatches"]
+        assert [(m["quantity"], m["index"]) for m in misses] == \
+            [("site_visits", 2), ("absorption_frequency", 1)]
+        assert sum(line.startswith("golden mismatch")
+                   for line in err.splitlines()) == 2
 
     def test_barrier_times_exact_at_n100(self, capsys):
         # m_0 is about 300 here, so a difference quotient in z with a fixed

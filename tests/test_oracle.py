@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,97 @@ from mfbwalk import (
     truncated_visits,
 )
 from mfbwalk.oracle import MAX_SITES
-from conftest import random_model
+from conftest import CFG_DRIFT, CFG_SYM, random_model
+
+# slow absorption (mean time about 170) from an interior start, so walks
+# span several 64-step draw blocks and the 8195-walk batches thin out
+SLOW = dict(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.02, N=5, i0=2)
+
+# sha256 of the canonical repr of every EmpiricalStats field a run computes
+# (visit means and errors, histogram, absorbed, censored, step mean and
+# error), recorded with the first walker, which stepped every row of its
+# batch until the last absorption.  Any change to the sampled walks or to
+# their reduction changes the digest.
+STREAM_PINS = [
+    # model, walks, seed, step_cap, window, absorbed, censored, digest
+    (CFG_DRIFT, 8195, 5, None, None, 8195, 0,
+     "99ffb2fcbcba3235f558a24919fda624bc58b2fd20069b2cc5a9eddb401c1ecd"),
+    (CFG_SYM, 8195, 5, None, None, 8195, 0,
+     "cf54580f6888a678ecf87aa8a5384aabb112a92ae8f7ea434256c0c7a58195b3"),
+    (CFG_DRIFT, 8195, 9, None, (-2, 7), 8195, 0,
+     "75baff812f607d7aee3d22da183476e089de7227cc42bade70ee15e7d3e6ceac"),
+    (CFG_SYM, 8195, 9, None, (-5, 1), 8195, 0,
+     "9b7af92a647d4786703d06fe892546125f30e0bde6a95f96c1fa069c8e5b96f3"),
+    (CFG_DRIFT, 8195, 3, 4, (-4, 4), 3510, 4685,
+     "59d31e689157ce3b65b2d78d0e9cb569016c8aef8186ea582583c0f2dc28ad0d"),
+    (CFG_SYM, 8195, 3, 4, None, 4207, 3988,
+     "9c5c6c91382ccd1ab6801f0ead5de19e38f468265960c341217ec7dfe4220d64"),
+    (CFG_SYM, 1, 7, None, None, 1, 0,
+     "63e85e17592502f9beae50544d20b554ef8aad62b9626d64e98c1b973f904453"),
+    (SLOW, 8195, 13, 150, (-6, 12), 3395, 4800,
+     "caec869144fdd3a612d1cf737d3c2d38ec0fa96b12802032e7a1a0fb1fbbca86"),
+    (SLOW, 300, 2, None, None, 300, 0,
+     "6d0f91abe31821a4fa9cff5cbc54577b2084d72fe70f1009e72cd496bb7f6ac4"),
+]
+
+
+def _stepwise_batch(model, seed, batch_index, rows, step_cap, lo, hi):
+    """Reference walker: every row steps until the last walk is absorbed,
+    with a full draw block; the accumulators of ``_simulate_batch``."""
+    from mfbwalk.oracle import _BLOCK, _uniform_block
+    m = model
+    pos = np.full(rows, m.i0, dtype=np.int64)
+    alive = np.ones(rows, dtype=bool)
+    steps = np.zeros(rows, dtype=np.int64)
+    absorbed_site = np.zeros(rows, dtype=np.int64)
+    was_absorbed = np.zeros(rows, dtype=bool)
+    visits = np.zeros((rows, hi - lo + 1), dtype=np.int64)
+    if lo <= m.i0 <= hi:
+        visits[:, m.i0 - lo] = 1
+    for t in range(step_cap):
+        if not alive.any():
+            break
+        if t % _BLOCK == 0:
+            uniforms = _uniform_block(seed, batch_index, t // _BLOCK, rows)
+        u = uniforms[:, t % _BLOCK]
+        at_barrier = alive & (pos % m.N == 0)
+        interior = alive & ~at_barrier
+        absorb = at_barrier & (u < m.s0)
+        fwd = ((at_barrier & ~absorb & (u < m.s0 + m.p0))
+               | (interior & (u < m.p)))
+        back = ((at_barrier & (u >= m.s0 + m.p0)
+                 & (u < m.s0 + m.p0 + m.q0))
+                | (interior & (u >= m.p) & (u < m.p + m.q)))
+        absorbed_site[absorb] = pos[absorb]
+        was_absorbed |= absorb
+        alive &= ~absorb
+        pos[fwd] += 1
+        pos[back] -= 1
+        steps[alive] += 1
+        walkers = np.nonzero(alive)[0]
+        here = pos[walkers]
+        inside = (here >= lo) & (here <= hi)
+        np.add.at(visits, (walkers[inside], here[inside] - lo), 1)
+    abs_steps = steps[was_absorbed]
+    keys, counts = np.unique(absorbed_site[was_absorbed] // m.N,
+                             return_counts=True)
+    return {"absorbed": int(was_absorbed.sum()),
+            "censored": int(rows - was_absorbed.sum()),
+            "sum_steps": int(abs_steps.sum()),
+            "sum_steps_sq": int(np.dot(abs_steps, abs_steps)),
+            "hist": {int(k): int(c) for k, c in zip(keys, counts)},
+            "visit_sum": visits.sum(axis=0),
+            "visit_sum_sq": (visits * visits).sum(axis=0)}
+
+
+def _stats_digest(stats) -> str:
+    canonical = repr((
+        {int(k): (float(m), float(e))
+         for k, (m, e) in stats.visit_means.items()},
+        {int(k): float(f) for k, f in stats.absorption_hist.items()},
+        int(stats.absorbed), int(stats.censored),
+        float(stats.mean_steps), float(stats.mean_steps_se)))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestTruncatedVisits:
@@ -168,10 +260,55 @@ class TestSimulate:
             mean, se = stats.visit_means[j]
             assert abs(mean - site_visits(cfg_drift, j)) < 4.0 * max(se, 1e-12)
 
+    def test_batch_matches_stepwise_reference(self):
+        from mfbwalk.oracle import _simulate_batch
+        rng = np.random.default_rng(5)
+        for trial in range(24):
+            model = random_model(rng, "DRIFT" if trial % 2 else "BALANCED",
+                                 N=int(rng.integers(2, 9)), pq_floor=0.02)
+            rows = int(rng.choice([1, 2, 63, 300]))
+            step_cap = int(rng.choice([1, 3, 64, 65, 200]))
+            lo = int(rng.integers(-3 * model.N, 2 * model.N))
+            hi = lo + int(rng.integers(0, 4 * model.N))
+            args = (model, int(rng.integers(0, 2 ** 63)),
+                    int(rng.integers(0, 9)), rows, step_cap, lo, hi)
+            fast, ref = _simulate_batch(*args), _stepwise_batch(*args)
+            assert fast.keys() == ref.keys()
+            for key, want in ref.items():
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(fast[key], want)
+                else:
+                    assert fast[key] == want, key
+
+    @pytest.mark.parametrize("window", [(3, 6), (5, 6), (-8, -5), (-1, 9)])
+    def test_window_without_start_site(self, cfg_drift, window):
+        # a window is a view of the same walks: the sites it shares with the
+        # default window -3N..3N carry the same means and errors
+        full = simulate(cfg_drift, walks=3_000, seed=4)
+        part = simulate(cfg_drift, walks=3_000, seed=4, window=window)
+        assert list(part.visit_means) == list(range(window[0], window[1] + 1))
+        shared = set(full.visit_means) & set(part.visit_means)
+        assert shared
+        for site in shared:
+            assert part.visit_means[site] == full.visit_means[site]
+
     def test_excess_censoring_warns(self, cfg_sym):
         with pytest.warns(ExcessCensoring):
             stats = simulate(cfg_sym, walks=2_000, seed=5, step_cap=2)
         assert stats.censored > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("params,walks,seed,step_cap,window,absorbed,"
+                             "censored,digest", STREAM_PINS)
+    def test_stream_pinned(self, params, walks, seed, step_cap, window,
+                           absorbed, censored, digest, workers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExcessCensoring)
+            stats = simulate(make_model(**params), walks=walks, seed=seed,
+                             step_cap=step_cap, workers=workers,
+                             window=window)
+        assert (stats.absorbed, stats.censored) == (absorbed, censored)
+        assert _stats_digest(stats) == digest
 
     def test_stats_are_frozen(self, cfg_sym):
         stats = simulate(cfg_sym, walks=100, seed=0)
