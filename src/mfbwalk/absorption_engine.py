@@ -15,10 +15,12 @@ Two quantities live here:
   equals s0 times the z-derivative at z = 1 of the barrier occupancy
   generating function X_{kN}(z) = Omega(z) (lambda1^N(z) - lambda2^N(z))
   xi_i^k(z), differentiated term by term through the implicit derivatives
-  of the two quadratics, all written out at z = 1.  A compact display form
-  of the coupling-coefficient derivative circulates that drops the
-  (1 - r0) and (N-1)(rho q0 + p0) factors (36.8 against the chain rule's
-  22.8 on the drift reference model); :func:`display_time_to_barrier`
+  of the two quadratics, all written out at z = 1 in the rho <= 1 frame of
+  :func:`mfbwalk.walk_model.barrier_spectrum`, where lambda1 = 1 and
+  lambda2 = rho.  A compact display form of the coupling-coefficient
+  derivative circulates that drops the (1 - r0) and (N-1)(rho q0 + p0)
+  factors (5.45 against the chain rule's 5.7 on the frame of the drift
+  reference model); :func:`display_time_to_barrier`
   evaluates it as a diagnostic for ``verify``, while the chain-rule path is
   the one that matches the exact derivative of the truncated occupancy
   system (:func:`mfbwalk.oracle.truncated_visit_derivatives`).
@@ -156,54 +158,59 @@ def has_barrier_split(model: WalkModel) -> bool:
     return _split_refusal(model) is None
 
 
-def _domega0(model: WalkModel, spectrum: BarrierSpectrum, zeta: float,
-             display: bool) -> float:
-    """d omega0/dz at z = 1 by the chain rule through
+def _domega0(spectrum: BarrierSpectrum, zeta: float, display: bool) -> float:
+    """d omega0/dz at z = 1 in the rho <= 1 frame, by the chain rule through
 
         omega0(z) = (l2^N - l1^N)(1 - r0 z) + z (l1^(N-1) - l2^(N-1))(rho q0 + p0)
 
-    with dl_i/dz = (-1)^i zeta l_i, or the compact display form if
-    ``display`` (diagnostic only)."""
-    m = model
-    l1, l2, n = spectrum.lambda1, spectrum.lambda2, m.N
-    coup = m.rho * m.q0 + m.p0
+    with l1 = 1, l2 = rho and dl_i/dz = (-1)^i zeta l_i, or the compact
+    display form if ``display`` (diagnostic only)."""
+    m, rho = spectrum.model, spectrum.rho
+    n = m.N
+    coup = rho * spectrum.q0 + spectrum.p0
     if display:
-        return (m.r0 * (l1 ** n - l2 ** n)
-                + coup * (l1 ** (n - 1) - l2 ** (n - 1))
-                + zeta * (n * (l1 ** n + l2 ** n)
-                          - (l1 ** (n - 1) + l2 ** (n - 1))))
-    return (n * zeta * (1.0 - m.r0) * (l1 ** n + l2 ** n)
-            + m.r0 * (l1 ** n - l2 ** n)
-            + coup * (l1 ** (n - 1) - l2 ** (n - 1))
-            - (n - 1) * zeta * coup * (l1 ** (n - 1) + l2 ** (n - 1)))
+        return (m.r0 * (1.0 - rho ** n)
+                + coup * (1.0 - rho ** (n - 1))
+                + zeta * (n * (1.0 + rho ** n) - (1.0 + rho ** (n - 1))))
+    return (n * zeta * (1.0 - m.r0) * (1.0 + rho ** n)
+            + m.r0 * (1.0 - rho ** n)
+            + coup * (1.0 - rho ** (n - 1))
+            - (n - 1) * zeta * coup * (1.0 + rho ** (n - 1)))
 
 
 def _time_to_barrier(model: WalkModel, k: int, display: bool) -> float:
-    """s0 * d/dz [Omega(z) (l1^N - l2^N) xi^k] at z = 1, with
+    """s0 * d/dz [Omega(z) (l1^N - l2^N) xi^k] at z = 1 on the frame, where
+    l1 = 1, l2 = rho and m_0k = m'_{0,-k} if it is mirrored, with
 
-        dl_i/dz   = (-1)^i zeta l_i,           zeta = 1 / |p - q|
+        dl_i/dz   = (-1)^i zeta l_i,           zeta = 1 / (q - p)
         dOmega/dz = -Omega^3 [omega0 domega0 + 4 p0 q0 rho^N alpha / (p q)]
         dxi_i/dz  = (-1)^i xi_i Omega [alpha omega0 zeta^2 + domega0]
 
-    where alpha = r (1 - r) + 4 p q.
+    where alpha = r (1 - r) + 4 p q, omega0 = omega0(1) of :func:`_domega0`
+    and Omega = [omega0^2 - 4 p0 q0 (1 - rho)^2 rho^(N-1)]^(-1/2).
     """
     refusal = _split_refusal(model)
     if refusal is not None:
         raise refusal
     m = model
     spectrum = barrier_spectrum(m)
-    l1, l2, zeta = spectrum.lambda1, spectrum.lambda2, 1.0 / abs(m.p - m.q)
-    n, rho = m.N, m.rho
-    domega0 = _domega0(m, spectrum, zeta, display)
-    gap = l1 ** n - l2 ** n
-    dgap = -n * zeta * (l1 ** n + l2 ** n)
-    ratio = 4.0 * m.p0 * m.q0 / (m.p * m.q) * rho ** n
-    domega_big = -spectrum.Omega ** 3 * (spectrum.omega0 * domega0 + ratio * spectrum.alpha)
-    xi_factor = spectrum.Omega * (spectrum.alpha * spectrum.omega0 * zeta ** 2 + domega0)
+    k = spectrum.frame_site(k * m.N) // m.N
+    n, rho, p0, q0 = m.N, spectrum.rho, spectrum.p0, spectrum.q0
+    zeta = 1.0 / (spectrum.q - spectrum.p)
+    omega0 = ((rho ** n - 1.0) * (1.0 - m.r0)
+              + (1.0 - rho ** (n - 1)) * (rho * q0 + p0))
+    omega_big = 1.0 / math.sqrt(
+        omega0 * omega0 - 4.0 * p0 * q0 * (1.0 - rho) ** 2 * rho ** (n - 1))
+    domega0 = _domega0(spectrum, zeta, display)
+    gap = 1.0 - rho ** n
+    dgap = -n * zeta * (1.0 + rho ** n)
+    ratio = 4.0 * p0 * q0 / (m.p * m.q) * rho ** n
+    domega_big = -omega_big ** 3 * (omega0 * domega0 + ratio * spectrum.alpha)
+    xi_factor = omega_big * (spectrum.alpha * omega0 * zeta ** 2 + domega0)
     xi = spectrum.xi1 if k <= 0 else spectrum.xi2
     return m.s0 * xi ** k * (domega_big * gap
-                             + spectrum.Omega * dgap
-                             + spectrum.Omega * gap * abs(k) * xi_factor)
+                             + omega_big * dgap
+                             + omega_big * gap * abs(k) * xi_factor)
 
 
 def mean_time_to_barrier(model: WalkModel, k: int) -> float:

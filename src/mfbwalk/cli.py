@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 from . import absorption_engine as ae
 from . import oracle
@@ -247,11 +248,22 @@ def _cmd_barrier_time(model, args) -> int:
     return EXIT_OK
 
 
+def _simulate(model: WalkModel, **kwargs) -> oracle.EmpiricalStats:
+    """``oracle.simulate`` with each warning, such as ExcessCensoring, as one
+    stderr line that carries no install path or line number."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stats = oracle.simulate(model, **kwargs)
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    return stats
+
+
 def _cmd_simulate(model, args) -> int:
     window = _parse_window(args.window) if args.window else None
-    stats = oracle.simulate(model, walks=args.walks, seed=args.seed,
-                            step_cap=args.step_cap, workers=args.workers,
-                            window=window)
+    stats = _simulate(model, walks=args.walks, seed=args.seed,
+                      step_cap=args.step_cap, workers=args.workers,
+                      window=window)
     if args.output == "csv":
         rows = [{"kind": "mean_steps", "index": "", "value": stats.mean_steps,
                  "se": stats.mean_steps_se}]
@@ -323,7 +335,7 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], K,
                              model.s0 * deriv[k * model.N], 1e-6, "rel"))
 
     if walks > 0:
-        stats = oracle.simulate(model, walks=walks, seed=seed)
+        stats = _simulate(model, walks=walks, seed=seed)
         m_start = ae.mean_time_any(model, model.i0)
         rows.append(_row("mc_mean_steps", "", m_start, stats.mean_steps,
                          4.0 * stats.mean_steps_se, "abs"))
@@ -368,9 +380,8 @@ def _golden_oracle(which: str, model: WalkModel, params: dict):
     if which == "truncated_derivative":
         return oracle.truncated_visit_derivatives(model, K=params.get("K"))
     if which == "simulate":
-        return oracle.simulate(model, walks=params["walks"],
-                               seed=params["seed"],
-                               step_cap=params.get("step_cap"))
+        return _simulate(model, walks=params["walks"], seed=params["seed"],
+                         step_cap=params.get("step_cap"))
     raise _UsageError(f"unknown oracle {which!r} in golden record")
 
 

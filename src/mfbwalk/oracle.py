@@ -54,15 +54,20 @@ _BATCH = 8192
 _BLOCK = 64
 
 
-def _decay_rate(model: WalkModel) -> float:
+def _log_decay_rate(model: WalkModel) -> float:
+    """log max(xi2, 1/xi1), the slower tail ratio, from the gaps of the
+    rho <= 1 frame; xi2 may underflow to zero, and then 1/xi1 is slower."""
     spectrum = barrier_spectrum(model)
-    return max(spectrum.xi2, 1.0 / spectrum.xi1)
+    if spectrum.xi2 * spectrum.xi1 <= 1.0:
+        return -math.log1p(spectrum.gap1)
+    if spectrum.xi2 < 0.5:
+        return math.log(spectrum.xi2)
+    return math.log1p(-spectrum.gap2)
 
 
 def default_truncation(model: WalkModel, tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest barrier count K with geometric tail bound below ``tol``."""
-    rate = _decay_rate(model)
-    return max(5, math.ceil(math.log(tol) / math.log(rate))) + 5
+    return max(5, math.ceil(math.log(tol) / _log_decay_rate(model))) + 5
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +142,7 @@ def truncated_visits(model: WalkModel, K: int | None = None, z: float = 1.0,
         raise TruncationInsufficient(
             f"K={K} needs {2 * K * model.N + 1} sites, above the budget of "
             f"{MAX_SITES}")
-    rate = _decay_rate(model)
-    tail = rate ** K
+    tail = math.exp(K * _log_decay_rate(model))
     if tail > tol:
         raise TruncationInsufficient(
             f"tail bound {tail:.3e} at K={K} exceeds requested tolerance {tol:.3e}")
@@ -241,7 +245,7 @@ def truncated_mean_times(model: WalkModel, K: int | None = None,
     per_barrier = {k: model.s0 * deriv[k * model.N]
                    for k in range(-(K - 1), K)}
     return MeanTimeSplit(model=model, period=period, per_barrier=per_barrier,
-                         tail_bound=_decay_rate(model) ** K)
+                         tail_bound=math.exp(K * _log_decay_rate(model)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Expected number of arrivals at every site, absorption masses and reach
 probabilities, in closed form.
 
-Barrier visits satisfy a second-order linear recurrence over the barrier
-index k whose characteristic roots ``xi1 > 1 > xi2 > 0`` live in
-:mod:`mfbwalk.walk_model`.  The visit counts are
+Every form is evaluated in the ``rho <= 1`` frame of
+:func:`mfbwalk.walk_model.barrier_spectrum`, with q-integers, so one
+expression serves drift and balance.  Barrier visits satisfy a second-order
+linear recurrence over the barrier index k whose roots ``xi1 > 1 > xi2``
+live on the spectrum.  In the frame the visit counts are
 
-    x_{kN} = C1 * xi1^k   (k <= 0)        x_{kN} = K2 * xi2^k   (k >= 1)
+    x_{kN} = C1 * xi1^k   (k <= 0)        x_{kN} = x_N * xi2^(k-1)   (k >= 1)
 
 and the two constants come from the boundary instances of the recurrence at
 k = 0 and k = 1, a plain 2x2 linear system.  That boundary-system path is
@@ -14,9 +16,9 @@ algebraic display form, :func:`display_barrier_visits`; ``verify`` compares
 the two once per model (they are algebraically identical, so a disagreement
 indicates a numerical pathology).
 
-Interior sites are interpolated between their bracketing barriers by the
-drift-branch power profile in ``rho^n`` or the balanced linear profile, with
-an extra source contribution inside the start interval.
+Interior sites interpolate between their bracketing barriers with weights
+``rho^n [N-n] / [N]`` and ``[n] / [N]``, plus a source term inside the
+start interval.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .walk_model import Branch, WalkModel, barrier_spectrum, reanchored
+from .walk_model import BarrierSpectrum, WalkModel, barrier_spectrum, reanchored
 
 __all__ = [
     "VisitProfile",
@@ -47,8 +49,9 @@ class VisitProfile:
 
     ``values[j]`` holds x_j for every site between the window's outer
     barriers; ``barrier_coeff_left`` / ``barrier_coeff_right`` are the
-    recurrence constants C1 and K2, so values outside the window follow as
-    ``C1 * xi1^k`` and ``K2 * xi2^k`` without storing them.
+    frame's recurrence constants C1 and x_N of :func:`boundary_coefficients`,
+    so values outside the window follow as ``C1 * xi1^k`` and
+    ``x_N * xi2^(k-1)`` on the frame's barriers without storing them.
     """
 
     model: WalkModel
@@ -60,52 +63,47 @@ class VisitProfile:
 
 @lru_cache(maxsize=512)
 def boundary_coefficients(model: WalkModel) -> tuple[float, float]:
-    """Recurrence constants (C1, K2) from the k = 0, 1 boundary system.
+    """The frame's recurrence constants (C1, x_N) from the k = 0, 1 system.
 
-    The system is ``-C1 xi1 + K2 xi2 = R1`` and ``C1 - K2 = R2`` where the
-    right-hand sides carry the start-site source:
-
-    * drift branch:  R1 = (q zeta / q0)(lambda2^(N-i0) - lambda1^(N-i0)),
-      R2 = (p zeta / p0)(lambda1^(-i0) - lambda2^(-i0)), zeta = 1 / |p - q|;
-    * balanced branch:  R1 = (i0 - N) / q0,  R2 = -i0 / p0.
+    In the frame of :func:`barrier_spectrum`, C1 = x_0 and x_N are the
+    visits at barriers 0 and 1.  The system is ``-C1 xi1 + x_N = R1`` and
+    ``C1 xi2 - x_N = R2`` with the start-site source on the right:
+    ``R1 = -[N - i0] / q0`` and ``R2 = -[i0] rho^(N - i0) / (q0 xi1)``.
+    Both constants are sums of positive terms.
     """
-    m = model
-    spectrum = barrier_spectrum(m)
-    if m.branch is Branch.BALANCED:
-        r1 = (m.i0 - m.N) / m.q0
-        r2 = -m.i0 / m.p0
-    else:
-        l1, l2, zeta = spectrum.lambda1, spectrum.lambda2, 1.0 / abs(m.p - m.q)
-        r1 = (m.q * zeta / m.q0) * (l2 ** (m.N - m.i0) - l1 ** (m.N - m.i0))
-        r2 = (m.p * zeta / m.p0) * (l1 ** (-m.i0) - l2 ** (-m.i0))
-    gap = spectrum.xi1 - spectrum.xi2
-    c1 = -(r1 + r2 * spectrum.xi2) / gap
-    k2 = -(r1 + r2 * spectrum.xi1) / gap
-    return c1, k2
+    spectrum = barrier_spectrum(model)
+    r1 = -spectrum.qint(model.N - spectrum.i0) / spectrum.q0
+    r2 = -(spectrum.qint(spectrum.i0) * spectrum.rho ** (model.N - spectrum.i0)
+           / (spectrum.q0 * spectrum.xi1))
+    gap = spectrum.gap1 + spectrum.gap2
+    return -(r1 + r2) / gap, -(r1 * spectrum.xi2 + r2 * spectrum.xi1) / gap
+
+
+def _frame_barrier(spectrum: BarrierSpectrum, coeffs: tuple[float, float],
+                   k: int) -> float:
+    """x_{kN} at barrier k of the frame."""
+    c1, xn = coeffs
+    return c1 * spectrum.xi1 ** k if k <= 0 else xn * spectrum.xi2 ** (k - 1)
 
 
 def display_barrier_visits(model: WalkModel, k: int) -> float:
-    """Verbatim display-form evaluation of x_{kN} (diagnostic path)."""
-    m = model
-    spectrum = barrier_spectrum(m)
-    if m.branch is Branch.BALANCED:
-        # bracket uses the opposite root from the decay direction
-        inner = spectrum.xi2 if k <= 0 else spectrum.xi1
-        decay = spectrum.xi1 if k <= 0 else spectrum.xi2
-        bracket = m.i0 * m.q0 * inner / m.p0 + m.N - m.i0
-        return bracket * decay ** k * spectrum.Omega
-    l1, l2, rho = spectrum.lambda1, spectrum.lambda2, m.rho
+    """Verbatim display-form evaluation of x_{kN} (diagnostic path):
+    ``([N - i0] xi + rho^(N - i0) [i0]) Omega xi^(k-1)`` in the frame, with
+    xi the root that decays away from the start."""
+    spectrum = barrier_spectrum(model)
+    k = spectrum.frame_site(k * model.N) // model.N
+    n, i0 = model.N, spectrum.i0
     xi = spectrum.xi1 if k <= 0 else spectrum.xi2
-    bracket = ((l1 ** (m.N - m.i0) - l2 ** (m.N - m.i0)) * xi
-               + rho ** m.N * (l2 ** (-m.i0) - l1 ** (-m.i0)))
+    bracket = (spectrum.qint(n - i0) * xi
+               + spectrum.rho ** (n - i0) * spectrum.qint(i0))
     return bracket * spectrum.Omega * xi ** (k - 1)
 
 
 def barrier_visits(model: WalkModel, k: int) -> float:
     """Expected number of arrivals at barrier site k*N before absorption."""
     spectrum = barrier_spectrum(model)
-    c1, k2 = boundary_coefficients(model)
-    return c1 * spectrum.xi1 ** k if k <= 0 else k2 * spectrum.xi2 ** k
+    return _frame_barrier(spectrum, boundary_coefficients(model),
+                          spectrum.frame_site(k * model.N) // model.N)
 
 
 def absorption_mass(model: WalkModel, k: int) -> float:
@@ -117,43 +115,36 @@ def total_absorption(model: WalkModel) -> float:
     """Total absorption probability via the two closed geometric sums.
 
     Sums s0 * x_{kN} over all k: ratio 1/xi1 on the left tail and xi2 on
-    the right.  Equals one for every valid model.
+    the right, each divided by its root's gap to one.  Equals one for every
+    valid model.
     """
     spectrum = barrier_spectrum(model)
-    c1, k2 = boundary_coefficients(model)
-    left = c1 * spectrum.xi1 / (spectrum.xi1 - 1.0)
-    right = k2 * spectrum.xi2 / (1.0 - spectrum.xi2)
-    return model.s0 * (left + right)
+    c1, xn = boundary_coefficients(model)
+    return model.s0 * (c1 * spectrum.xi1 / spectrum.gap1 + xn / spectrum.gap2)
 
 
 def site_visits(model: WalkModel, j: int) -> float:
     """Expected number of arrivals at an arbitrary site j.
 
-    Barrier sites delegate to :func:`barrier_visits`.  An interior site
-    j = kN + n (0 < n < N) interpolates between x_{kN} and x_{(k+1)N}; the
-    interval containing the start picks up a source contribution with two
-    sub-branches meeting at n = i0.
+    In the frame, an interior site kN + n (0 < n < N) interpolates between
+    x_{kN} and x_{(k+1)N}; the interval containing the start adds the
+    source term ``rho^(hi - i0) [lo] [N - hi] / q`` with
+    ``lo, hi = sorted((n, i0))``.
     """
-    m = model
-    k, n = divmod(j, m.N)
+    sp = barrier_spectrum(model)
+    coeffs = boundary_coefficients(model)
+    k, n = divmod(sp.frame_site(j), model.N)
+    xk = _frame_barrier(sp, coeffs, k)
     if n == 0:
-        return barrier_visits(m, k)
-    xk = barrier_visits(m, k)
-    xk1 = barrier_visits(m, k + 1)
-    if m.branch is Branch.BALANCED:
-        value = m.q0 * n * xk1 + m.p0 * (m.N - n) * xk
-        if k == 0:
-            value += n * (m.N - m.i0) if n <= m.i0 else m.i0 * (m.N - n)
-        return value / (m.p * m.N)
-    rho = m.rho
-    value = (m.p0 / m.p) * (rho ** n - rho ** m.N) * xk \
-        + (m.q0 / m.q) * (1.0 - rho ** n) * xk1
+        return xk
+    xk1 = _frame_barrier(sp, coeffs, k + 1)
+    rest = sp.qint(model.N - n)
+    value = ((sp.p0 / sp.p) * sp.rho ** n * rest * xk
+             + (sp.q0 / sp.q) * sp.qint(n) * xk1)
     if k == 0:
-        if n <= m.i0:
-            value += (1.0 - rho ** n) * (rho ** (m.N - m.i0) - 1.0) / (m.p - m.q)
-        else:
-            value += (rho ** n - rho ** m.N) * (1.0 - rho ** (-m.i0)) / (m.p - m.q)
-    return value / (1.0 - rho ** m.N)
+        lo, hi = sorted((n, sp.i0))
+        value += sp.rho ** (hi - sp.i0) * sp.qint(lo) * sp.qint(model.N - hi) / sp.q
+    return value / sp.qint(model.N)
 
 
 def reach_probability(model: WalkModel, i: int, j: int) -> float:
@@ -177,11 +168,11 @@ def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitPro
     """Materialize x_j for every site between barriers k_min and k_max."""
     if k_min > k_max:
         raise ValueError(f"empty barrier window ({k_min}, {k_max})")
-    c1, k2 = boundary_coefficients(model)
+    c1, xn = boundary_coefficients(model)
     values = {j: site_visits(model, j)
               for j in range(k_min * model.N, k_max * model.N + 1)}
     return VisitProfile(model=model, barrier_coeff_left=c1,
-                        barrier_coeff_right=k2, window=(k_min, k_max),
+                        barrier_coeff_right=xn, window=(k_min, k_max),
                         values=values)
 
 
@@ -189,33 +180,26 @@ def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitPro
 # residual checks used by tests and the verify battery
 
 def barrier_recurrence_residual(model: WalkModel, k: int) -> float:
-    """Residual of the barrier-level difference equation at index k.
+    """Residual of the frame's barrier-level difference equation at the
+    frame's index of barrier k.
 
     Zero (to rounding) for every k when the closed form is correct.  The
     k = 0 and k = 1 instances carry the start-site source on the right-hand
-    side; all others are homogeneous.
+    side, ``-[N - i0]`` and ``-rho^(N - i0) [i0]``; all others are
+    homogeneous.
     """
-    m = model
-    spectrum = barrier_spectrum(m)
-    xm, x0, xp = (barrier_visits(m, k - 1), barrier_visits(m, k),
-                  barrier_visits(m, k + 1))
-    if m.branch is Branch.BALANCED:
-        lhs = m.q0 * xp + spectrum.psi0 * x0 + m.p0 * xm
-        rhs = 0.0
-        if k == 0:
-            rhs = m.i0 - m.N
-        elif k == 1:
-            rhs = -m.i0
-        return lhs - rhs
-    l1, l2, rho = spectrum.lambda1, spectrum.lambda2, m.rho
-    scale = abs(1.0 - rho)
-    lhs = m.q0 * xp + (spectrum.omega0 / scale) * x0 + m.p0 * rho ** (m.N - 1) * xm
+    spectrum = barrier_spectrum(model)
+    coeffs = boundary_coefficients(model)
+    k = spectrum.frame_site(k * model.N) // model.N
+    xm, x0, xp = (_frame_barrier(spectrum, coeffs, i) for i in (k - 1, k, k + 1))
+    a, b, c = spectrum.quadratic_coeffs()
+    n, i0 = model.N, spectrum.i0
     rhs = 0.0
     if k == 0:
-        rhs = (l2 ** (m.N - m.i0) - l1 ** (m.N - m.i0)) / scale
+        rhs = -spectrum.qint(n - i0)
     elif k == 1:
-        rhs = rho ** m.N * (l1 ** (-m.i0) - l2 ** (-m.i0)) / scale
-    return lhs - rhs
+        rhs = -spectrum.rho ** (n - i0) * spectrum.qint(i0)
+    return a * xp + b * x0 + c * xm - rhs
 
 
 def occupancy_residual(model: WalkModel, j: int) -> float:

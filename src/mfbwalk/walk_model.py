@@ -6,14 +6,11 @@ Every multiple of ``N`` carries a multiple-function barrier that lets the
 walker through with ``p0``, reflects with ``q0``, holds with ``r0`` and
 absorbs with ``s0``.  The walk starts at ``i0`` with ``0 <= i0 < N``.
 
-Everything downstream is driven by two quadratics, both taken at z = 1,
-the only point at which the library evaluates its generating functions:
-
-* the interior characteristic equation ``q L^2 - (1 - r) L + p = 0``, whose
-  roots ``lambda1 = max(1, rho)`` and ``lambda2 = min(1, rho)`` with
-  ``rho = p / q`` are known exactly, and
-* the barrier-level recurrence quadratic whose roots ``xi1 > 1 > xi2 > 0``
-  govern the geometric decay of barrier visits away from the start.
+Everything downstream is driven by the barrier-level recurrence at z = 1,
+the only point at which the library evaluates its generating functions.
+:func:`barrier_spectrum` solves it in the model's ``rho = p / q <= 1``
+frame (a walk with p > q is reflected), where the interior roots are 1 and
+rho and one q-integer form, free of overflow, serves drift and balance.
 
 The z-derivatives at z = 1 that the per-barrier times need are written out
 in closed form in :mod:`mfbwalk.absorption_engine`.
@@ -30,9 +27,8 @@ from typing import Mapping
 
 from .errors import RejectedParameter
 
-# |p - q| below this is treated as the balanced (driftless) case: the
-# drift-branch closed forms divide by 1 - rho and lose all precision there,
-# while the two branches agree in the limit.
+# |p - q| below this tags a model BALANCED.  The visit forms do not read the
+# tag; it marks where the per-barrier times have no closed form.
 BALANCE_EPS = 1e-9
 
 # absolute tolerance on the sum-to-one constraints; inside it the residual
@@ -166,81 +162,91 @@ def reanchored(model: WalkModel, i0: int) -> WalkModel:
 # ---------------------------------------------------------------------------
 # barrier-level spectrum
 
+def _qint(n: int, log_rho: float) -> float:
+    """[n] = expm1(n log rho) / expm1(log rho), within 4e-16 relative of a
+    50-digit value for |log rho| from 1e-15 to 5 and n up to 2000; n at rho = 1."""
+    return float(n) if log_rho == 0.0 else math.expm1(n * log_rho) / math.expm1(log_rho)
+
+
 @dataclass(frozen=True)
 class BarrierSpectrum:
-    """Interior roots, coefficients and roots of the barrier-level recurrence.
+    """The barrier-level recurrence of a model, in its rho <= 1 frame.
 
-    ``lambda1`` and ``lambda2`` are the interior roots at z = 1,
-    ``max(1, rho)`` and ``min(1, rho)``; both are 1 for a balanced walk.
-    On the drift branch the recurrence quadratic is
-    ``q0 xi^2 + (omega0 / |1 - rho|) xi + p0 rho^(N-1) = 0`` with
+    The reflection j -> N [i0 != 0] - j maps a walk with p > q onto the
+    walk ``(q, p, q0, p0, (-i0) mod N)``; a walk with p <= q is its own
+    frame.  ``mirrored`` says which, :meth:`frame_site` carries a site into
+    the frame, and ``p, q, p0, q0, i0, rho = p / q`` are the frame's.  The
+    closed forms use the q-integers ``[n] = (1 - rho^n) / (1 - rho)``
+    (:meth:`qint`; ``[n] = n`` at rho = 1), so they hold no power above
+    one and no division by ``1 - rho``.
 
-        omega0 = (lambda2^N - lambda1^N)(1 - r0)
-                 + (lambda1^(N-1) - lambda2^(N-1))(rho q0 + p0),
-
-    and on the balanced branch ``q0 xi^2 + psi0 xi + p0 = 0`` with
-    ``psi0 = -(p0 + q0 + N s0)`` (the limit of ``omega0 / |1 - rho|``).
-    Both quadratics are of saddle type: ``xi1 > 1 > xi2 > 0`` always, which
-    is what makes the barrier visit counts decay geometrically both ways.
-
-    ``Omega`` is the reciprocal square root of
-    ``b^2 - 4 a c`` scaled back to the omega0 normalization, i.e.
-    ``[omega0^2 - 4 p0 q0 (1 - rho)^2 rho^(N-1)]^(-1/2)`` on the drift
-    branch and ``[psi0^2 - 4 p0 q0]^(-1/2)`` on the balanced branch.
-    ``alpha = r (1 - r) + 4 p q`` feeds the z-derivatives at z = 1.
+    Away from the start the barrier visits obey
+    ``q0 x_{k+1} + psi0 x_k + p0 rho^(N-1) x_{k-1} = 0`` with
+    ``psi0 = -(q0 + p0 rho^(N-1) + s0 [N])``, i.e. ``-(p0 + q0 + N s0)`` at
+    rho = 1; its roots are of saddle type, ``xi1 > 1 > xi2 >= 0``.  They
+    are solved for in ``t = xi - 1``, where nothing cancels, so the gaps
+    ``gap1 = xi1 - 1`` and ``gap2 = 1 - xi2`` keep full relative precision.
+    ``Omega = [psi0^2 - 4 p0 q0 rho^(N-1)]^(-1/2)`` and
+    ``alpha = r (1 - r) + 4 p q`` feed the display forms and z-derivatives.
     """
 
     model: WalkModel
-    lambda1: float
-    lambda2: float
-    omega0: float
+    mirrored: bool
+    p: float
+    q: float
+    p0: float
+    q0: float
+    i0: int
+    rho: float
+    log_rho: float
     psi0: float
     xi1: float
     xi2: float
+    gap1: float
+    gap2: float
     Omega: float
     alpha: float
 
+    def qint(self, n: int) -> float:
+        """The q-integer [n] of the frame."""
+        return _qint(n, self.log_rho)
+
+    def frame_site(self, j: int) -> int:
+        """The site of the frame that holds site j of the model."""
+        return (self.model.N if self.model.i0 else 0) - j if self.mirrored else j
+
     def quadratic_coeffs(self) -> tuple[float, float, float]:
         """(a, b, c) of the recurrence quadratic a xi^2 + b xi + c = 0."""
-        m = self.model
-        if m.branch is Branch.BALANCED:
-            return m.q0, self.psi0, m.p0
-        return m.q0, self.omega0 / abs(1.0 - m.rho), m.p0 * m.rho ** (m.N - 1)
-
-
-def _stable_roots(a: float, b: float, c: float) -> tuple[float, float]:
-    # b < 0 for every valid model, so the larger root takes the additive
-    # branch and the smaller one comes from the product of roots
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:  # pragma: no cover - the quadratic is saddle type
-        raise ArithmeticError(
-            f"barrier recurrence quadratic has no real root pair: a={a} b={b} c={c}")
-    big = (-b + math.sqrt(disc)) / (2.0 * a)
-    return big, c / (a * big)
+        return self.q0, self.psi0, self.p0 * self.rho ** (self.model.N - 1)
 
 
 @lru_cache(maxsize=512)
 def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
-    """Interior roots and barrier-level recurrence data for a validated model.
-
-    Root residuals are below 1e-12 by construction (stable quadratic
-    formula); the ordering ``xi1 > 1 > xi2 > 0`` is guaranteed because the
-    quadratic is negative at xi = 1 for every admissible parameter set.
-    """
+    """The rho <= 1 frame of a validated model and its recurrence roots."""
     m = model
-    alpha = m.r * (1.0 - m.r) + 4.0 * m.p * m.q
-    psi0 = -(m.p0 + m.q0 + m.N * m.s0)
-    if m.branch is Branch.BALANCED:
-        xi1, xi2 = _stable_roots(m.q0, psi0, m.p0)
-        Omega = 1.0 / math.sqrt(psi0 * psi0 - 4.0 * m.p0 * m.q0)
-        return BarrierSpectrum(model=m, lambda1=1.0, lambda2=1.0, omega0=0.0, psi0=psi0,
-                               xi1=xi1, xi2=xi2, Omega=Omega, alpha=alpha)
-    n, rho = m.N, m.rho
-    l1, l2 = max(1.0, rho), min(1.0, rho)
-    omega0 = ((l2 ** n - l1 ** n) * (1.0 - m.r0)
-              + (l1 ** (n - 1) - l2 ** (n - 1)) * (rho * m.q0 + m.p0))
-    xi1, xi2 = _stable_roots(m.q0, omega0 / abs(1.0 - rho), m.p0 * rho ** (n - 1))
-    disc = omega0 * omega0 - 4.0 * m.p0 * m.q0 * (1.0 - rho) ** 2 * rho ** (n - 1)
-    Omega = 1.0 / math.sqrt(disc)
-    return BarrierSpectrum(model=m, lambda1=l1, lambda2=l2, omega0=omega0,
-                           psi0=psi0, xi1=xi1, xi2=xi2, Omega=Omega, alpha=alpha)
+    mirrored = m.p > m.q
+    if mirrored:
+        p, q, p0, q0, i0 = m.q, m.p, m.q0, m.p0, -m.i0 % m.N
+    else:
+        p, q, p0, q0, i0 = m.p, m.q, m.p0, m.q0, m.i0
+    rho = p / q
+    log_rho = math.log(rho)
+    c = p0 * rho ** (m.N - 1)
+    s = m.s0 * _qint(m.N, log_rho)
+    # q0 t^2 + b t - s = 0 has a root of each sign and a discriminant free of
+    # cancellation; the larger root in magnitude takes the additive branch,
+    # the other follows from the product, and so does xi2 = c / (q0 xi1)
+    b = q0 - c - s
+    root = math.sqrt(b * b + 4.0 * q0 * s)
+    if b < 0.0:
+        gap1 = (root - b) / (2.0 * q0)
+        gap2 = s / (q0 * gap1)
+    else:
+        gap2 = (root + b) / (2.0 * q0)
+        gap1 = s / (q0 * gap2)
+    xi1 = 1.0 + gap1
+    return BarrierSpectrum(
+        model=m, mirrored=mirrored, p=p, q=q, p0=p0, q0=q0, i0=i0, rho=rho,
+        log_rho=log_rho, psi0=-(q0 + c + s), xi1=xi1, xi2=c / (q0 * xi1),
+        gap1=gap1, gap2=gap2, Omega=1.0 / root,
+        alpha=m.r * (1.0 - m.r) + 4.0 * m.p * m.q)

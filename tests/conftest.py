@@ -45,6 +45,12 @@ def random_model(rng: np.random.Generator, branch: str = "DRIFT",
         return make_model(p=p, q=q, p0=p0, q0=q0, s0=s0, N=n, i0=start)
 
 
+def mirror(model):
+    """The reflection j -> N [i0 != 0] - j of a walk, as a model of its own."""
+    return make_model(p=model.q, q=model.p, p0=model.q0, q0=model.p0,
+                      s0=model.s0, N=model.N, i0=-model.i0 % model.N)
+
+
 @st.composite
 def model_strategy(draw, branch=None):
     """Valid models away from the near-balance drift zone, where the drift

@@ -19,7 +19,7 @@ from mfbwalk import (
     truncated_mean_times,
     truncated_visit_derivatives,
 )
-from conftest import random_model
+from conftest import mirror, random_model
 
 # frozen oracle values: exact derivative of the truncated system, K = 60
 DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
@@ -120,14 +120,15 @@ class TestMeanTimeAny:
 
 class TestSpectralDerivatives:
     def test_drift_reference_values(self, cfg_drift):
+        # on the mirrored frame: rho = 1/2, zeta = 5, rho q0 + p0 = 0.3
         from mfbwalk.absorption_engine import _domega0
         spectrum = barrier_spectrum(cfg_drift)
         zeta = 1.0 / abs(cfg_drift.p - cfg_drift.q)
         assert spectrum.alpha == pytest.approx(0.56, rel=1e-14)
-        assert _domega0(cfg_drift, spectrum, zeta, display=False) == \
-            pytest.approx(22.8, rel=1e-12)
-        assert _domega0(cfg_drift, spectrum, zeta, display=True) == \
-            pytest.approx(36.8, rel=1e-12)
+        assert _domega0(spectrum, zeta, display=False) == \
+            pytest.approx(5.7, rel=1e-12)
+        assert _domega0(spectrum, zeta, display=True) == \
+            pytest.approx(5.45, rel=1e-12)
 
     def test_balanced_unsupported(self, cfg_sym):
         with pytest.raises(BalancedUnsupported):
@@ -162,14 +163,15 @@ class TestMeanTimeToBarrier:
             mean_time_to_barrier(m, 0)
 
     def test_tail_ratio_approaches_xi2(self, cfg_drift):
-        # the split behaves like xi2^k (a + b k), so successive ratios close
-        # in on xi2 at rate 1/k
-        spectrum = barrier_spectrum(cfg_drift)
+        # the split behaves like xi^k (a + b k), so successive ratios close
+        # in on the tail ratio at rate 1/k; cfg-drift's frame is mirrored,
+        # so its right tail is the frame's left one, of ratio 1 / xi1
+        ratio = 1.0 / barrier_spectrum(cfg_drift).xi1
         gaps = [abs(mean_time_to_barrier(cfg_drift, k + 1)
-                    / mean_time_to_barrier(cfg_drift, k) - spectrum.xi2)
+                    / mean_time_to_barrier(cfg_drift, k) - ratio)
                 for k in (5, 9, 20, 40)]
         assert gaps == sorted(gaps, reverse=True)
-        assert gaps[-1] < 0.05 * spectrum.xi2
+        assert gaps[-1] < 0.05 * ratio
 
     def test_split_sums_to_total_mean_time(self):
         rng = np.random.default_rng(29)
@@ -192,6 +194,26 @@ class TestMeanTimeToBarrier:
             for k in range(-5, 6):
                 assert mean_time_to_barrier(m, k) == \
                     pytest.approx(m.s0 * deriv[k * N], rel=1e-6)
+
+    def test_mirror_identity(self):
+        # m_0k of a walk is m_0,-k of its reflection
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            m = random_model(rng, "DRIFT", i0=0)
+            image = mirror(m)
+            for k in range(-5, 6):
+                assert mean_time_to_barrier(m, k) == \
+                    pytest.approx(mean_time_to_barrier(image, -k), rel=1e-12)
+
+    @pytest.mark.parametrize("p,q", [(0.4, 0.1), (0.1, 0.4)])
+    def test_large_drift_stays_finite(self, p, q):
+        # N |log rho| = 832: every power of max(rho, 1/rho) overflows
+        m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=600, i0=0)
+        deriv = truncated_visit_derivatives(m)
+        for k in range(-5, 6):
+            value = mean_time_to_barrier(m, k)
+            assert math.isfinite(value)
+            assert value == pytest.approx(m.s0 * deriv[k * m.N], rel=1e-6)
 
     def test_matches_numeric_generating_function_derivative(self):
         rng = np.random.default_rng(30)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mfbwalk import oracle, validate_model
+from mfbwalk import oracle, validate_model, visit_engine
 from mfbwalk.cli import main
 from conftest import CFG_DRIFT, CFG_SYM
 
@@ -157,6 +157,16 @@ class TestSimulate:
             list(range(lo, hi + 1))
 
 
+    def test_censoring_warning_is_one_stable_line(self, capsys):
+        code, _, err = run(["simulate", "--model",
+                            str(REPO / "models" / "cfg-drift.json"),
+                            "--walks", "2000", "--step-cap", "2"], capsys)
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: ExcessCensoring: 1405 of 2000 walks hit the step cap 2"]
+        assert "oracle.py" not in err
+
+
 class TestExitCodes:
     def test_usage_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 64
@@ -176,13 +186,25 @@ class TestExitCodes:
         assert run(["visits", "--model", "/nonexistent/x.json"],
                    capsys)[0] == 66
 
-    def test_overflow_is_2_without_traceback(self, capsys):
-        code, _, err = run(["absorb-dist", "--p", "0.4", "--q", "0.1",
-                            "--p0", "0.3", "--q0", "0.3", "--s0", "0.2",
-                            "--N", "600", "--i0", "0"], capsys)
+    def test_overflow_is_2_without_traceback(self, monkeypatch, capsys):
+        def overflow(model):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(visit_engine, "total_absorption", overflow)
+        code, _, err = run(["absorb-dist", *DRIFT_ARGS], capsys)
         assert code == 2
         assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
+        assert err.strip() == "cannot compute: OverflowError: math range error"
+
+    @pytest.mark.parametrize("p,q", [("0.4", "0.1"), ("0.1", "0.4")])
+    def test_large_drift_absorb_dist_is_0(self, p, q, capsys):
+        # N |log rho| = 832: every power of max(rho, 1/rho) overflows a double
+        code, out, err = run(["absorb-dist", "--p", p, "--q", q,
+                              "--p0", "0.3", "--q0", "0.3", "--s0", "0.2",
+                              "--N", "600", "--i0", "0"], capsys)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["total"] == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_model_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -313,9 +335,8 @@ class TestVerify:
         assert all(r["delta"] < 1e-12 for r in rows)
 
     def test_near_balance_has_no_barrier_time_checks(self, capsys):
-        # the exit code is not asserted: near balance the drift recurrence
-        # residual is 1.3e-10 at k = 0 on this model, over its 1e-10 bound
-        _, out, err = run(["verify", *NEAR_BALANCE_ARGS], capsys)
+        code, out, err = run(["verify", *NEAR_BALANCE_ARGS], capsys)
+        assert code == 0
         report = json.loads(out)
         assert report["rows"]
         assert not [r for r in report["rows"]
@@ -323,6 +344,15 @@ class TestVerify:
         assert not [n for n in report["formula_discrepancies"]
                     if "per-barrier" in n]
         assert "per-barrier" not in err
+
+    @pytest.mark.parametrize("p,q", [("0.4", "0.1"), ("0.1", "0.4")])
+    @pytest.mark.parametrize("i0", ["0", "599"])
+    def test_large_drift_passes(self, p, q, i0, capsys):
+        code, out, _ = run(["verify", "--p", p, "--q", q, "--p0", "0.3",
+                            "--q0", "0.3", "--s0", "0.2", "--N", "600",
+                            "--i0", i0], capsys)
+        assert code == 0
+        assert json.loads(out)["ok"]
 
     def test_oversized_truncation_is_2(self, capsys):
         code, _, err = run(["verify", "--p", "0.3", "--q", "0.25", "--p0", "0.3",

@@ -143,6 +143,19 @@ class TestTruncatedVisits:
         for j in range(-inner, inner + 1):
             assert abs(small.values[j] - large.values[j]) <= small.tail_bound
 
+    def test_default_truncation_of_the_reference_models(self, cfg_drift, cfg_sym):
+        assert default_truncation(cfg_drift) == 32
+        assert default_truncation(cfg_sym) == 26
+
+    @pytest.mark.parametrize("p,q", [(0.4, 0.1), (0.1, 0.4)])
+    def test_truncation_at_large_drift(self, p, q):
+        # the decay rate comes from the rho <= 1 frame, so nothing overflows
+        m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=600, i0=0)
+        assert default_truncation(m) == 49
+        tv = truncated_visits(m)
+        assert tv.tail_bound < 1e-12
+        assert tv.absorbed_mass + tv.leak == pytest.approx(1.0, abs=1e-10)
+
     def test_truncation_insufficient(self, cfg_drift):
         with pytest.raises(TruncationInsufficient):
             truncated_visits(cfg_drift, K=5, tol=1e-12)

@@ -20,7 +20,7 @@ from mfbwalk import (
     truncated_visits,
     visit_profile,
 )
-from conftest import model_strategy, random_model
+from conftest import mirror, model_strategy, random_model
 
 # frozen oracle values (truncated solver, K = 60, tail < 1e-27)
 SYM_X = {-2: 0.6188021535170064, -1: 0.7320508075688775, 0: 2.309401076758504,
@@ -60,14 +60,17 @@ class TestBarrierVisits:
         assert lhs == pytest.approx(-2.0, abs=1e-12)
 
     def test_geometric_decay_ratios(self, cfg_drift):
-        # left tail decays with ratio 1/xi1, right tail with ratio xi2
+        # in the frame the left tail decays with ratio 1/xi1 and the right
+        # tail with ratio xi2; cfg-drift's frame is mirrored, so its left
+        # tail is the frame's right one and the other way round
         spectrum = barrier_spectrum(cfg_drift)
+        assert spectrum.mirrored
         for k in range(-4, 1):
             ratio = barrier_visits(cfg_drift, k) / barrier_visits(cfg_drift, k - 1)
-            assert ratio == pytest.approx(spectrum.xi1, rel=1e-12)
+            assert ratio == pytest.approx(1.0 / spectrum.xi2, rel=1e-12)
         for k in range(1, 5):
             ratio = barrier_visits(cfg_drift, k + 1) / barrier_visits(cfg_drift, k)
-            assert ratio == pytest.approx(spectrum.xi2, rel=1e-12)
+            assert ratio == pytest.approx(1.0 / spectrum.xi1, rel=1e-12)
 
     def test_display_form_agrees_everywhere(self):
         rng = np.random.default_rng(11)
@@ -164,6 +167,53 @@ class TestSiteVisits:
                                           rel=1e-8)
 
 
+# rho in {4, 1/4} at N = 600: N |log rho| = 832, so every power of
+# max(rho, 1/rho) overflows a double
+EDGE_MODELS = [dict(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=600, i0=i0)
+               for p, q in ((0.4, 0.1), (0.1, 0.4)) for i0 in (0, 1, 300, 599)]
+
+
+class TestMirrorFrame:
+    def test_mirror_identity(self):
+        # x_j of a walk is x_{N [i0 != 0] - j} of its reflection
+        rng = np.random.default_rng(32)
+        for trial in range(60):
+            m = random_model(rng, "DRIFT" if trial % 2 else "BALANCED",
+                             N=int(rng.integers(2, 12)))
+            image = mirror(m)
+            shift = m.N if m.i0 else 0
+            for j in range(-3 * m.N, 3 * m.N + 1):
+                assert site_visits(m, j) == \
+                    pytest.approx(site_visits(image, shift - j), rel=1e-12)
+
+    @pytest.mark.parametrize("params", EDGE_MODELS,
+                             ids=lambda d: f"p{d['p']}-i0_{d['i0']}")
+    def test_large_drift_matches_solver(self, params):
+        m = make_model(**params)
+        tv = truncated_visits(m)
+        for j in range(-3 * m.N, 3 * m.N + 1):
+            closed = site_visits(m, j)
+            assert math.isfinite(closed)
+            assert abs(closed - tv.values[j]) <= 1e-8 * max(tv.values[j], 1e-30)
+        for k in range(-3, 4):
+            for value in (barrier_visits(m, k), display_barrier_visits(m, k),
+                          absorption_mass(m, k),
+                          barrier_recurrence_residual(m, k)):
+                assert math.isfinite(value)
+            assert abs(barrier_recurrence_residual(m, k)) < 1e-10
+        assert all(math.isfinite(c) for c in boundary_coefficients(m))
+        assert 0.0 <= reach_probability(m, 3, -5) <= 1.0
+        assert total_absorption(m) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p0,q0", [(0.3, 0.3), (0.2, 0.35)])
+    def test_total_absorption_at_tiny_s0(self, p0, q0):
+        # a root lies within 4e-6 of one, so the sums divide by the gaps
+        # the roots were solved for, not by a difference of rounded roots
+        m = make_model(p=0.3, q=0.25, p0=p0, q0=q0, s0=1e-7, N=10, i0=0)
+        for model in (m, mirror(m)):
+            assert total_absorption(model) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestAbsorption:
     def test_symmetric_masses(self, cfg_sym):
         assert absorption_mass(cfg_sym, 0) == \
@@ -216,11 +266,13 @@ class TestVisitProfile:
     def test_window_and_coefficients(self, cfg_sym):
         prof = visit_profile(cfg_sym, -3, 3)
         assert set(prof.values) == set(range(-6, 7))
-        c1, k2 = boundary_coefficients(cfg_sym)
+        c1, xn = boundary_coefficients(cfg_sym)
         assert prof.barrier_coeff_left == c1
-        assert prof.barrier_coeff_right == k2
+        assert prof.barrier_coeff_right == xn
         assert c1 == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-13)
-        assert k2 == pytest.approx(c1, rel=1e-13)
+        # the right tail is anchored at barrier 1: x_N = C1 xi2 here
+        assert xn == pytest.approx(c1 * (2.0 - math.sqrt(3.0)), rel=1e-13)
+        assert xn == prof.values[cfg_sym.N]
 
     def test_empty_window_rejected(self, cfg_sym):
         with pytest.raises(ValueError):

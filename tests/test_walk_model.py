@@ -13,7 +13,7 @@ from mfbwalk import (
     model_from_json,
     validate_model,
 )
-from conftest import CFG_DRIFT, CFG_SYM, model_strategy, random_model
+from conftest import CFG_DRIFT, CFG_SYM, mirror, model_strategy, random_model
 
 
 class TestValidation:
@@ -72,15 +72,17 @@ class TestValidation:
 
 
 class TestLambdaPair:
-    # the interior roots at z = 1 live on the barrier spectrum
+    # at z = 1 the interior roots of the rho <= 1 frame are 1 and its rho
     def test_balanced_at_one_degenerates(self, cfg_sym):
         spectrum = barrier_spectrum(cfg_sym)
-        assert spectrum.lambda1 == spectrum.lambda2 == 1.0
+        assert not spectrum.mirrored
+        assert spectrum.rho == 1.0
 
     def test_drift_at_one(self, cfg_drift):
+        # rho = 2 is mirrored onto the frame walk with rho = 1/2
         spectrum = barrier_spectrum(cfg_drift)
-        assert spectrum.lambda1 == pytest.approx(2.0, abs=0)
-        assert spectrum.lambda2 == pytest.approx(1.0, abs=0)
+        assert spectrum.mirrored
+        assert spectrum.rho == pytest.approx(0.5, abs=0)
 
     def test_residuals_and_product_over_many_models(self):
         rng = np.random.default_rng(20250809)
@@ -88,16 +90,19 @@ class TestLambdaPair:
             branch = "DRIFT" if trial % 2 else "BALANCED"
             m = random_model(rng, branch)
             spectrum = barrier_spectrum(m)
-            assert _char_residual(m, spectrum.lambda1) < 1e-10
-            assert _char_residual(m, spectrum.lambda2) < 1e-10
-            assert spectrum.lambda1 * spectrum.lambda2 == \
-                pytest.approx(m.rho, rel=1e-10)
+            assert spectrum.rho <= 1.0
+            assert spectrum.mirrored == (m.p > m.q)
+            assert _char_residual(spectrum, 1.0) < 1e-10
+            assert _char_residual(spectrum, spectrum.rho) < 1e-10
+            assert spectrum.rho == pytest.approx(min(m.rho, 1.0 / m.rho),
+                                                 rel=1e-10)
 
 
-def _char_residual(model, lam):
-    # scaled residual of q L^2 - (1 - r) L + p at L = lam
-    num = abs(model.q * lam * lam - (1.0 - model.r) * lam + model.p)
-    den = model.q * lam * lam + (1.0 - model.r) * lam + model.p
+def _char_residual(spectrum, lam):
+    # scaled residual of the frame's q L^2 - (1 - r) L + p at L = lam
+    p, q, r = spectrum.p, spectrum.q, spectrum.model.r
+    num = abs(q * lam * lam - (1.0 - r) * lam + p)
+    den = q * lam * lam + (1.0 - r) * lam + p
     return num / den
 
 
@@ -114,10 +119,13 @@ class TestBarrierSpectrum:
         assert barrier_spectrum(cfg_sym).psi0 == -1.0
 
     def test_drift_root_product_identity(self, cfg_drift):
+        # in the mirrored frame p0 and q0 trade places and rho is 1/2
         spectrum = barrier_spectrum(cfg_drift)
-        product = cfg_drift.p0 * cfg_drift.rho ** (cfg_drift.N - 1) / cfg_drift.q0
+        product = spectrum.p0 * spectrum.rho ** (cfg_drift.N - 1) / spectrum.q0
         assert spectrum.xi1 * spectrum.xi2 == pytest.approx(product, rel=1e-12)
-        assert product == pytest.approx(2.0, rel=1e-14)
+        assert product == pytest.approx(0.5, rel=1e-14)
+        assert spectrum.gap1 == pytest.approx(spectrum.xi1 - 1.0, rel=1e-14)
+        assert spectrum.gap2 == pytest.approx(1.0 - spectrum.xi2, rel=1e-14)
 
     @settings(max_examples=80, deadline=None)
     @given(model_strategy())
@@ -134,16 +142,17 @@ class TestBarrierSpectrum:
         rng = np.random.default_rng(7)
         for _ in range(10):
             base = random_model(rng, "BALANCED")
-            spectrum0 = barrier_spectrum(base)
             for sign in (+1.0, -1.0):
                 pert = make_model(p=base.q * (1.0 + sign * 1e-6), q=base.q,
                                   p0=base.p0, q0=base.q0, s0=base.s0,
                                   N=base.N, i0=base.i0)
                 assert pert.branch is Branch.DRIFT
+                # p > q puts the frame on the mirror image of the walk
+                spectrum0 = barrier_spectrum(mirror(base) if sign > 0 else base)
                 spectrum1 = barrier_spectrum(pert)
                 assert abs(spectrum1.xi1 - spectrum0.xi1) < 1e-4
                 assert abs(spectrum1.xi2 - spectrum0.xi2) < 1e-4
 
-    def test_drift_omega0(self, cfg_drift):
-        # (1 - 4)(1 - 0.4) + (2 - 1)(2 * 0.2 + 0.2)
-        assert barrier_spectrum(cfg_drift).omega0 == pytest.approx(-1.2, rel=1e-14)
+    def test_drift_psi0(self, cfg_drift):
+        # frame rho = 1/2, [2] = 3/2: -(0.2 + 0.2 / 2 + 0.2 * 3/2)
+        assert barrier_spectrum(cfg_drift).psi0 == pytest.approx(-0.6, rel=1e-14)
