@@ -2,9 +2,10 @@
 
 Nothing in this module evaluates a closed form.  Three oracles live here:
 
-* a truncated banded linear solver for the site occupancy generating
-  function X_j(z) and its exact z-derivative on the truncated lattice,
-* the exact periodic linear system for mean absorption times, and
+* the truncated occupancy system (I - P^T) x = e_i0 at z = 1 and its exact
+  z-derivative, two tridiagonal solves on one band,
+* the exact periodic linear system for mean absorption times, one O(N)
+  tridiagonal solve after eliminating the interior onto m_0, and
 * a seeded, counter-based Monte-Carlo walker whose statistics are
   bit-identical for a given (seed, walks, step_cap) regardless of how the
   work is partitioned across workers.
@@ -65,9 +66,9 @@ def _log_decay_rate(model: WalkModel) -> float:
     return math.log1p(-spectrum.gap2)
 
 
-def default_truncation(model: WalkModel, tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest barrier count K with geometric tail bound below ``tol``."""
-    return max(5, math.ceil(math.log(tol) / _log_decay_rate(model))) + 5
+def default_truncation(model: WalkModel) -> int:
+    """Smallest barrier count K with tail bound below ``DEFAULT_TAIL_TOL``."""
+    return max(5, math.ceil(math.log(DEFAULT_TAIL_TOL) / _log_decay_rate(model))) + 5
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +76,16 @@ def default_truncation(model: WalkModel, tol: float = DEFAULT_TAIL_TOL) -> int:
 
 @dataclass(frozen=True)
 class TruncatedVisits:
-    """Occupancy generating-function values on the truncated lattice.
+    """Expected arrivals x_j = X_j(1) on the truncated lattice (z = 1 only).
 
     Sites -K*N .. K*N are retained; the two fringe sites are exit sinks so
     that every walk either gets absorbed at a genuine barrier or leaks out.
-    ``values[j]`` approximates X_j(z) with geometric tail error
-    ``tail_bound``; at z = 1 the identity
-    ``absorbed_mass + leak == 1`` holds to solver precision.
+    ``values[j]`` approximates x_j with geometric tail error ``tail_bound``;
+    the identity ``absorbed_mass + leak == 1`` holds to solver precision.
     """
 
     model: WalkModel
     K: int
-    z: float
     values: dict[int, float]
     tail_bound: float
     absorbed_mass: float
@@ -96,8 +95,27 @@ class TruncatedVisits:
         return self.values[site]
 
 
-def _banded_system(model: WalkModel, K: int, z: float) -> tuple[np.ndarray, int]:
-    """Banded storage of I - z * P^T over sites -K*N .. K*N (sinks at the ends)."""
+def _truncation(model: WalkModel, K: int | None) -> tuple[int, float]:
+    """K (default: :func:`default_truncation`) and its tail bound, after the
+    size and tail guards that every truncated solve shares."""
+    if K is None:
+        K = default_truncation(model)
+    if K < 3:
+        raise ValueError(f"K must be >= 3 (got {K})")
+    if 2 * K * model.N + 1 > MAX_SITES:
+        raise TruncationInsufficient(
+            f"K={K} needs {2 * K * model.N + 1} sites, above the budget of "
+            f"{MAX_SITES}")
+    tail = math.exp(K * _log_decay_rate(model))
+    if tail > DEFAULT_TAIL_TOL:
+        raise TruncationInsufficient(
+            f"tail bound {tail:.3e} at K={K} exceeds the tolerance "
+            f"{DEFAULT_TAIL_TOL:.3e}")
+    return K, tail
+
+
+def _banded_system(model: WalkModel, K: int) -> tuple[np.ndarray, int]:
+    """Banded storage of I - P^T over sites -K*N .. K*N (sinks at the ends)."""
     m = model
     n = 2 * K * m.N + 1
     half = K * m.N
@@ -113,81 +131,62 @@ def _banded_system(model: WalkModel, K: int, z: float) -> tuple[np.ndarray, int]
     # diagonal, M[j-1, j], is the inflow into j-1 from j (site j stepping
     # backward), and M[j+1, j] is site j stepping forward.
     ab = np.zeros((3, n))
-    ab[1, :] = 1.0 - z * hold
-    ab[0, 1:] = -z * bw[1:]
-    ab[2, :-1] = -z * fw[:-1]
+    ab[1, :] = 1.0 - hold
+    ab[0, 1:] = -bw[1:]
+    ab[2, :-1] = -fw[:-1]
     return ab, half
 
 
-def truncated_visits(model: WalkModel, K: int | None = None, z: float = 1.0,
-                     tol: float = DEFAULT_TAIL_TOL) -> TruncatedVisits:
-    """Solve the truncated occupancy system.
-
-    Parameters
-    ----------
-    K : barriers -K..K are retained (states -K*N..K*N).  Defaults to the
-        smallest K whose geometric tail bound is below ``tol``.
-    z : evaluation point of the generating function, 0 < z <= 1.
-
-    Raises ``TruncationInsufficient`` if an explicit K cannot meet ``tol``,
-    or if the lattice would hold more than ``MAX_SITES`` sites.
-    """
-    if not 0.0 < z <= 1.0:
-        raise ValueError(f"z must lie in (0, 1] (got {z})")
-    if K is None:
-        K = default_truncation(model, tol)
-    if K < 3:
-        raise ValueError(f"K must be >= 3 (got {K})")
-    if 2 * K * model.N + 1 > MAX_SITES:
-        raise TruncationInsufficient(
-            f"K={K} needs {2 * K * model.N + 1} sites, above the budget of "
-            f"{MAX_SITES}")
-    tail = math.exp(K * _log_decay_rate(model))
-    if tail > tol:
-        raise TruncationInsufficient(
-            f"tail bound {tail:.3e} at K={K} exceeds requested tolerance {tol:.3e}")
-
-    ab, half = _banded_system(model, K, z)
-    rhs = np.zeros(2 * half + 1)
-    rhs[half + model.i0] = 1.0
+def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         x = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(x)):  # pragma: no cover - defensive
         raise SingularSystem("non-finite solution entries")
+    return x
+
+
+def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
+    """Solve the truncated occupancy system (I - P^T) x = e_i0.
+
+    ``K``: barriers -K..K are retained (states -K*N..K*N).  Defaults to the
+    smallest K whose geometric tail bound is below ``DEFAULT_TAIL_TOL``.
+
+    Raises ``TruncationInsufficient`` if an explicit K cannot meet that
+    bound, or if the lattice would hold more than ``MAX_SITES`` sites.
+    """
+    K, tail = _truncation(model, K)
+    ab, half = _banded_system(model, K)
+    rhs = np.zeros(2 * half + 1)
+    rhs[half + model.i0] = 1.0
+    x = _solve(ab, rhs)
 
     sites = np.arange(-half, half + 1)
     barrier_mask = (sites % model.N == 0) & (np.abs(sites) < half)
     absorbed = model.s0 * float(x[barrier_mask].sum())
     leak = float(x[0] + x[-1])
     values = {int(j): float(v) for j, v in zip(sites, x)}
-    return TruncatedVisits(model=model, K=K, z=z, values=values,
+    return TruncatedVisits(model=model, K=K, values=values,
                            tail_bound=tail, absorbed_mass=absorbed, leak=leak)
 
 
-def truncated_visit_derivatives(model: WalkModel, K: int | None = None,
-                                tol: float = DEFAULT_TAIL_TOL) -> dict[int, float]:
+def truncated_visit_derivatives(model: WalkModel,
+                                K: int | None = None) -> dict[int, float]:
     """Exact dX_j/dz at z = 1 on the truncated lattice.
 
     Differentiating (I - z P^T) x(z) = e_i0 gives
-    (I - P^T) x'(1) = P^T x(1): one extra banded solve, no differencing.
+    (I - P^T) x'(1) = P^T x(1), and P^T x(1) = x(1) - e_i0: one band, two
+    solves on it, no differencing.
     """
-    base = truncated_visits(model, K=K, z=1.0, tol=tol)
-    K = base.K
-    ab, half = _banded_system(model, K, 1.0)
-    x = np.array([base.values[j] for j in range(-half, half + 1)])
-    # P^T x = (I - M) x where M = I - P^T is the banded matrix built above
-    ptx = x - _banded_matvec(ab, x)
-    xprime = solve_banded((1, 1), ab, ptx)
+    K, _ = _truncation(model, K)
+    ab, half = _banded_system(model, K)
+    rhs = np.zeros(2 * half + 1)
+    rhs[half + model.i0] = 1.0
+    ptx = _solve(ab, rhs)
+    ptx[half + model.i0] -= 1.0
+    xprime = _solve(ab, ptx)
     return {int(j): float(v) for j, v in zip(range(-half, half + 1), xprime)}
-
-
-def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = ab[1] * x
-    y[:-1] += ab[0, 1:] * x[1:]
-    y[1:] += ab[2, :-1] * x[:-1]
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +195,25 @@ def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 def periodic_mean_times(model: WalkModel) -> np.ndarray:
     """Mean absorption times m_0..m_N from the exact periodic linear system.
 
-    The defining equations are ``(1 - r) m_i = p m_{i+1} + q m_{i-1} + 1``
+    The defining equations are ``(p + q) m_i = p m_{i+1} + q m_{i-1} + 1``
     for interior i and ``(1 - r0) m_0 = p0 m_1 + q0 m_{N-1} + 1 - s0`` with
     ``m_N = m_0``; the absorbing transition itself is not counted as a step.
+    With ``m_i = m_0 + T_i`` the interior rows are one O(N) tridiagonal
+    solve, ``(p + q) T_i - p T_{i+1} - q T_{i-1} = 1`` with T_0 = T_N = 0,
+    and the barrier row gives ``m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0``:
+    the 1/s0 conditioning costs one division of a sum of positive terms.
     Returns an array of length N + 1 with ``m[N] == m[0]``.
     """
     m = model
-    n = m.N
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    # the diagonals are 1 - r0 and 1 - r, summed from the model's own
-    # probabilities: the subtraction rounds when p, q are tiny
-    A[0, 0] = m.p0 + m.q0 + m.s0
-    A[0, 1 % n] -= m.p0
-    A[0, (n - 1) % n] -= m.q0
-    b[0] = 1.0 - m.s0
-    for i in range(1, n):
-        A[i, i] = m.p + m.q
-        A[i, (i + 1) % n] -= m.p
-        A[i, (i - 1) % n] -= m.q
-        b[i] = 1.0
-    sol = np.linalg.solve(A, b)
-    return np.append(sol, sol[0])
+    n = m.N - 1                      # interior sites 1..N-1
+    ab = np.empty((3, n))
+    ab[0, :] = -m.p                  # ab[0, 0] is not read
+    ab[1, :] = m.p + m.q
+    ab[2, :] = -m.q                  # ab[2, -1] is not read
+    T = np.zeros(m.N + 1)
+    T[1:-1] = _solve(ab, np.ones(n))
+    m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
+    return m0 + T
 
 
 @dataclass(frozen=True)
@@ -235,17 +231,14 @@ class MeanTimeSplit:
     tail_bound: float
 
 
-def truncated_mean_times(model: WalkModel, K: int | None = None,
-                         tol: float = DEFAULT_TAIL_TOL) -> MeanTimeSplit:
+def truncated_mean_times(model: WalkModel, K: int | None = None) -> MeanTimeSplit:
     """Exact m_i (periodic solve) plus the per-barrier time split."""
-    period = periodic_mean_times(model)
-    deriv = truncated_visit_derivatives(model, K=K, tol=tol)
-    if K is None:
-        K = default_truncation(model, tol)
+    K, tail = _truncation(model, K)
+    deriv = truncated_visit_derivatives(model, K=K)
     per_barrier = {k: model.s0 * deriv[k * model.N]
                    for k in range(-(K - 1), K)}
-    return MeanTimeSplit(model=model, period=period, per_barrier=per_barrier,
-                         tail_bound=math.exp(K * _log_decay_rate(model)))
+    return MeanTimeSplit(model=model, period=periodic_mean_times(model),
+                         per_barrier=per_barrier, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -153,10 +153,9 @@ def load_model(path) -> WalkModel:
 
 
 def reanchored(model: WalkModel, i0: int) -> WalkModel:
-    """Same walk with a different start site (0 <= i0 < N)."""
-    d = model.to_dict()
-    d["i0"] = i0
-    return validate_model(d)
+    """Same walk with a different start site; only the start is checked."""
+    _require(0 <= i0 < model.N, f"i0 must satisfy 0 <= i0 < N (got {i0})")
+    return replace(model, i0=int(i0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The closed-form engines are plain arithmetic: no oracle, no numpy, no scipy."""
+"""The closed-form engines are plain arithmetic: no oracle, no numpy, no scipy;
+the oracle, in turn, imports no closed-form engine."""
 
 import ast
 from pathlib import Path
@@ -15,10 +16,11 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
+            for alias in node.names:
+                names.update(alias.name.split("."))
         elif isinstance(node, ast.ImportFrom):
-            if node.module:
-                names.add(node.module.split(".")[0])
+            if node.module:  # "mfbwalk.oracle" names the package and the module
+                names.update(node.module.split("."))
             if node.level:  # "from . import oracle" names a sibling module
                 names.update(alias.name for alias in node.names)
     return names
@@ -33,3 +35,9 @@ def test_engine_imports_no_oracle_or_numeric_library(module):
 def test_the_check_sees_the_oracle_imports_of_the_cli():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert "oracle" in _imported_modules(tree)
+
+
+def test_oracle_imports_no_closed_form_engine():
+    # the oracles solve the defining systems; they never call a closed form
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    assert not _imported_modules(tree) & {"visit_engine", "absorption_engine"}

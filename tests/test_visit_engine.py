@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from mfbwalk import (
+    RejectedParameter,
     barrier_recurrence_residual,
     barrier_spectrum,
     barrier_visits,
@@ -15,6 +16,7 @@ from mfbwalk import (
     mean_time_any,
     occupancy_residual,
     reach_probability,
+    reanchored,
     site_visits,
     total_absorption,
     truncated_visits,
@@ -253,6 +255,12 @@ class TestReach:
             pytest.approx(reach_probability(cfg_drift, 0, 2), rel=1e-12)
         assert reach_probability(cfg_drift, -3, 0) == \
             pytest.approx(reach_probability(cfg_drift, 1, 4), rel=1e-12)
+        # the shift lands every start in [0, N); reanchored refuses the rest
+        assert reanchored(cfg_drift, 1) == \
+            make_model(**{**cfg_drift.to_dict(), "i0": 1})
+        for i0 in (-1, cfg_drift.N):
+            with pytest.raises(RejectedParameter, match="i0"):
+                reanchored(cfg_drift, i0)
 
     def test_bounds(self):
         rng = np.random.default_rng(19)
