@@ -1,8 +1,9 @@
 """Random walk on the integers with equidistant multiple-function barriers.
 
 Closed-form expected arrivals, reach probabilities, absorption-mass
-distribution and mean absorption times, each verified against a truncated
-linear-system solver and a seeded Monte-Carlo simulator.
+distribution and mean absorption times, each verified against three
+oracles: the truncated occupancy solve, the exact periodic mean-time solve
+and a seeded Monte-Carlo simulator.
 """
 
 from .absorption_engine import (
@@ -23,12 +24,10 @@ from .errors import (
 )
 from .oracle import (
     EmpiricalStats,
-    MeanTimeSplit,
     TruncatedVisits,
     default_truncation,
     periodic_mean_times,
     simulate,
-    truncated_mean_times,
     truncated_visit_derivatives,
     truncated_visits,
 )

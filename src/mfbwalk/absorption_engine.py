@@ -27,7 +27,8 @@ Two quantities live here:
 
 The per-barrier split has no closed form for a driftless walk, and near
 balance the drift form cancels; :func:`has_barrier_split` says where it
-serves.  :func:`mfbwalk.oracle.truncated_mean_times` gives it everywhere.
+serves.  ``s0 * mfbwalk.oracle.truncated_visit_derivatives(m)[k * N]``
+gives it everywhere.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def _split_refusal(model: WalkModel) -> ValueError | None:
         return BalancedUnsupported(
             f"per-barrier mean times have no closed form for a balanced "
             f"walk and lose their precision near balance (N |log(q/p)| = "
-            f"{y:.3g} < {_RUIN_SERIES_CUT:g}); use "
-            f"oracle.truncated_mean_times(model).per_barrier instead")
+            f"{y:.3g} < {_RUIN_SERIES_CUT:g}); use s0 * "
+            f"oracle.truncated_visit_derivatives(model)[k * N] instead")
     if model.i0 != 0:
         return StartNotBarrier(
             f"per-barrier mean times are derived for a barrier start "

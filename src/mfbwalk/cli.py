@@ -142,7 +142,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--walks", type=int, default=0,
                     help="Monte-Carlo walks (0 skips simulation)")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--K", type=int, default=None, help="truncation override")
     sp.add_argument("--golden", metavar="FILE",
                     help="golden record file to diff (or write with --bless)")
     sp.add_argument("--bless", action="store_true",
@@ -166,17 +165,19 @@ def _model_from_args(args) -> WalkModel:
     return validate_model(flags)
 
 
-def _emit_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=1)
-    sys.stdout.write("\n")
-
-
-def _emit_csv(rows: list[dict], columns: tuple[str, ...]) -> None:
+def _emit(args, rows: list[dict], columns: tuple[str, ...],
+          report: dict) -> int:
+    """Print ``report`` as JSON, or ``rows`` as CSV under ``columns``."""
+    if args.output == "json":
+        json.dump(report, sys.stdout, indent=1)
+        sys.stdout.write("\n")
+        return EXIT_OK
     writer = csv.writer(sys.stdout)
     writer.writerow(columns)
     for row in rows:
         writer.writerow(["" if row.get(c) is None else row.get(c)
                          for c in columns])
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +192,9 @@ def _cmd_visits(model, args) -> int:
                 if site % model.N == 0 else None)
         rows.append({"site": site, "x": profile.values[site],
                      "absorption_mass": mass})
-    if args.output == "csv":
-        _emit_csv(rows, ("site", "x", "absorption_mass"))
-    else:
-        _emit_json({"model": model.to_dict(), "quantity": "visits",
-                    "window": [lo, hi], "rows": rows})
-    return EXIT_OK
+    return _emit(args, rows, ("site", "x", "absorption_mass"),
+                 {"model": model.to_dict(), "quantity": "visits",
+                  "window": [lo, hi], "rows": rows})
 
 
 def _cmd_absorb_dist(model, args) -> int:
@@ -204,35 +202,25 @@ def _cmd_absorb_dist(model, args) -> int:
     rows = [{"k": k, "site": k * model.N,
              "absorption_mass": ve.absorption_mass(model, k)}
             for k in range(lo, hi + 1)]
-    total = ve.total_absorption(model)
-    if args.output == "csv":
-        _emit_csv(rows, ("k", "site", "absorption_mass"))
-    else:
-        _emit_json({"model": model.to_dict(), "quantity": "absorb-dist",
-                    "window": [lo, hi], "rows": rows, "total": total})
-    return EXIT_OK
+    return _emit(args, rows, ("k", "site", "absorption_mass"),
+                 {"model": model.to_dict(), "quantity": "absorb-dist",
+                  "window": [lo, hi], "rows": rows,
+                  "total": ve.total_absorption(model)})
 
 
 def _cmd_reach(model, args) -> int:
-    prob = ve.reach_probability(model, args.src, args.dst)
-    if args.output == "csv":
-        _emit_csv([{"from": args.src, "to": args.dst, "probability": prob}],
-                  ("from", "to", "probability"))
-    else:
-        _emit_json({"model": model.to_dict(), "quantity": "reach",
-                    "from": args.src, "to": args.dst, "probability": prob})
-    return EXIT_OK
+    row = {"from": args.src, "to": args.dst,
+           "probability": ve.reach_probability(model, args.src, args.dst)}
+    return _emit(args, [row], tuple(row),
+                 {"model": model.to_dict(), "quantity": "reach", **row})
 
 
 def _cmd_mean_time(model, args) -> int:
     indices = [args.i] if args.i is not None else list(range(model.N + 1))
     rows = [{"i": i, "mean_time": ae.mean_time_any(model, i)} for i in indices]
-    if args.output == "csv":
-        _emit_csv(rows, ("i", "mean_time"))
-    else:
-        _emit_json({"model": model.to_dict(), "quantity": "mean-time",
-                    "rows": rows})
-    return EXIT_OK
+    return _emit(args, rows, ("i", "mean_time"),
+                 {"model": model.to_dict(), "quantity": "mean-time",
+                  "rows": rows})
 
 
 def _cmd_barrier_time(model, args) -> int:
@@ -240,52 +228,42 @@ def _cmd_barrier_time(model, args) -> int:
     rows = [{"k": k, "site": k * model.N,
              "mean_time": ae.mean_time_to_barrier(model, k)}
             for k in range(lo, hi + 1)]
-    if args.output == "csv":
-        _emit_csv(rows, ("k", "site", "mean_time"))
-    else:
-        _emit_json({"model": model.to_dict(), "quantity": "barrier-time",
-                    "window": [lo, hi], "rows": rows})
-    return EXIT_OK
+    return _emit(args, rows, ("k", "site", "mean_time"),
+                 {"model": model.to_dict(), "quantity": "barrier-time",
+                  "window": [lo, hi], "rows": rows})
 
 
-def _simulate(model: WalkModel, **kwargs) -> oracle.EmpiricalStats:
-    """``oracle.simulate`` with each warning, such as ExcessCensoring, as one
-    stderr line that carries no install path or line number."""
+def _quiet(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with each warning it raises, such as
+    ExcessCensoring, printed as one stderr line that carries no install
+    path or line number."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stats = oracle.simulate(model, **kwargs)
+        result = fn(*args, **kwargs)
     for w in caught:
         print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
-    return stats
+    return result
 
 
 def _cmd_simulate(model, args) -> int:
     window = _parse_window(args.window) if args.window else None
-    stats = _simulate(model, walks=args.walks, seed=args.seed,
-                      step_cap=args.step_cap, workers=args.workers,
-                      window=window)
-    if args.output == "csv":
-        rows = [{"kind": "mean_steps", "index": "", "value": stats.mean_steps,
-                 "se": stats.mean_steps_se}]
-        rows += [{"kind": "absorption_frequency", "index": k, "value": f,
-                  "se": ""} for k, f in stats.absorption_hist.items()]
-        rows += [{"kind": "visit_mean", "index": site, "value": m, "se": s}
-                 for site, (m, s) in stats.visit_means.items()]
-        _emit_csv(rows, ("kind", "index", "value", "se"))
-    else:
-        _emit_json({
-            "model": model.to_dict(), "quantity": "simulate",
-            "walks": stats.walks, "seed": stats.seed,
-            "step_cap": stats.step_cap,
-            "mean_steps": stats.mean_steps,
-            "mean_steps_se": stats.mean_steps_se,
-            "absorbed": stats.absorbed, "censored": stats.censored,
-            "absorption_hist": {str(k): v
-                                for k, v in stats.absorption_hist.items()},
-            "visit_means": {str(site): list(ms)
-                            for site, ms in stats.visit_means.items()},
-        })
-    return EXIT_OK
+    stats = _quiet(oracle.simulate, model, walks=args.walks, seed=args.seed,
+                   step_cap=args.step_cap, workers=args.workers,
+                   window=window)
+    rows = [{"kind": "mean_steps", "index": "", "value": stats.mean_steps,
+             "se": stats.mean_steps_se}]
+    rows += [{"kind": "absorption_frequency", "index": k, "value": f,
+              "se": ""} for k, f in stats.absorption_hist.items()]
+    rows += [{"kind": "visit_mean", "index": site, "value": m, "se": s}
+             for site, (m, s) in stats.visit_means.items()]
+    return _emit(args, rows, ("kind", "index", "value", "se"), {
+        "model": model.to_dict(), "quantity": "simulate",
+        "walks": stats.walks, "seed": stats.seed, "step_cap": stats.step_cap,
+        "mean_steps": stats.mean_steps, "mean_steps_se": stats.mean_steps_se,
+        "absorbed": stats.absorbed, "censored": stats.censored,
+        "absorption_hist": {str(k): v for k, v in stats.absorption_hist.items()},
+        "visit_means": {str(j): list(ms) for j, ms in stats.visit_means.items()},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +279,13 @@ def _row(quantity, index, closed, reference, tol, mode) -> dict:
             "mode": mode, "status": "pass" if delta <= tol else "fail"}
 
 
-def _verify_rows(model: WalkModel, window: tuple[int, int], K,
-                 walks: int, seed: int) -> list[dict]:
+def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
+                 seed: int) -> list[dict]:
     lo, hi = window
     rows = [_row("total_absorption", "", ve.total_absorption(model), 1.0,
                  1e-10, "abs")]
 
-    tv = oracle.truncated_visits(model, K=K)
+    tv = oracle.truncated_visits(model)
     rows.append(_row("conservation", "", tv.absorbed_mass + tv.leak, 1.0,
                      1e-10, "abs"))
     for j in range(lo * model.N, hi * model.N + 1):
@@ -328,14 +306,14 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], K,
                          ve.occupancy_residual(model, j), 0.0, 1e-10, "abs"))
 
     if ae.has_barrier_split(model):
-        deriv = oracle.truncated_visit_derivatives(model, K=K)
+        deriv = oracle.truncated_visit_derivatives(model)
         for k in range(-5, 6):
             rows.append(_row("mean_time_to_barrier", k,
                              ae.mean_time_to_barrier(model, k),
                              model.s0 * deriv[k * model.N], 1e-6, "rel"))
 
     if walks > 0:
-        stats = _simulate(model, walks=walks, seed=seed)
+        stats = _quiet(oracle.simulate, model, walks=walks, seed=seed)
         m_start = ae.mean_time_any(model, model.i0)
         rows.append(_row("mc_mean_steps", "", m_start, stats.mean_steps,
                          4.0 * stats.mean_steps_se, "abs"))
@@ -371,88 +349,36 @@ def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[st
     return notes
 
 
-def _golden_oracle(which: str, model: WalkModel, params: dict):
-    """Run the oracle call that a golden record names."""
-    if which == "truncated_solver":
-        return oracle.truncated_visits(model, K=params.get("K"))
-    if which == "periodic_solve":
-        return oracle.periodic_mean_times(model)
-    if which == "truncated_derivative":
-        return oracle.truncated_visit_derivatives(model, K=params.get("K"))
-    if which == "simulate":
-        return _simulate(model, walks=params["walks"], seed=params["seed"],
-                         step_cap=params.get("step_cap"))
-    raise _UsageError(f"unknown oracle {which!r} in golden record")
-
-
-def _regenerate_record(rec: dict, results: dict) -> float:
-    """Recompute a golden record's value with its stored oracle and params.
-
-    ``results`` memoises the oracle calls by (oracle, model, params), so the
-    records of one file that share a call, such as the six ``simulate``
-    records of a model, read their values from a single run.
-    """
-    model = validate_model(rec["model"])
-    params = rec.get("params", {})
-    which = rec["oracle"]
-    key = (which, model, json.dumps(params, sort_keys=True))
-    if key not in results:
-        results[key] = _golden_oracle(which, model, params)
-    result = results[key]
-    index = rec["index"]
-    if which == "truncated_solver":
-        return result.values[index]
-    if which == "periodic_solve":
-        return float(result[index])
-    if which == "truncated_derivative":
-        return model.s0 * result[index * model.N]
-    if rec["quantity"] == "mean_steps":
-        return result.mean_steps
-    return result.absorption_hist.get(index, 0.0)
-
-
 def _cmd_verify(model, args) -> int:
     window = _parse_window(args.window)
+    if args.bless and not args.golden:
+        raise _UsageError("--bless requires --golden FILE")
+    golden = (oracle.read_golden(args.golden)
+              if args.golden and not args.bless else [])
 
     if args.bless:
-        if not args.golden:
-            raise _UsageError("--bless requires --golden FILE")
-        records = oracle.oracle_battery(model, window=max(abs(window[0]),
-                                                          abs(window[1])),
-                                        K=args.K, walks=args.walks,
-                                        seed=args.seed)
+        records = _quiet(oracle.oracle_battery, model,
+                         window=max(abs(window[0]), abs(window[1])),
+                         walks=args.walks, seed=args.seed)
         oracle.write_golden(args.golden, records)
         print(f"blessed {len(records)} golden records -> {args.golden}",
               file=sys.stderr)
 
-    rows = _verify_rows(model, window, args.K, args.walks, args.seed)
+    rows = _verify_rows(model, window, args.walks, args.seed)
     discrepancies = _formula_discrepancies(model, window)
     for note in discrepancies:
         print(f"FormulaDiscrepancy: {note}", file=sys.stderr)
 
-    golden_mismatches = []
-    if args.golden and not args.bless:
-        results: dict = {}
-        for rec in oracle.read_golden(args.golden):
-            fresh = _regenerate_record(rec, results)
-            bound = max(rec.get("error_bound", 0.0), 1e-12)
-            if abs(fresh - rec["value"]) > bound:
-                golden_mismatches.append(
-                    {"quantity": rec["quantity"], "index": rec["index"],
-                     "stored": rec["value"], "fresh": fresh,
-                     "error_bound": bound})
-        for miss in golden_mismatches:
-            print(f"golden mismatch: {miss}", file=sys.stderr)
+    golden_mismatches = _quiet(oracle.golden_mismatches, golden)
+    for miss in golden_mismatches:
+        print(f"golden mismatch: {miss}", file=sys.stderr)
 
     failed = [r for r in rows if r["status"] == "fail"]
     ok = not failed and not golden_mismatches
-    if args.output == "csv":
-        _emit_csv(rows, VERIFY_COLUMNS)
-    else:
-        _emit_json({"model": model.to_dict(), "quantity": "verify",
-                    "rows": rows,
-                    "formula_discrepancies": discrepancies,
-                    "golden_mismatches": golden_mismatches, "ok": ok})
+    _emit(args, rows, VERIFY_COLUMNS,
+          {"model": model.to_dict(), "quantity": "verify", "rows": rows,
+           "formula_discrepancies": discrepancies,
+           "golden_mismatches": golden_mismatches, "ok": ok})
     if not ok:
         return EXIT_DISCREPANCY
     if args.strict_formulas and discrepancies:
@@ -498,3 +424,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -10,8 +10,8 @@ Nothing in this module evaluates a closed form.  Three oracles live here:
   bit-identical for a given (seed, walks, step_cap) regardless of how the
   work is partitioned across workers.
 
-Golden values for the closed-form engines are generated here first and only
-then frozen into tests and golden files.
+Golden records are written, read and diffed here alone; their values are
+what the tests and golden files freeze.
 """
 
 from __future__ import annotations
@@ -26,21 +26,20 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ExcessCensoring, SingularSystem, TruncationInsufficient
-from .walk_model import Branch, WalkModel, barrier_spectrum
+from .walk_model import Branch, WalkModel, barrier_spectrum, validate_model
 
 __all__ = [
     "TruncatedVisits",
-    "MeanTimeSplit",
     "EmpiricalStats",
     "default_truncation",
     "truncated_visits",
     "truncated_visit_derivatives",
     "periodic_mean_times",
-    "truncated_mean_times",
     "simulate",
     "write_golden",
     "read_golden",
     "oracle_battery",
+    "golden_mismatches",
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -214,31 +213,6 @@ def periodic_mean_times(model: WalkModel) -> np.ndarray:
     T[1:-1] = _solve(ab, np.ones(n))
     m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
     return m0 + T
-
-
-@dataclass(frozen=True)
-class MeanTimeSplit:
-    """Mean times from the linear-system oracles.
-
-    ``period[i]`` is m_i for i = 0..N (exact periodic solve); ``per_barrier``
-    maps barrier index k to the expected time mass s0 * dX_{kN}/dz at z = 1
-    carried by walks absorbed at that barrier (truncated solve).
-    """
-
-    model: WalkModel
-    period: np.ndarray
-    per_barrier: dict[int, float]
-    tail_bound: float
-
-
-def truncated_mean_times(model: WalkModel, K: int | None = None) -> MeanTimeSplit:
-    """Exact m_i (periodic solve) plus the per-barrier time split."""
-    K, tail = _truncation(model, K)
-    deriv = truncated_visit_derivatives(model, K=K)
-    per_barrier = {k: model.s0 * deriv[k * model.N]
-                   for k in range(-(K - 1), K)}
-    return MeanTimeSplit(model=model, period=periodic_mean_times(model),
-                         per_barrier=per_barrier, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -444,53 +418,87 @@ def _mean_se(total: int, total_sq: int, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # golden-value records
 
-def oracle_battery(model: WalkModel, window: int = 3, K: int | None = None,
-                   walks: int = 0, seed: int = 42) -> list[dict]:
-    """Oracle ground-truth records for a model.
+# the fields every golden record carries, with their JSON types
+_RECORD_FIELDS = {"model": dict, "quantity": str, "index": int,
+                  "value": (int, float), "oracle": str}
 
-    Each record is ``{model, quantity, index, value, error_bound, oracle,
-    params}``.  Monte-Carlo records are included only when ``walks > 0``.
+
+def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
+                   seed: int = 42) -> list[dict]:
+    """Oracle ground-truth records for a model: site visits over barriers
+    -window..window at :func:`default_truncation`, mean times, per-barrier
+    times where the closed form serves, and Monte-Carlo records when
+    ``walks > 0``.  Each record is ``{model, quantity, index, value,
+    error_bound, oracle, params}``; ``params`` holds what the oracle call
+    was made with.
     """
-    if K is None:
-        K = default_truncation(model)
     records = []
     mdl = model.to_dict()
 
-    tv = truncated_visits(model, K=K)
-    for j in range(-window * model.N, window * model.N + 1):
-        records.append({"model": mdl, "quantity": "site_visits", "index": j,
-                        "value": tv.values[j], "error_bound": 10 * tv.tail_bound,
-                        "oracle": "truncated_solver", "params": {"K": K}})
+    def record(quantity, index, value, error_bound, oracle, params):
+        records.append({"model": mdl, "quantity": quantity, "index": index,
+                        "value": value, "error_bound": error_bound,
+                        "oracle": oracle, "params": params})
 
-    mts = truncated_mean_times(model, K=K)
+    tv = truncated_visits(model)
+    for j in range(-window * model.N, window * model.N + 1):
+        record("site_visits", j, tv.values[j], 10 * tv.tail_bound,
+               "truncated_solver", {"K": tv.K})
+
+    period = periodic_mean_times(model)
     for i in range(model.N + 1):
-        records.append({"model": mdl, "quantity": "mean_time_any", "index": i,
-                        "value": float(mts.period[i]), "error_bound": 1e-12,
-                        "oracle": "periodic_solve", "params": {}})
+        record("mean_time_any", i, float(period[i]), 1e-12,
+               "periodic_solve", {})
 
     if model.branch is Branch.DRIFT and model.i0 == 0:
+        deriv = truncated_visit_derivatives(model, K=tv.K)
         for k in range(-5, 6):
-            records.append({"model": mdl, "quantity": "mean_time_to_barrier",
-                            "index": k, "value": mts.per_barrier[k],
-                            "error_bound": 1e-9,
-                            "oracle": "truncated_derivative",
-                            "params": {"K": K}})
+            record("mean_time_to_barrier", k, model.s0 * deriv[k * model.N],
+                   1e-9, "truncated_derivative", {"K": tv.K})
 
     if walks > 0:
         stats = simulate(model, walks=walks, seed=seed)
-        records.append({"model": mdl, "quantity": "mean_steps", "index": 0,
-                        "value": stats.mean_steps, "error_bound": 0.0,
-                        "oracle": "simulate",
-                        "params": {"walks": walks, "seed": seed,
-                                   "step_cap": stats.step_cap}})
+        params = {"walks": walks, "seed": seed, "step_cap": stats.step_cap}
+        record("mean_steps", 0, stats.mean_steps, 0.0, "simulate", params)
         for k in range(-2, 3):
-            records.append({"model": mdl, "quantity": "absorption_frequency",
-                            "index": k,
-                            "value": stats.absorption_hist.get(k, 0.0),
-                            "error_bound": 0.0, "oracle": "simulate",
-                            "params": {"walks": walks, "seed": seed,
-                                       "step_cap": stats.step_cap}})
+            record("absorption_frequency", k,
+                   stats.absorption_hist.get(k, 0.0), 0.0, "simulate", params)
     return records
+
+
+def golden_mismatches(records: list[dict]) -> list[dict]:
+    """Stored records that :func:`oracle_battery` would not write again.
+
+    The battery runs once per model, over the window of its widest
+    ``truncated_solver`` record and with the walks and seed of its
+    ``simulate`` records.  A stored record matches the fresh record of its
+    (quantity, index) with the same oracle and params and a value within
+    ``max(error_bound, 1e-12)``.  Mismatches come in file order as
+    ``{quantity, index, stored, fresh, error_bound}``, ``fresh`` None
+    where the battery writes no such record.
+    """
+    models = [validate_model(rec["model"]) for rec in records]
+    fresh = {}
+    for model in dict.fromkeys(models):
+        own = [rec for m, rec in zip(models, records) if m == model]
+        sites = [abs(r["index"]) for r in own if r["oracle"] == "truncated_solver"]
+        sim = [r["params"] for r in own if r["oracle"] == "simulate"]
+        sim = sim[-1] if sim else {"walks": 0, "seed": 42}
+        for r in oracle_battery(model, max(sites, default=0) // model.N,
+                                sim["walks"], sim["seed"]):
+            fresh[model, r["quantity"], r["index"]] = r
+
+    misses = []
+    for model, rec in zip(models, records):
+        new = fresh.get((model, rec["quantity"], rec["index"]), {})
+        bound = max(rec.get("error_bound", 0.0), 1e-12)
+        if ((new.get("oracle"), new.get("params"))
+                != (rec["oracle"], rec.get("params", {}))
+                or abs(new["value"] - rec["value"]) > bound):
+            misses.append({"quantity": rec["quantity"], "index": rec["index"],
+                           "stored": rec["value"], "fresh": new.get("value"),
+                           "error_bound": bound})
+    return misses
 
 
 def write_golden(path, records: list[dict]) -> None:
@@ -500,5 +508,29 @@ def write_golden(path, records: list[dict]) -> None:
 
 
 def read_golden(path) -> list[dict]:
+    """Golden records from ``path``; ``ValueError`` unless it is a list of
+    records that :func:`golden_mismatches` can read."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        records = json.load(fh)
+    if not isinstance(records, list):
+        raise ValueError(f"golden file {path} is not a list of records")
+    for n, rec in enumerate(records):
+        if not _is_record(rec):
+            raise ValueError(
+                f"golden record {n} of {path} needs an object model, string "
+                f"quantity and oracle, integer index, numeric value and "
+                f"error_bound, and integer walks and seed params if simulated")
+    return records
+
+
+def _is_record(rec) -> bool:
+    """The typed fields of ``_RECORD_FIELDS``, a numeric error bound if
+    any, and integer ``walks`` and ``seed`` params on a simulate record."""
+    if not (isinstance(rec, dict)
+            and all(isinstance(rec.get(k), t) for k, t in _RECORD_FIELDS.items())
+            and isinstance(rec.get("error_bound", 0.0), (int, float))):
+        return False
+    params = rec.get("params")
+    return rec["oracle"] != "simulate" or (
+        isinstance(params, dict)
+        and all(isinstance(params.get(k), int) for k in ("walks", "seed")))

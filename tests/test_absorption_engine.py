@@ -10,13 +10,13 @@ from mfbwalk import (
     StartNotBarrier,
     absorption_times,
     barrier_spectrum,
+    default_truncation,
     display_time_to_barrier,
     has_barrier_split,
     make_model,
     mean_time_any,
     mean_time_to_barrier,
     periodic_mean_times,
-    truncated_mean_times,
     truncated_visit_derivatives,
 )
 from conftest import mirror, random_model
@@ -177,8 +177,7 @@ class TestMeanTimeToBarrier:
         rng = np.random.default_rng(29)
         for _ in range(10):
             m = random_model(rng, "DRIFT", i0=0)
-            split = truncated_mean_times(m)
-            half = max(split.per_barrier) + 1
+            half = default_truncation(m)
             total = sum(mean_time_to_barrier(m, k)
                         for k in range(-half + 1, half))
             assert total == pytest.approx(mean_time_any(m, 0), rel=1e-6)
@@ -219,10 +218,10 @@ class TestMeanTimeToBarrier:
         rng = np.random.default_rng(30)
         for _ in range(5):
             m = random_model(rng, "DRIFT", i0=0)
-            split = truncated_mean_times(m)
+            deriv = truncated_visit_derivatives(m)
             for k in range(-5, 6):
                 assert mean_time_to_barrier(m, k) == \
-                    pytest.approx(split.per_barrier[k], rel=1e-6)
+                    pytest.approx(m.s0 * deriv[k * m.N], rel=1e-6)
 
 
 class TestAbsorptionTimes:

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mfbwalk
 from mfbwalk import oracle, validate_model, visit_engine
 from mfbwalk.cli import main
 from conftest import CFG_DRIFT, CFG_SYM
@@ -182,6 +186,10 @@ class TestExitCodes:
     def test_usage_no_model(self, capsys):
         assert run(["visits"], capsys)[0] == 64
 
+    def test_truncation_flag_is_gone(self, sym_file, capsys):
+        assert run(["verify", "--model", sym_file, "--K", "40"],
+                   capsys)[0] == 64
+
     def test_missing_file_is_66(self, capsys):
         assert run(["visits", "--model", "/nonexistent/x.json"],
                    capsys)[0] == 66
@@ -322,6 +330,53 @@ class TestVerify:
         assert sum(line.startswith("golden mismatch")
                    for line in err.splitlines()) == 2
 
+    @pytest.mark.parametrize("oracle_name,key,value,misses", [
+        ("truncated_solver", "K", 31, 13),    # another truncation
+        ("simulate", "step_cap", 999, 6),     # another step cap
+        ("periodic_solve", None, None, 3),    # an oracle the battery never names
+    ])
+    def test_golden_provenance_tampering_detected(self, oracle_name, key, value,
+                                                  misses, tmp_path, capsys):
+        # values that the edited params still reproduce within bound are
+        # mismatches too: a record matches only the call the battery makes
+        records = json.loads((REPO / "goldens" / "cfg-drift.json").read_text())
+        for rec in records:
+            if rec["oracle"] == oracle_name:
+                if key is None:
+                    rec["oracle"] = "dense_solve"
+                else:
+                    rec["params"][key] = value
+        golden = tmp_path / "cfg-drift.json"
+        golden.write_text(json.dumps(records))
+        code, out, err = run(["verify", "--model",
+                              str(REPO / "models" / "cfg-drift.json"),
+                              "--golden", str(golden)], capsys)
+        assert code == 3
+        assert len(json.loads(out)["golden_mismatches"]) == misses
+        assert sum(line.startswith("golden mismatch")
+                   for line in err.splitlines()) == misses
+
+    @pytest.mark.parametrize("content", [
+        [{}],
+        {"a": 1},
+        [1],
+        [{"model": CFG_DRIFT, "quantity": "site_visits", "index": 0.5,
+          "value": 1.0, "oracle": "truncated_solver"}],
+        [{"model": CFG_DRIFT, "quantity": "mean_steps", "index": 0,
+          "value": 7.0, "oracle": "simulate", "params": {"walks": 10}}],
+    ], ids=["empty-record", "not-a-list", "not-an-object", "float-index",
+            "simulate-without-seed"])
+    def test_malformed_golden_is_2_in_one_line(self, content, drift_file,
+                                               tmp_path, capsys):
+        golden = tmp_path / "bad.json"
+        golden.write_text(json.dumps(content))
+        code, out, err = run(["verify", "--model", drift_file,
+                              "--golden", str(golden)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_barrier_times_exact_at_n100(self, capsys):
         # m_0 is about 300 here, so a difference quotient in z with a fixed
         # step is far off; the exact derivative agrees to round-off
@@ -365,3 +420,31 @@ class TestVerify:
     def test_bless_requires_golden_path(self, drift_file, capsys):
         assert run(["verify", "--model", drift_file, "--bless"],
                    capsys)[0] == 64
+
+
+class TestModuleEntry:
+    """``python -m mfbwalk`` and ``python -m mfbwalk.cli`` run the CLI."""
+
+    def _run_module(self, module, *argv):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(mfbwalk.__file__).parent.parent))
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=REPO, timeout=120)
+
+    @pytest.mark.parametrize("module", ["mfbwalk", "mfbwalk.cli"])
+    def test_verify_report_and_exit_code(self, module):
+        done = self._run_module(module, "verify", "--model",
+                                "models/cfg-drift.json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["ok"]
+
+    def test_tampered_golden_exits_3(self, tmp_path):
+        records = json.loads((REPO / "goldens" / "cfg-sym.json").read_text())
+        records[0]["value"] += 1.0
+        golden = tmp_path / "cfg-sym.json"
+        golden.write_text(json.dumps(records))
+        done = self._run_module("mfbwalk", "verify", "--model",
+                                "models/cfg-sym.json", "--golden", str(golden))
+        assert done.returncode == 3
+        assert len(json.loads(done.stdout)["golden_mismatches"]) == 1

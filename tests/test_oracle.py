@@ -14,7 +14,6 @@ from mfbwalk import (
     periodic_mean_times,
     simulate,
     site_visits,
-    truncated_mean_times,
     truncated_visit_derivatives,
     truncated_visits,
 )
@@ -226,9 +225,10 @@ class TestMeanTimes:
     @pytest.mark.parametrize("fixture", ["cfg_drift", "cfg_sym"])
     def test_split_mass_sums_to_total_time(self, fixture, request):
         model = request.getfixturevalue(fixture)
-        split = truncated_mean_times(model, K=40)
-        assert sum(split.per_barrier.values()) == \
-            pytest.approx(float(split.period[0]), abs=1e-8)
+        deriv = truncated_visit_derivatives(model, K=40)
+        per_barrier = [model.s0 * deriv[k * model.N] for k in range(-39, 40)]
+        assert sum(per_barrier) == \
+            pytest.approx(float(periodic_mean_times(model)[0]), abs=1e-8)
 
     def test_periodic_solve_matches_dense_reference(self):
         rng = np.random.default_rng(17)

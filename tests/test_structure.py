@@ -41,3 +41,10 @@ def test_oracle_imports_no_closed_form_engine():
     # the oracles solve the defining systems; they never call a closed form
     tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
     assert not _imported_modules(tree) & {"visit_engine", "absorption_engine"}
+
+
+def test_golden_record_format_lives_in_the_oracle():
+    # the CLI reads and writes golden records only through oracle.py
+    text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    for name in ("truncated_solver", "periodic_solve", "truncated_derivative"):
+        assert name not in text
