@@ -290,7 +290,7 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
                      1e-10, "abs"))
     for j in range(lo * model.N, hi * model.N + 1):
         rows.append(_row("site_visits", j, ve.site_visits(model, j),
-                         tv.values[j], 1e-8, "rel"))
+                         tv[j], 1e-8, "rel"))
 
     periodic = oracle.periodic_mean_times(model)
     for i in range(model.N + 1):
@@ -353,7 +353,7 @@ def _cmd_verify(model, args) -> int:
     window = _parse_window(args.window)
     if args.bless and not args.golden:
         raise _UsageError("--bless requires --golden FILE")
-    golden = (oracle.read_golden(args.golden)
+    golden = (oracle.read_golden(args.golden, model)
               if args.golden and not args.bless else [])
 
     if args.bless:

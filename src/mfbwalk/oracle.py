@@ -47,11 +47,25 @@ DEFAULT_TAIL_TOL = 1e-12
 # at s0 = 1e-7 the default truncation would ask for about 1e8 sites
 MAX_SITES = 2_000_000
 
-# Monte-Carlo stream layout constants.  Walk w belongs to batch w // BATCH;
-# block b of batch j is drawn from Philox counter (j << 128) | (b << 64),
-# walk w uses row w % BATCH.  Changing these changes every sampled walk.
+# Monte-Carlo stream layout constants.  Walk w belongs to batch w // BATCH
+# and reads row w % BATCH of each block: block b of batch j is the
+# (rows, BLOCK) uniform draw of a Generator on Philox counter
+# (j << 128) | (b << 64), and step t reads column t % BLOCK of block
+# t // BLOCK.  Changing these changes every sampled walk.  The walker draws
+# only the rows of live walks, as the integers behind the uniforms
+# (``_live_draws``), which reads the same stream.
 _BATCH = 8192
 _BLOCK = 64
+# dead rows between two live ones that a block draw reads through rather
+# than skip: a skip costs about as much as drawing four rows
+_BRIDGE = 4
+# an absorbing move adds _PARK to the walk's position; live positions stay
+# far below _PARK // 2
+_PARK = 1 << 40
+# positions recorded between two flushes, over all live walks: a batch
+# flushes at least every _RECORD // walks steps, so that the record stays
+# small beside the block of draws
+_RECORD = 1 << 16
 
 
 def _log_decay_rate(model: WalkModel) -> float:
@@ -91,6 +105,12 @@ class TruncatedVisits:
     leak: float
 
     def __getitem__(self, site: int) -> float:
+        """x at ``site``; ``TruncationInsufficient`` from the sinks ±K*N
+        outward, where the lattice holds no visit count."""
+        if abs(site) >= self.K * self.model.N:
+            raise TruncationInsufficient(
+                f"site {site} is not inside the truncated lattice "
+                f"(K={self.K}, |site| < {self.K * self.model.N})")
         return self.values[site]
 
 
@@ -245,86 +265,265 @@ class EmpiricalStats:
 
 def _uniform_block(seed: int, batch_index: int, block_index: int,
                    rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of block ``block_index`` of batch ``batch_index``: the
+    stream itself, which the walker reads through :func:`_live_draws`."""
     counter = (batch_index << 128) | (block_index << 64)
     gen = np.random.Generator(np.random.Philox(key=seed, counter=counter))
     return gen.random((rows, _BLOCK))
+
+
+def _philox(seed: int):
+    """A Philox bit generator keyed by ``seed`` and a state for it whose
+    counter is a list, rewritten by :func:`_live_draws` to reach a row."""
+    bitgen = np.random.Philox(key=seed)
+    state = bitgen.state
+    state["state"]["counter"] = [0, 0, 0, 0]
+    return bitgen, state
+
+
+def _live_draws(bitgen, state, batch_index: int, block_index: int,
+                live: np.ndarray) -> np.ndarray:
+    """The integers k behind ``_uniform_block(...)[live]`` (``live``
+    ascending), as int64: ``Generator.random`` returns ``(raw >> 11) *
+    2**-53`` for each raw 64-bit Philox output.
+
+    A row is 64 outputs, 16 counters of four, so row r starts right after
+    counter ``(batch << 128) | (block << 64) | 16 r``.  Each run of live rows
+    is one ``random_raw`` call from there; gaps of up to ``_BRIDGE`` dead
+    rows are drawn through, longer ones skipped by setting the counter (a
+    state assignment costs a quarter of ``Philox.advance``).
+    """
+    counter = state["state"]["counter"]
+    counter[1:3] = block_index, batch_index
+    cut = np.flatnonzero(np.diff(live) > _BRIDGE + 1)
+    first = np.r_[0, cut + 1]        # the index in live of each run's start
+    starts = live[first]
+    ends = live[np.r_[cut, live.size - 1]] + 1
+    runs = []
+    for a, e in zip(starts.tolist(), ends.tolist()):
+        counter[0] = _BLOCK // 4 * a
+        bitgen.state = state
+        runs.append(bitgen.random_raw(_BLOCK * (e - a)))
+    raw = (runs[0] if len(runs) == 1 else np.concatenate(runs)).reshape(-1, _BLOCK)
+    k = np.right_shift(raw, 11, out=raw).view(np.int64)
+    if k.shape[0] == live.size:
+        return k
+    # live row r of a run is row r - shift of k, where shift is the run's
+    # start less the rows drawn before it
+    shift = starts - (np.cumsum(ends - starts) - (ends - starts))
+    return k[live - np.repeat(shift, np.diff(np.r_[first, live.size]))]
+
+
+def _step_table(model: WalkModel) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted edges and the move of each class they delimit.
+
+    For ``u = k * 2**-53``, ``u < x`` holds exactly when
+    ``k < ceil(x * 2**53)``.  A walk on a barrier keys its draw as
+    ``k - 2**53`` and an interior walk as k, so one
+    ``edges.searchsorted(key, 'right')`` classifies both: absorb, forward,
+    back or hold on a barrier, then forward, back or hold inside.  An
+    absorbing move parks the walk.
+    """
+    m = model
+
+    def edge(x):  # thresholds at 1 or above cap at 2**53, which no k reaches
+        return min(math.ceil(x * 2.0 ** 53), 2 ** 53)
+
+    lift = 2 ** 53
+    edges = np.array([edge(m.s0) - lift, edge(m.s0 + m.p0) - lift,
+                      edge(m.s0 + m.p0 + m.q0) - lift, 0,
+                      edge(m.p), edge(m.p + m.q)], dtype=np.int64)
+    moves = np.array([_PARK, 1, -1, 0, 1, -1, 0], dtype=np.int64)
+    return edges, moves
+
+
+def _classes(edges: np.ndarray, keys: np.ndarray,
+             below: np.ndarray) -> np.ndarray:
+    """``edges.searchsorted(keys, 'right')``.  Beyond 256 keys the same
+    counts come from summing ``edges <= key`` into ``below``, a bool array
+    of shape (edges.size, keys.size): a binary search branches at random on
+    random keys and costs about 20 ns a key, the comparisons about 4 ns a
+    key and 4 us a call."""
+    if keys.size <= 256:
+        return edges.searchsorted(keys, "right")
+    np.less_equal(edges[:, None], keys, out=below)
+    return below.view(np.uint8).sum(axis=0, dtype=np.uint8)
+
+
+def _lift_table(N: int, base: int, size: int) -> np.ndarray:
+    """Key offsets of sites ``base .. base + size - 2`` (2**53 on a barrier,
+    0 inside) and a last entry 2**54, which every parked position reads
+    since ``take`` clips: its key lies below every edge, so a parked walk
+    absorbs again and gains ``_PARK`` at every later step."""
+    lift = (np.arange(base, base + size) % N == 0).astype(np.int64) << 53
+    lift[-1] = 1 << 54
+    return lift
+
+
+class _Tally:
+    """Integer accumulators of one batch.
+
+    Visit counts are kept per live walk, in the smallest unsigned dtype
+    that holds step_cap + 1 arrivals, over the window sites within step_cap
+    of the start, plus a pad column on each side for the sites outside.
+    A walk's counts are folded into the exact ``visit_sum`` and
+    ``visit_sum_sq`` at the flush that finds it dead, and at the end if it
+    is censored.
+    """
+
+    def __init__(self, model: WalkModel, rows: int, step_cap: int,
+                 lo: int, hi: int):
+        reach = max(step_cap, 0)
+        self.N, self.lo, self.hi = model.N, lo, hi
+        self.first_site = max(lo, model.i0 - reach)
+        self.width = max(min(hi, model.i0 + reach) - self.first_site + 1, 0)
+        dtype = np.min_scalar_type(reach + 1)
+        self.one = dtype.type(1)
+        self.counts = np.zeros((rows, self.width + 2), dtype=dtype)
+        if 0 <= model.i0 - self.first_site < self.width:
+            # the time-zero arrival at the start site
+            self.counts[:, model.i0 - self.first_site + 1] = 1
+        self.row_start = np.arange(rows) * (self.width + 2)
+        # int64 squares cannot overflow while step_cap stays below ~3e7 per
+        # batch; beyond that use Python integers (still exact)
+        total = np.int64 if step_cap <= 30_000_000 else object
+        self.visit_sum = np.zeros(self.width, dtype=total)
+        self.visit_sum_sq = np.zeros(self.width, dtype=total)
+        self.sum_steps = self.sum_steps_sq = 0
+        self.barriers = [np.zeros(0, dtype=np.int64)]
+
+    def flush(self, P: np.ndarray, base: int, t0: int):
+        """Settle the walks parked in ``P`` and count its positions.
+
+        ``P[i]`` holds the positions (site - base) of the live walks after
+        step t0 + i; it is overwritten.  Returns the positions of the walks
+        left alive and their mask, None when all of them are.
+        """
+        dead = P[-1] > _PARK // 2
+        gone = np.flatnonzero(dead)
+        keep = ~dead if gone.size else None
+        q = P[-1].copy() if keep is None else P[-1][keep]
+        if gone.size:
+            end = P[-1].take(gone)
+            parked = (end + _PARK // 2) // _PARK   # steps since absorption
+            self.barriers.append((end - parked * _PARK + base) // self.N)
+            # a walk absorbed at step t made t non-absorbing transitions
+            col = P.shape[0] - parked              # absorbed at step t0 + col
+            n, c1, c2 = gone.size, int(col.sum()), int(col @ col)
+            self.sum_steps += t0 * n + c1
+            self.sum_steps_sq += t0 * t0 * n + 2 * t0 * c1 + c2
+
+        pad = self.first_site - 1 - base
+        np.clip(P, pad, pad + self.width + 1, out=P)
+        P += self.row_start[:P.shape[1]] - pad
+        np.add.at(self.counts.reshape(-1), P.reshape(-1), self.one)
+        if gone.size:
+            self._fold(gone)
+            self.counts = self.counts[keep]
+        return q, keep
+
+    def _fold(self, rows: np.ndarray) -> None:
+        # rows of 2**15 counts at a time keep the int64 copies small
+        chunk = max(1, (1 << 15) // (self.width + 2))
+        for i in range(0, rows.size, chunk):
+            counts = self.counts.take(rows[i:i + chunk], axis=0)[:, 1:-1]
+            c = np.ascontiguousarray(counts.T, dtype=self.visit_sum.dtype)
+            self.visit_sum += c.sum(axis=1)
+            self.visit_sum_sq += (c * c).sum(axis=1)
+
+    def result(self, rows: int) -> dict:
+        censored = self.counts.shape[0]
+        self._fold(np.arange(censored))
+        at = slice(self.first_site - self.lo, self.first_site - self.lo + self.width)
+        visit_sum = np.zeros(self.hi - self.lo + 1, dtype=self.visit_sum.dtype)
+        visit_sum_sq = np.zeros_like(visit_sum)
+        visit_sum[at], visit_sum_sq[at] = self.visit_sum, self.visit_sum_sq
+        return {
+            "absorbed": rows - censored,
+            "censored": censored,
+            "sum_steps": self.sum_steps,
+            "sum_steps_sq": self.sum_steps_sq,
+            "hist": _count_dict(np.concatenate(self.barriers)),
+            "visit_sum": visit_sum,
+            "visit_sum_sq": visit_sum_sq,
+        }
 
 
 def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
                     step_cap: int, lo: int, hi: int):
     """One batch of walks; returns integer accumulators only.
 
-    Each step touches only the live walkers.  ``live`` holds their original
-    rows in ascending order and ``pos`` their sites; absorbed walkers are
-    dropped from both.  Three invariants keep every walk on its own stream:
-
-    * draws are indexed by original row: the walker of row w reads
-      ``uniforms[w, t % _BLOCK]`` at step t, and the block itself is never
-      compacted;
-    * a block holds only the prefix of rows up to the highest live row,
-      which is what the full ``(rows, _BLOCK)`` draw holds there, since
-      Philox fills it row by row;
-    * at most one block is alive at a time.
+    ``live`` holds the original rows of the live walks in ascending order
+    and ``q`` their sites minus ``base``, the first site of the lift table.
+    Each block draws the live rows only.  A step is five array operations
+    on the live walks: look up the lift of each site, subtract it from the
+    walk's draw, classify the keys over the step table, look up the moves
+    and add them, which writes the new positions into ``rec``.  An absorbed
+    walk stays in the arrays, parked, until a flush counts the recorded
+    positions and settles it: at the end of a block, when the record is
+    full, and after any fourth step since the last flush once half the
+    walks are parked.
     """
-    m = model
-    n_sites = hi - lo + 1
-    visits = np.zeros((rows, n_sites), dtype=np.int64)
-    if lo <= m.i0 <= hi:
-        visits[:, m.i0 - lo] = 1  # the time-zero arrival at the start site
-    counts = visits.reshape(-1)   # flat (row, site) view of ``visits``
+    edges, moves = _step_table(model)
+    tally = _Tally(model, rows, step_cap, lo, hi)
+    bitgen, state = _philox(seed)
+    buf = np.empty(_RECORD + rows, dtype=np.int64)
+    lifts, keys = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    belows = np.empty(edges.size * rows, dtype=bool)
+
+    def views(q):
+        """rec, whose row 0 holds q, the positions at the last flush, and
+        row i those after the i-th step since, for up to _RECORD // q.size
+        steps (at least 4, at most _BLOCK); and per-walk scratch."""
+        n = q.size
+        steps = min(_BLOCK, max(4, _RECORD // n))
+        rec = buf[:(steps + 1) * n].reshape(steps + 1, n)
+        rec[0] = q
+        return rec, lifts[:n], keys[:n], belows[:edges.size * n].reshape(-1, n)
+
     live = np.arange(rows)
-    pos = np.full(rows, m.i0, dtype=np.int64)
-    # a walk absorbed at step t made t non-absorbing transitions
-    sum_steps = sum_steps_sq = 0
-    barriers = [np.zeros(0, dtype=np.int64)]   # barrier index per absorption
-
+    base, lift = model.i0, None
+    q = np.zeros(rows, dtype=np.int64)
     t = 0
-    uniforms = None
-    while t < step_cap and live.size:
-        b, off = divmod(t, _BLOCK)
-        if off == 0:
-            uniforms = None   # release the spent block before the next draw
-            uniforms = _uniform_block(seed, batch_index, b, int(live[-1]) + 1)
-        u = uniforms[live, off]
-
-        at_barrier = pos % m.N == 0
-        absorb = at_barrier & (u < m.s0)
-        # u below the forward threshold steps forward, u between it and the
-        # backward threshold steps back, anything else holds in place
-        fwd = u < np.where(at_barrier, m.s0 + m.p0, m.p)
-        back = u < np.where(at_barrier, m.s0 + m.p0 + m.q0, m.p + m.q)
-        step = 2 * fwd - back
-        n = int(np.count_nonzero(absorb))
-        if n:
-            sum_steps += t * n
-            sum_steps_sq += t * t * n
-            barriers.append(pos[absorb] // m.N)
-            keep = ~absorb
-            live = live[keep]
-            pos = pos[keep] + step[keep]
-        else:
-            pos += step
-
-        inside = (pos >= lo) & (pos <= hi)
-        np.add.at(counts, live[inside] * n_sites + (pos[inside] - lo), 1)
-        t += 1
-
-    # int64 squares cannot overflow while step_cap stays below ~3e7 per
-    # batch; beyond that fall back to Python integers (still exact)
-    if step_cap <= 30_000_000:
-        visit_sum_sq = (visits * visits).sum(axis=0)
-    else:
-        visit_sum_sq = np.array([sum(int(v) * int(v) for v in visits[:, c])
-                                 for c in range(visits.shape[1])], dtype=object)
-    return {
-        "absorbed": rows - live.size,
-        "censored": live.size,
-        "sum_steps": sum_steps,
-        "sum_steps_sq": sum_steps_sq,
-        "hist": _count_dict(np.concatenate(barriers)),
-        "visit_sum": visits.sum(axis=0),
-        "visit_sum_sq": visit_sum_sq,
-    }
+    while live.size and t < step_cap:
+        draws = _live_draws(bitgen, state, batch_index, t // _BLOCK, live)
+        # after a flush within the block, picks holds the flat index in
+        # draws of each live walk's row
+        flat, picks = draws.reshape(-1), None
+        # a walk moves at most _BLOCK sites in a block: keep them all
+        # inside the table, off its parking entry
+        low, high = int(q.min()), int(q.max())
+        if lift is None or low < _BLOCK or high + _BLOCK > lift.size - 2:
+            margin = high - low + 2 * _BLOCK
+            q += margin - low
+            base += low - margin
+            lift = _lift_table(model.N, base, high - low + 2 * margin + 2)
+        rec, lf, key, below = views(q)
+        s = 0
+        stop = min(_BLOCK, step_cap - t)
+        for off in range(stop):
+            pos = rec[s]
+            lift.take(pos, mode="clip", out=lf)
+            u = draws[:, off] if picks is None else flat[off:].take(picks)
+            np.subtract(u, lf, out=key)
+            np.add(pos, moves.take(_classes(edges, key, below)),
+                   out=rec[s + 1])
+            s += 1
+            if off + 1 < stop and s < rec.shape[0] - 1 and (
+                    s % 4 or 2 * np.count_nonzero(rec[s] > _PARK // 2) < q.size):
+                continue
+            q, keep = tally.flush(rec[1:s + 1], base, t + off + 1 - s)
+            if keep is not None:
+                live = live[keep]
+                picks = (np.flatnonzero(keep) * _BLOCK if picks is None
+                         else picks[keep])
+            if not live.size:
+                break
+            rec, lf, key, below = views(q)
+            s = 0
+        t += stop
+        draws = flat = None   # release the spent block before the next draw
+    return tally.result(rows)
 
 
 def _count_dict(values: np.ndarray) -> dict[int, int]:
@@ -442,7 +641,7 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
 
     tv = truncated_visits(model)
     for j in range(-window * model.N, window * model.N + 1):
-        record("site_visits", j, tv.values[j], 10 * tv.tail_bound,
+        record("site_visits", j, tv[j], 10 * tv.tail_bound,
                "truncated_solver", {"K": tv.K})
 
     period = periodic_mean_times(model)
@@ -507,9 +706,10 @@ def write_golden(path, records: list[dict]) -> None:
         fh.write("\n")
 
 
-def read_golden(path) -> list[dict]:
-    """Golden records from ``path``; ``ValueError`` unless it is a list of
-    records that :func:`golden_mismatches` can read."""
+def read_golden(path, model: WalkModel) -> list[dict]:
+    """The golden records of ``model`` in ``path``; ``ValueError`` unless it
+    is a list of records that :func:`golden_mismatches` can read, all of
+    them made for ``model``."""
     with open(path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -520,6 +720,9 @@ def read_golden(path) -> list[dict]:
                 f"golden record {n} of {path} needs an object model, string "
                 f"quantity and oracle, integer index, numeric value and "
                 f"error_bound, and integer walks and seed params if simulated")
+        if validate_model(rec["model"]) != model:
+            raise ValueError(f"golden record {n} of {path} is for another "
+                             f"model: {rec['model']}")
     return records
 
 

@@ -377,6 +377,45 @@ class TestVerify:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("model,golden", [("cfg-sym", "cfg-drift"),
+                                              ("cfg-drift", "cfg-sym")])
+    def test_golden_of_another_model_is_2_in_one_line(self, model, golden,
+                                                      capsys):
+        # the matching pairs exit 0 in test_golden_simulate_runs_once
+        code, out, err = run(["verify", "--model",
+                              str(REPO / "models" / f"{model}.json"),
+                              "--golden", str(REPO / "goldens" / f"{golden}.json")],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "another model" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("how", ["window", "bless", "golden"])
+    def test_window_past_truncation_is_2_in_one_line(self, how, tmp_path,
+                                                     capsys):
+        # cfg-sym truncates at K = 26 barriers, sites -52..52
+        model = str(REPO / "models" / "cfg-sym.json")
+        golden = tmp_path / "cfg-sym.json"
+        argv = ["verify", "--model", model]
+        if how in ("window", "bless"):
+            argv += ["--window", "-40..40"]
+        if how == "bless":
+            argv += ["--golden", str(golden), "--bless"]
+        if how == "golden":
+            records = json.loads((REPO / "goldens" / "cfg-sym.json").read_text())
+            records[0]["index"] = -80
+            golden.write_text(json.dumps(records))
+            argv += ["--golden", str(golden)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "truncated lattice" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert golden.exists() == (how == "golden")
+
     def test_barrier_times_exact_at_n100(self, capsys):
         # m_0 is about 300 here, so a difference quotient in z with a fixed
         # step is far off; the exact derivative agrees to round-off

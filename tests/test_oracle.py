@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from mfbwalk import (
     truncated_visit_derivatives,
     truncated_visits,
 )
-from mfbwalk.oracle import MAX_SITES
+from mfbwalk.oracle import _BRIDGE, MAX_SITES
 from conftest import CFG_DRIFT, CFG_SYM, mirror, random_model
 
 # slow absorption (mean time about 170) from an interior start, so walks
@@ -354,3 +355,83 @@ class TestSimulate:
         stats = simulate(cfg_sym, walks=100, seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             stats.mean_steps = 0.0
+
+
+def _gapped_rows(gaps, first=0):
+    """Ascending rows starting at ``first`` with ``gaps`` dead rows between
+    consecutive ones."""
+    return first + np.cumsum([0] + [g + 1 for g in gaps])
+
+
+class TestWalkerKernel:
+    """The live-walker kernel against its definitions: the Philox block, the
+    comparison ``u < x`` and the stepwise reference walker."""
+
+    @pytest.mark.parametrize("gaps,first", [
+        ([0] * 299, 0),                                      # one dense run
+        ([1, 2, _BRIDGE - 1, _BRIDGE, 0, _BRIDGE, 1], 0),    # drawn through
+        ([_BRIDGE + 1, _BRIDGE + 2, 40, 0, _BRIDGE + 1, 1000, 0], 3),  # skipped
+        ([0, _BRIDGE, _BRIDGE + 1, 0, 3, _BRIDGE + 2, _BRIDGE, _BRIDGE + 1], 17),
+        ([], 0), ([], 8191),                                 # a single row
+    ])
+    def test_live_draws_are_rows_of_the_block(self, gaps, first):
+        from mfbwalk.oracle import _live_draws, _philox, _uniform_block
+        live = _gapped_rows(gaps, first)
+        for seed, batch in [(5, 0), (2 ** 64 - 1, 3)]:
+            bitgen, state = _philox(seed)
+            for block in (0, 1, 7):  # one generator serves a whole batch
+                k = _live_draws(bitgen, state, batch, block, live)
+                assert k.dtype == np.int64
+                np.testing.assert_array_equal(
+                    k * 2.0 ** -53,
+                    _uniform_block(seed, batch, block, int(live[-1]) + 1)[live])
+
+    def test_step_table_is_u_below_x_at_every_edge(self):
+        from mfbwalk.oracle import _PARK, _classes, _step_table
+        rng = np.random.default_rng(11)
+        models = [random_model(rng, "DRIFT" if i % 2 else "BALANCED")
+                  for i in range(20)]
+        models += [make_model(**CFG_SYM), make_model(**CFG_DRIFT),
+                   make_model(p=0.3, q=0.7, p0=0.25, q0=0.5, s0=0.25, N=3, i0=1),
+                   make_model(p=1e-6, q=1 - 1e-6, p0=1e-6, q0=1e-6, s0=1 - 2e-6,
+                              N=2, i0=0)]
+        for m in models:
+            edges, moves = _step_table(m)
+            assert np.all(np.diff(edges) >= 0)
+            k = {0, 2 ** 53 - 1}
+            for x in (m.p, m.p + m.q, m.s0, m.s0 + m.p0, m.s0 + m.p0 + m.q0):
+                edge = math.ceil(x * 2.0 ** 53)
+                k |= {edge - 1, edge, edge + 1}
+            k = np.array(sorted(v for v in k if 0 <= v < 2 ** 53))
+            u = k * 2.0 ** -53
+            inside = 2 * (u < m.p) - (u < m.p + m.q)
+            on_barrier = np.where(u < m.s0, _PARK, 2 * (u < m.s0 + m.p0)
+                                  - (u < m.s0 + m.p0 + m.q0))
+            for keys, want in ((k, inside), (k - 2 ** 53, on_barrier)):
+                for reps in (1, 300):  # the search, then the comparison sum
+                    tiled = np.tile(keys, reps)
+                    below = np.empty((edges.size, tiled.size), dtype=bool)
+                    np.testing.assert_array_equal(
+                        moves.take(_classes(edges, tiled, below)),
+                        np.tile(want, reps))
+
+    @pytest.mark.parametrize("step_cap", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("rows", [200, 8192])
+    def test_batch_matches_stepwise_without_holds(self, step_cap, rows):
+        # with r = 0 (p + q = 1) or r0 = 0 (s0 + p0 + q0 = 1) two edges of
+        # the step table coincide; random_model never draws such a walk
+        from mfbwalk.oracle import _simulate_batch
+        models = [make_model(p=0.3, q=0.7, p0=0.25, q0=0.5, s0=0.25, N=3, i0=1),
+                  make_model(p=0.5, q=0.5, p0=0.2, q0=0.2, s0=0.3, N=2, i0=0),
+                  make_model(p=0.2, q=0.3, p0=0.35, q0=0.45, s0=0.2, N=4, i0=0)]
+        assert [(m.r == 0, m.r0 == 0) for m in models] == [
+            (True, True), (True, False), (False, True)]
+        for seed, model in enumerate(models):
+            args = (model, seed, 2, rows, step_cap, -2 * model.N, 3 * model.N)
+            fast, ref = _simulate_batch(*args), _stepwise_batch(*args)
+            assert fast.keys() == ref.keys()
+            for key, want in ref.items():
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(fast[key], want)
+                else:
+                    assert fast[key] == want, key
