@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import warnings
+from functools import cache
 
 from . import absorption_engine as ae
 from . import oracle
@@ -91,7 +92,11 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=("json", "csv"), default="json")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call and every default is immutable,
+    so one ``main`` call leaves nothing behind for the next."""
     parser = _Parser(prog="mfbwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,9 +293,8 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     tv = oracle.truncated_visits(model)
     rows.append(_row("conservation", "", tv.absorbed_mass + tv.leak, 1.0,
                      1e-10, "abs"))
-    for j in range(lo * model.N, hi * model.N + 1):
-        rows.append(_row("site_visits", j, ve.site_visits(model, j),
-                         tv[j], 1e-8, "rel"))
+    for j, x in ve.visit_profile(model, lo, hi).values.items():
+        rows.append(_row("site_visits", j, x, tv[j], 1e-8, "rel"))
 
     periodic = oracle.periodic_mean_times(model)
     for i in range(model.N + 1):

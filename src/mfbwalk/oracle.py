@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ExcessCensoring, SingularSystem, TruncationInsufficient
 from .walk_model import Branch, WalkModel, barrier_spectrum, validate_model
@@ -157,6 +156,9 @@ def _banded_system(model: WalkModel, K: int) -> tuple[np.ndarray, int]:
 
 
 def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # imported here, so that the closed-form commands never load scipy
+    from scipy.linalg import solve_banded
+
     try:
         x = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive

@@ -123,6 +123,25 @@ def total_absorption(model: WalkModel) -> float:
     return model.s0 * (c1 * spectrum.xi1 / spectrum.gap1 + xn / spectrum.gap2)
 
 
+def _weights(sp: BarrierSpectrum, n: int) -> tuple[float, float]:
+    """The weights ``(p0/p) rho^n [N - n]`` and ``(q0/q) [n]`` of barriers kN
+    and (k + 1)N at the frame's interior offset n, before dividing by [N]."""
+    return ((sp.p0 / sp.p) * sp.rho ** n * sp.qint(sp.model.N - n),
+            (sp.q0 / sp.q) * sp.qint(n))
+
+
+def _interior(sp: BarrierSpectrum, k: int, n: int,
+              weights: tuple[float, float], xk: float, xk1: float) -> float:
+    """x at the frame's site kN + n (0 < n < N) from the visits xk, xk1 at
+    the bracketing barriers and the offset's :func:`_weights`."""
+    left, right = weights
+    value = left * xk + right * xk1
+    if k == 0:
+        lo, hi = sorted((n, sp.i0))
+        value += sp.rho ** (hi - sp.i0) * sp.qint(lo) * sp.qint(sp.model.N - hi) / sp.q
+    return value / sp.qn
+
+
 def site_visits(model: WalkModel, j: int) -> float:
     """Expected number of arrivals at an arbitrary site j.
 
@@ -137,14 +156,8 @@ def site_visits(model: WalkModel, j: int) -> float:
     xk = _frame_barrier(sp, coeffs, k)
     if n == 0:
         return xk
-    xk1 = _frame_barrier(sp, coeffs, k + 1)
-    rest = sp.qint(model.N - n)
-    value = ((sp.p0 / sp.p) * sp.rho ** n * rest * xk
-             + (sp.q0 / sp.q) * sp.qint(n) * xk1)
-    if k == 0:
-        lo, hi = sorted((n, sp.i0))
-        value += sp.rho ** (hi - sp.i0) * sp.qint(lo) * sp.qint(model.N - hi) / sp.q
-    return value / sp.qint(model.N)
+    return _interior(sp, k, n, _weights(sp, n), xk,
+                     _frame_barrier(sp, coeffs, k + 1))
 
 
 def reach_probability(model: WalkModel, i: int, j: int) -> float:
@@ -165,14 +178,22 @@ def reach_probability(model: WalkModel, i: int, j: int) -> float:
 
 
 def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitProfile:
-    """Materialize x_j for every site between barriers k_min and k_max."""
+    """Materialize x_j for every site between barriers k_min and k_max,
+    evaluating each barrier and each offset's weights once."""
     if k_min > k_max:
         raise ValueError(f"empty barrier window ({k_min}, {k_max})")
-    c1, xn = boundary_coefficients(model)
-    values = {j: site_visits(model, j)
-              for j in range(k_min * model.N, k_max * model.N + 1)}
-    return VisitProfile(model=model, barrier_coeff_left=c1,
-                        barrier_coeff_right=xn, window=(k_min, k_max),
+    sp = barrier_spectrum(model)
+    coeffs = boundary_coefficients(model)
+    first, last = sorted(sp.frame_site(k * model.N) // model.N for k in (k_min, k_max))
+    barriers = {k: _frame_barrier(sp, coeffs, k) for k in range(first, last + 1)}
+    weights = {n: _weights(sp, n) for n in range(1, model.N)}
+    values = {}
+    for j in range(k_min * model.N, k_max * model.N + 1):
+        k, n = divmod(sp.frame_site(j), model.N)
+        values[j] = (barriers[k] if n == 0 else
+                     _interior(sp, k, n, weights[n], barriers[k], barriers[k + 1]))
+    return VisitProfile(model=model, barrier_coeff_left=coeffs[0],
+                        barrier_coeff_right=coeffs[1], window=(k_min, k_max),
                         values=values)
 
 

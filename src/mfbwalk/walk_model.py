@@ -176,8 +176,8 @@ class BarrierSpectrum:
     frame.  ``mirrored`` says which, :meth:`frame_site` carries a site into
     the frame, and ``p, q, p0, q0, i0, rho = p / q`` are the frame's.  The
     closed forms use the q-integers ``[n] = (1 - rho^n) / (1 - rho)``
-    (:meth:`qint`; ``[n] = n`` at rho = 1), so they hold no power above
-    one and no division by ``1 - rho``.
+    (:meth:`qint`; ``[n] = n`` at rho = 1, and ``qn = [N]``), so they hold
+    no power above one and no division by ``1 - rho``.
 
     Away from the start the barrier visits obey
     ``q0 x_{k+1} + psi0 x_k + p0 rho^(N-1) x_{k-1} = 0`` with
@@ -198,6 +198,7 @@ class BarrierSpectrum:
     i0: int
     rho: float
     log_rho: float
+    qn: float
     psi0: float
     xi1: float
     xi2: float
@@ -231,7 +232,8 @@ def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
     rho = p / q
     log_rho = math.log(rho)
     c = p0 * rho ** (m.N - 1)
-    s = m.s0 * _qint(m.N, log_rho)
+    qn = _qint(m.N, log_rho)
+    s = m.s0 * qn
     # q0 t^2 + b t - s = 0 has a root of each sign and a discriminant free of
     # cancellation; the larger root in magnitude takes the additive branch,
     # the other follows from the product, and so does xi2 = c / (q0 xi1)
@@ -246,6 +248,6 @@ def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
     xi1 = 1.0 + gap1
     return BarrierSpectrum(
         model=m, mirrored=mirrored, p=p, q=q, p0=p0, q0=q0, i0=i0, rho=rho,
-        log_rho=log_rho, psi0=-(q0 + c + s), xi1=xi1, xi2=c / (q0 * xi1),
+        log_rho=log_rho, qn=qn, psi0=-(q0 + c + s), xi1=xi1, xi2=c / (q0 * xi1),
         gap1=gap1, gap2=gap2, Omega=1.0 / root,
         alpha=m.r * (1.0 - m.r) + 4.0 * m.p * m.q)

@@ -10,7 +10,7 @@ import pytest
 
 import mfbwalk
 from mfbwalk import oracle, validate_model, visit_engine
-from mfbwalk.cli import main
+from mfbwalk.cli import build_parser, main
 from conftest import CFG_DRIFT, CFG_SYM
 
 SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
@@ -459,6 +459,55 @@ class TestVerify:
     def test_bless_requires_golden_path(self, drift_file, capsys):
         assert run(["verify", "--model", drift_file, "--bless"],
                    capsys)[0] == 64
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; nothing a call
+    parses reaches the next one."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_output_format_does_not_carry_over(self, sym_file, capsys):
+        code, out, _ = run(["visits", "--model", sym_file, "--output", "csv"],
+                           capsys)
+        assert code == 0 and out.startswith("site,x,absorption_mass")
+        code, out, _ = run(["visits", "--model", sym_file], capsys)
+        assert code == 0 and json.loads(out)["quantity"] == "visits"
+
+    @pytest.mark.parametrize("file_first", [True, False])
+    def test_model_source_does_not_carry_over(self, file_first, sym_file,
+                                              capsys):
+        calls = [["visits", "--model", sym_file], ["visits", *SYM_ARGS]]
+        for argv in calls if file_first else calls[::-1]:
+            code, out, err = run(argv, capsys)
+            assert (code, err) == (0, "")
+            assert validate_model(json.loads(out)["model"]) == \
+                validate_model(CFG_SYM)
+
+    def test_usage_error_leaves_no_trace(self, sym_file, capsys):
+        valid = ["reach", "--model", sym_file, "--from", "0", "--to", "3"]
+        first = run(valid, capsys)
+        assert run(["reach", "--model", sym_file, "--from", "0"],
+                   capsys)[0] == 64
+        assert run(valid, capsys) == first
+
+    def test_verify_switches_do_not_carry_over(self, drift_file, tmp_path,
+                                               capsys):
+        assert run(["verify", "--model", drift_file, "--strict-formulas"],
+                   capsys)[0] == 3
+        assert run(["verify", "--model", drift_file], capsys)[0] == 0
+        golden = tmp_path / "drift.golden.json"
+        run(["verify", "--model", drift_file, "--golden", str(golden),
+             "--bless"], capsys)
+        records = json.loads(golden.read_text())
+        records[0]["value"] += 1.0
+        golden.write_text(json.dumps(records))
+        # diffed, not blessed again: the tampered record stays and fails
+        code, _, err = run(["verify", "--model", drift_file,
+                            "--golden", str(golden)], capsys)
+        assert code == 3 and "blessed" not in err
+        assert json.loads(golden.read_text()) == records
 
 
 class TestModuleEntry:

@@ -2,6 +2,8 @@
 the oracle, in turn, imports no closed-form engine."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,16 @@ def test_golden_record_format_lives_in_the_oracle():
     text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     for name in ("truncated_solver", "periodic_solve", "truncated_derivative"):
         assert name not in text
+
+
+def test_closed_form_commands_never_load_scipy():
+    # scipy is imported at the first banded solve, not with the package
+    code = ("import sys, mfbwalk, mfbwalk.cli\n"
+            "assert 'scipy' not in sys.modules\n"
+            "from mfbwalk.cli import main\n"
+            "assert main(['reach', *'--p .3 --q .25 --p0 .3 --q0 .3 --s0 .2 "
+            "--N 10 --i0 0 --from 0 --to 3'.split()]) == 0\n"
+            "assert 'scipy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=PACKAGE.parent, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -285,3 +285,23 @@ class TestVisitProfile:
     def test_empty_window_rejected(self, cfg_sym):
         with pytest.raises(ValueError):
             visit_profile(cfg_sym, 2, 1)
+
+    @staticmethod
+    def _assert_matches_site_visits(m, k_min, k_max):
+        prof = visit_profile(m, k_min, k_max)
+        assert list(prof.values) == list(range(k_min * m.N, k_max * m.N + 1))
+        for j, x in prof.values.items():
+            assert x == site_visits(m, j)  # bit for bit
+
+    @settings(max_examples=100, deadline=None)
+    @given(model_strategy())
+    def test_equals_site_visits(self, m):
+        self._assert_matches_site_visits(m, -3, 3)
+
+    @pytest.mark.parametrize("N", [100, 1000])
+    @pytest.mark.parametrize("p,q", [(0.3, 0.25), (0.25, 0.3)])
+    def test_equals_site_visits_large_n(self, N, p, q):
+        # p > q walks are evaluated in their mirror frame
+        for i0 in (0, 1, N // 2, N - 1):
+            m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=N, i0=i0)
+            self._assert_matches_site_visits(m, -2, 1)
