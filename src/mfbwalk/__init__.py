@@ -12,6 +12,7 @@ from .absorption_engine import (
     display_time_to_barrier,
     has_barrier_split,
     mean_time_any,
+    mean_time_period,
     mean_time_to_barrier,
 )
 from .errors import (
@@ -21,15 +22,6 @@ from .errors import (
     SingularSystem,
     StartNotBarrier,
     TruncationInsufficient,
-)
-from .oracle import (
-    EmpiricalStats,
-    TruncatedVisits,
-    default_truncation,
-    periodic_mean_times,
-    simulate,
-    truncated_visit_derivatives,
-    truncated_visits,
 )
 from .visit_engine import (
     VisitProfile,
@@ -58,3 +50,21 @@ from .walk_model import (
 )
 
 __version__ = "0.1.0"
+
+# re-exported from the oracle module, which loads numpy, at their first use
+_ORACLE_NAMES = frozenset({
+    "EmpiricalStats",
+    "TruncatedVisits",
+    "default_truncation",
+    "periodic_mean_times",
+    "simulate",
+    "truncated_visit_derivatives",
+    "truncated_visits",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

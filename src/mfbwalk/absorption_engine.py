@@ -42,6 +42,7 @@ from .walk_model import BarrierSpectrum, Branch, WalkModel, barrier_spectrum
 __all__ = [
     "AbsorptionTimes",
     "mean_time_any",
+    "mean_time_period",
     "has_barrier_split",
     "mean_time_to_barrier",
     "display_time_to_barrier",
@@ -114,6 +115,14 @@ def _time_to_next_barrier(model: WalkModel, i: int) -> float:
     return m.N ** 2 * _ruin_shape(i / m.N, m.N * x) * scale / m.p
 
 
+def _m0(model: WalkModel) -> float:
+    """m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0, the mean time from a
+    barrier."""
+    m = model
+    return (m.p0 * _time_to_next_barrier(m, 1)
+            + m.q0 * _time_to_next_barrier(m, m.N - 1) + 1.0 - m.s0) / m.s0
+
+
 def mean_time_any(model: WalkModel, i: int) -> float:
     """Mean number of steps before absorption when starting from site i.
 
@@ -126,10 +135,15 @@ def mean_time_any(model: WalkModel, i: int) -> float:
     and eliminates its interior onto m_0, so at s0 = 1e-7 the two agree
     within 1e-12 relative at N = 1000 and 2e-15 at N = 10.
     """
-    m = model
-    m0 = (m.p0 * _time_to_next_barrier(m, 1)
-          + m.q0 * _time_to_next_barrier(m, m.N - 1) + 1.0 - m.s0) / m.s0
-    return m0 + _time_to_next_barrier(m, i % m.N)
+    return _m0(model) + _time_to_next_barrier(model, i % model.N)
+
+
+def mean_time_period(model: WalkModel) -> tuple[float, ...]:
+    """m_i for i = 0..N (m_0 at both ends), equal to :func:`mean_time_any`
+    at each i, with m_0 derived once."""
+    m0 = _m0(model)
+    return tuple(m0 + _time_to_next_barrier(model, i % model.N)
+                 for i in range(model.N + 1))
 
 
 def _split_refusal(model: WalkModel) -> ValueError | None:
@@ -235,7 +249,7 @@ def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> Absor
     The split is included only where :func:`has_barrier_split` holds;
     otherwise ``per_barrier`` is empty.
     """
-    period = tuple(mean_time_any(model, i) for i in range(model.N + 1))
+    period = mean_time_period(model)
     per_barrier: dict[int, float] = {}
     if has_barrier_split(model):
         per_barrier = {k: mean_time_to_barrier(model, k)

@@ -20,7 +20,6 @@ import warnings
 from functools import cache
 
 from . import absorption_engine as ae
-from . import oracle
 from . import visit_engine as ve
 from .errors import BalancedUnsupported, RejectedParameter, StartNotBarrier
 from .walk_model import WalkModel, load_model, validate_model
@@ -221,8 +220,11 @@ def _cmd_reach(model, args) -> int:
 
 
 def _cmd_mean_time(model, args) -> int:
-    indices = [args.i] if args.i is not None else list(range(model.N + 1))
-    rows = [{"i": i, "mean_time": ae.mean_time_any(model, i)} for i in indices]
+    if args.i is not None:
+        rows = [{"i": args.i, "mean_time": ae.mean_time_any(model, args.i)}]
+    else:
+        rows = [{"i": i, "mean_time": t}
+                for i, t in enumerate(ae.mean_time_period(model))]
     return _emit(args, rows, ("i", "mean_time"),
                  {"model": model.to_dict(), "quantity": "mean-time",
                   "rows": rows})
@@ -251,6 +253,7 @@ def _quiet(fn, *args, **kwargs):
 
 
 def _cmd_simulate(model, args) -> int:
+    from . import oracle
     window = _parse_window(args.window) if args.window else None
     stats = _quiet(oracle.simulate, model, walks=args.walks, seed=args.seed,
                    step_cap=args.step_cap, workers=args.workers,
@@ -286,6 +289,7 @@ def _row(quantity, index, closed, reference, tol, mode) -> dict:
 
 def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
                  seed: int) -> list[dict]:
+    from . import oracle
     lo, hi = window
     rows = [_row("total_absorption", "", ve.total_absorption(model), 1.0,
                  1e-10, "abs")]
@@ -297,9 +301,9 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
         rows.append(_row("site_visits", j, x, tv[j], 1e-8, "rel"))
 
     periodic = oracle.periodic_mean_times(model)
-    for i in range(model.N + 1):
-        rows.append(_row("mean_time_any", i, ae.mean_time_any(model, i),
-                         float(periodic[i]), 1e-10, "rel"))
+    for i, t in enumerate(ae.mean_time_period(model)):
+        rows.append(_row("mean_time_any", i, t, float(periodic[i]), 1e-10,
+                         "rel"))
 
     for k in range(lo, hi + 1):
         rows.append(_row("barrier_recurrence_residual", k,
@@ -354,6 +358,7 @@ def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[st
 
 
 def _cmd_verify(model, args) -> int:
+    from . import oracle
     window = _parse_window(args.window)
     if args.bless and not args.golden:
         raise _UsageError("--bless requires --golden FILE")

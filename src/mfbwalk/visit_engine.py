@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .walk_model import BarrierSpectrum, WalkModel, barrier_spectrum, reanchored
+from .walk_model import BarrierSpectrum, WalkModel, barrier_spectrum
 
 __all__ = [
     "VisitProfile",
@@ -72,11 +72,16 @@ def boundary_coefficients(model: WalkModel) -> tuple[float, float]:
     Both constants are sums of positive terms.
     """
     spectrum = barrier_spectrum(model)
-    r1 = -spectrum.qint(model.N - spectrum.i0) / spectrum.q0
-    r2 = -(spectrum.qint(spectrum.i0) * spectrum.rho ** (model.N - spectrum.i0)
-           / (spectrum.q0 * spectrum.xi1))
-    gap = spectrum.gap1 + spectrum.gap2
-    return -(r1 + r2) / gap, -(r1 * spectrum.xi2 + r2 * spectrum.xi1) / gap
+    return _coefficients(spectrum, spectrum.i0)
+
+
+def _coefficients(sp: BarrierSpectrum, i0: int) -> tuple[float, float]:
+    """(C1, x_N) of :func:`boundary_coefficients` for the frame start i0."""
+    n = sp.model.N
+    r1 = -sp.qint(n - i0) / sp.q0
+    r2 = -(sp.qint(i0) * sp.rho ** (n - i0) / (sp.q0 * sp.xi1))
+    gap = sp.gap1 + sp.gap2
+    return -(r1 + r2) / gap, -(r1 * sp.xi2 + r2 * sp.xi1) / gap
 
 
 def _frame_barrier(spectrum: BarrierSpectrum, coeffs: tuple[float, float],
@@ -130,16 +135,29 @@ def _weights(sp: BarrierSpectrum, n: int) -> tuple[float, float]:
             (sp.q0 / sp.q) * sp.qint(n))
 
 
-def _interior(sp: BarrierSpectrum, k: int, n: int,
+def _interior(sp: BarrierSpectrum, i0: int, k: int, n: int,
               weights: tuple[float, float], xk: float, xk1: float) -> float:
-    """x at the frame's site kN + n (0 < n < N) from the visits xk, xk1 at
-    the bracketing barriers and the offset's :func:`_weights`."""
+    """x at the frame's site kN + n (0 < n < N) of a walk started at the
+    frame site i0, from the visits xk, xk1 at the bracketing barriers and
+    the offset's :func:`_weights`."""
     left, right = weights
     value = left * xk + right * xk1
     if k == 0:
-        lo, hi = sorted((n, sp.i0))
-        value += sp.rho ** (hi - sp.i0) * sp.qint(lo) * sp.qint(sp.model.N - hi) / sp.q
+        lo, hi = sorted((n, i0))
+        value += sp.rho ** (hi - i0) * sp.qint(lo) * sp.qint(sp.model.N - hi) / sp.q
     return value / sp.qn
+
+
+def _visits(sp: BarrierSpectrum, i0: int, coeffs: tuple[float, float],
+            j: int) -> float:
+    """x at the frame's site j of a walk started at the frame site
+    0 <= i0 < N, whose recurrence constants are ``coeffs``."""
+    k, n = divmod(j, sp.model.N)
+    xk = _frame_barrier(sp, coeffs, k)
+    if n == 0:
+        return xk
+    return _interior(sp, i0, k, n, _weights(sp, n), xk,
+                     _frame_barrier(sp, coeffs, k + 1))
 
 
 def site_visits(model: WalkModel, j: int) -> float:
@@ -151,26 +169,28 @@ def site_visits(model: WalkModel, j: int) -> float:
     ``lo, hi = sorted((n, i0))``.
     """
     sp = barrier_spectrum(model)
-    coeffs = boundary_coefficients(model)
-    k, n = divmod(sp.frame_site(j), model.N)
-    xk = _frame_barrier(sp, coeffs, k)
-    if n == 0:
-        return xk
-    return _interior(sp, k, n, _weights(sp, n), xk,
-                     _frame_barrier(sp, coeffs, k + 1))
+    return _visits(sp, sp.i0, boundary_coefficients(model), sp.frame_site(j))
 
 
 def reach_probability(model: WalkModel, i: int, j: int) -> float:
     """Probability of ever reaching site j when starting from site i.
 
     Uses f_ij = x_ij / x_jj for i != j and f_ii = 1 - 1/x_ii, where x_ij is
-    the expected number of arrivals at j for a walk started at i.  Starts
-    are re-anchored into [0, N) by shifting both indices a whole number of
-    periods; the barrier lattice is invariant under that shift.
+    the expected number of arrivals at j for a walk started at i.  Both
+    sites are carried into the model's rho <= 1 frame (j -> -j for a
+    mirrored walk), and each start is then shifted into [0, N) by a whole
+    number of periods, its target with it; the barrier lattice is invariant
+    under both maps, so every value is read from the model's own spectrum
+    and no re-anchored model is built or cached.
     """
+    sp = barrier_spectrum(model)
+    if sp.mirrored:
+        i, j = -i, -j
+
     def arrivals(start: int, target: int) -> float:
         shift = (start // model.N) * model.N
-        return site_visits(reanchored(model, start - shift), target - shift)
+        i0 = start - shift
+        return _visits(sp, i0, _coefficients(sp, i0), target - shift)
 
     if i == j:
         return 1.0 - 1.0 / arrivals(i, i)
@@ -191,7 +211,8 @@ def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitPro
     for j in range(k_min * model.N, k_max * model.N + 1):
         k, n = divmod(sp.frame_site(j), model.N)
         values[j] = (barriers[k] if n == 0 else
-                     _interior(sp, k, n, weights[n], barriers[k], barriers[k + 1]))
+                     _interior(sp, sp.i0, k, n, weights[n], barriers[k],
+                               barriers[k + 1]))
     return VisitProfile(model=model, barrier_coeff_left=coeffs[0],
                         barrier_coeff_right=coeffs[1], window=(k_min, k_max),
                         values=values)

@@ -11,6 +11,19 @@ CFG_DRIFT = dict(p=0.4, q=0.2, r=0.4, p0=0.2, q0=0.2, r0=0.4, s0=0.2,
                  N=2, i0=0)
 
 
+# rho in {4, 1/4} at N = 600: N |log rho| = 832, so every power of
+# max(rho, 1/rho) overflows a double
+EDGE_MODELS = [dict(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=600, i0=i0)
+               for p, q in ((0.4, 0.1), (0.1, 0.4)) for i0 in (0, 1, 300, 599)]
+# the other edges of the overflow-free frame: a root within 4e-6 of one
+# (tiny s0) and |p - q| = 1e-7
+EXTREME_MODELS = EDGE_MODELS + [
+    dict(p=0.3, q=0.25, p0=p0, q0=q0, s0=1e-7, N=10, i0=i0)
+    for p0, q0 in ((0.3, 0.3), (0.2, 0.35)) for i0 in (0, 3)
+] + [dict(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6, i0=i0)
+     for i0 in (0, 2)]
+
+
 @pytest.fixture(scope="session")
 def cfg_sym():
     return make_model(**CFG_SYM)
@@ -71,3 +84,9 @@ def model_strategy(draw, branch=None):
     if total > 0.98:
         p0, q0, s0 = (x * 0.98 / total for x in (p0, q0, s0))
     return make_model(p=p, q=q, p0=p0, q0=q0, s0=s0, N=n, i0=i0)
+
+
+def query_models():
+    """``model_strategy`` draws, their mirror images and the extreme models."""
+    return st.one_of(model_strategy(), model_strategy().map(mirror),
+                     st.sampled_from(EXTREME_MODELS).map(lambda d: make_model(**d)))

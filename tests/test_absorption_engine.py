@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mfbwalk import (
     BalancedUnsupported,
@@ -15,11 +16,12 @@ from mfbwalk import (
     has_barrier_split,
     make_model,
     mean_time_any,
+    mean_time_period,
     mean_time_to_barrier,
     periodic_mean_times,
     truncated_visit_derivatives,
 )
-from conftest import mirror, random_model
+from conftest import mirror, query_models, random_model
 
 # frozen oracle values: exact derivative of the truncated system, K = 60
 DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
@@ -239,3 +241,10 @@ class TestAbsorptionTimes:
         times = absorption_times(make_model(**NEAR_BALANCE), -2, 2)
         assert len(times.period_values) == 7
         assert times.per_barrier == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(query_models())
+    def test_period_equals_mean_time_any(self, m):
+        want = tuple(mean_time_any(m, i) for i in range(m.N + 1))
+        assert absorption_times(m).period_values == want
+        assert mean_time_period(m) == want

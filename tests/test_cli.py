@@ -94,6 +94,9 @@ class TestMeanTime:
         assert rows[0] == pytest.approx(22.0 / 3.0, rel=1e-9)
         assert rows[1] == pytest.approx(9.0, rel=1e-9)
         assert rows[2] == rows[0]
+        model = validate_model(CFG_DRIFT)
+        assert list(rows.values()) == [mfbwalk.mean_time_any(model, i)
+                                       for i in range(model.N + 1)]
 
     def test_single_site_csv(self, drift_file, capsys):
         code, out, _ = run(["mean-time", "--model", drift_file, "--i", "5",

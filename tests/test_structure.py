@@ -53,13 +53,21 @@ def test_golden_record_format_lives_in_the_oracle():
 
 
 def test_closed_form_commands_never_load_scipy():
-    # scipy is imported at the first banded solve, not with the package
+    # numpy and scipy load with the oracle module and scipy at the first
+    # banded solve, never with the package or a closed-form command; the
+    # package's oracle names import the oracle module on first use
+    model = "--p .3 --q .25 --p0 .3 --q0 .3 --s0 .2 --N 10 --i0 0"
+    commands = ["reach --from 0 --to 3", "visits", "absorb-dist",
+                "mean-time", "mean-time --i 4", "barrier-time"]
     code = ("import sys, mfbwalk, mfbwalk.cli\n"
-            "assert 'scipy' not in sys.modules\n"
+            "assert not {'numpy', 'scipy'} & set(sys.modules)\n"
             "from mfbwalk.cli import main\n"
-            "assert main(['reach', *'--p .3 --q .25 --p0 .3 --q0 .3 --s0 .2 "
-            "--N 10 --i0 0 --from 0 --to 3'.split()]) == 0\n"
-            "assert 'scipy' not in sys.modules\n")
+            f"for command in {commands!r}:\n"
+            f"    assert main([*command.split(), *{model!r}.split()]) == 0\n"
+            "    assert not {'numpy', 'scipy'} & set(sys.modules), command\n"
+            "from mfbwalk import simulate\n"
+            "assert simulate is sys.modules['mfbwalk.oracle'].simulate\n"
+            "assert not hasattr(mfbwalk, 'no_such_name')\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=PACKAGE.parent, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfbwalk import (
     RejectedParameter,
@@ -22,7 +23,7 @@ from mfbwalk import (
     truncated_visits,
     visit_profile,
 )
-from conftest import mirror, model_strategy, random_model
+from conftest import EDGE_MODELS, mirror, model_strategy, query_models, random_model
 
 # frozen oracle values (truncated solver, K = 60, tail < 1e-27)
 SYM_X = {-2: 0.6188021535170064, -1: 0.7320508075688775, 0: 2.309401076758504,
@@ -169,12 +170,6 @@ class TestSiteVisits:
                                           rel=1e-8)
 
 
-# rho in {4, 1/4} at N = 600: N |log rho| = 832, so every power of
-# max(rho, 1/rho) overflows a double
-EDGE_MODELS = [dict(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=600, i0=i0)
-               for p, q in ((0.4, 0.1), (0.1, 0.4)) for i0 in (0, 1, 300, 599)]
-
-
 class TestMirrorFrame:
     def test_mirror_identity(self):
         # x_j of a walk is x_{N [i0 != 0] - j} of its reflection
@@ -268,6 +263,40 @@ class TestReach:
             m = random_model(rng, "DRIFT" if trial % 2 else "BALANCED")
             for i, j in [(0, 1), (1, 0), (-2, 3), (2, -1), (5, 5)]:
                 assert 0.0 <= reach_probability(m, i, j) <= 1.0 + 1e-12
+
+    @staticmethod
+    def _reanchored_reach(m, i, j):
+        # the definition: x_ij from a model re-anchored at i's residue
+        def arrivals(start, target):
+            shift = (start // m.N) * m.N
+            return site_visits(reanchored(m, start - shift), target - shift)
+
+        if i == j:
+            return 1.0 - 1.0 / arrivals(i, i)
+        return arrivals(i, j) / arrivals(j, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(query_models(), st.data())
+    def test_equals_reanchored_definition(self, m, data):
+        sites = st.integers(-3 * m.N, 3 * m.N)
+        i = data.draw(sites)
+        j = data.draw(st.one_of(st.just(i), sites))
+        assert reach_probability(m, i, j) == self._reanchored_reach(m, i, j)
+
+    def test_warm_queries_touch_no_cache_entry(self):
+        m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2, N=10, i0=4)
+        caches = (barrier_spectrum, boundary_coefficients)
+        for cache in caches:
+            cache.cache_clear()  # so that a new entry shows in currsize
+        for model in (m, mirror(m)):
+            site_visits(model, 0)  # warms both caches
+            before = [c.cache_info() for c in caches]
+            for n in range(50):
+                start = 7 * n - 170
+                reach_probability(model, start, start if n % 5 == 0 else 3 - n)
+            after = [c.cache_info() for c in caches]
+            for b, a in zip(before, after):
+                assert (a.currsize, a.misses) == (b.currsize, b.misses)
 
 
 class TestVisitProfile:
