@@ -31,6 +31,7 @@ from .visit_engine import (
     boundary_coefficients,
     display_barrier_visits,
     occupancy_residual,
+    occupancy_residuals,
     reach_probability,
     site_visits,
     total_absorption,

@@ -171,16 +171,16 @@ def _model_from_args(args) -> WalkModel:
 
 def _emit(args, rows: list[dict], columns: tuple[str, ...],
           report: dict) -> int:
-    """Print ``report`` as JSON, or ``rows`` as CSV under ``columns``."""
+    """Print ``report`` as one compact JSON line, or ``rows`` as CSV under
+    ``columns``.  ``json.dumps`` without ``indent`` runs the C encoder;
+    ``json.dump`` to a stream never does."""
     if args.output == "json":
-        json.dump(report, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report) + "\n")
         return EXIT_OK
     writer = csv.writer(sys.stdout)
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row.get(c) is None else row.get(c)
-                         for c in columns])
+    writer.writerows(["" if row.get(c) is None else row.get(c)
+                      for c in columns] for row in rows)
     return EXIT_OK
 
 
@@ -190,12 +190,9 @@ def _emit(args, rows: list[dict], columns: tuple[str, ...],
 def _cmd_visits(model, args) -> int:
     lo, hi = _parse_window(args.window)
     profile = ve.visit_profile(model, lo, hi)
-    rows = []
-    for site in sorted(profile.values):
-        mass = (model.s0 * profile.values[site]
-                if site % model.N == 0 else None)
-        rows.append({"site": site, "x": profile.values[site],
-                     "absorption_mass": mass})
+    rows = [{"site": site, "x": x,
+             "absorption_mass": model.s0 * x if site % model.N == 0 else None}
+            for site, x in profile.values.items()]
     return _emit(args, rows, ("site", "x", "absorption_mass"),
                  {"model": model.to_dict(), "quantity": "visits",
                   "window": [lo, hi], "rows": rows})
@@ -297,7 +294,8 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     tv = oracle.truncated_visits(model)
     rows.append(_row("conservation", "", tv.absorbed_mass + tv.leak, 1.0,
                      1e-10, "abs"))
-    for j, x in ve.visit_profile(model, lo, hi).values.items():
+    profile = ve.visit_profile(model, lo, hi)
+    for j, x in profile.values.items():
         rows.append(_row("site_visits", j, x, tv[j], 1e-8, "rel"))
 
     periodic = oracle.periodic_mean_times(model)
@@ -309,9 +307,8 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
         rows.append(_row("barrier_recurrence_residual", k,
                          ve.barrier_recurrence_residual(model, k), 0.0,
                          1e-10, "abs"))
-    for j in range(lo * model.N + 1, hi * model.N):
-        rows.append(_row("occupancy_residual", j,
-                         ve.occupancy_residual(model, j), 0.0, 1e-10, "abs"))
+    for j, residual in ve.occupancy_residuals(profile).items():
+        rows.append(_row("occupancy_residual", j, residual, 0.0, 1e-10, "abs"))
 
     if ae.has_barrier_split(model):
         deriv = oracle.truncated_visit_derivatives(model)

@@ -187,7 +187,7 @@ def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
     barrier_mask = (sites % model.N == 0) & (np.abs(sites) < half)
     absorbed = model.s0 * float(x[barrier_mask].sum())
     leak = float(x[0] + x[-1])
-    values = {int(j): float(v) for j, v in zip(sites, x)}
+    values = dict(zip(sites.tolist(), x.tolist()))
     return TruncatedVisits(model=model, K=K, values=values,
                            tail_bound=tail, absorbed_mass=absorbed, leak=leak)
 
@@ -207,7 +207,7 @@ def truncated_visit_derivatives(model: WalkModel,
     ptx = _solve(ab, rhs)
     ptx[half + model.i0] -= 1.0
     xprime = _solve(ab, ptx)
-    return {int(j): float(v) for j, v in zip(range(-half, half + 1), xprime)}
+    return dict(zip(range(-half, half + 1), xprime.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +226,40 @@ def periodic_mean_times(model: WalkModel) -> np.ndarray:
     Returns an array of length N + 1 with ``m[N] == m[0]``.
     """
     m = model
-    n = m.N - 1                      # interior sites 1..N-1
-    ab = np.empty((3, n))
-    ab[0, :] = -m.p                  # ab[0, 0] is not read
-    ab[1, :] = m.p + m.q
-    ab[2, :] = -m.q                  # ab[2, -1] is not read
-    T = np.zeros(m.N + 1)
-    T[1:-1] = _solve(ab, np.ones(n))
+    T = [0.0, *_interior_times(m), 0.0]
     m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
-    return m0 + T
+    return m0 + np.array(T)
+
+
+def _interior_times(m: WalkModel) -> list[float]:
+    """T_1..T_{N-1} of :func:`periodic_mean_times` in plain Python, so that
+    sizing a step cap loads no scipy.  The steps are those of LAPACK's
+    tridiagonal solver behind ``solve_banded``, row interchanges included
+    (they occur for p < q, where the pivots tend to q), so the values equal
+    the banded solve's bit for bit.  Two trailing zeros of ``x`` stand in
+    for the solution beyond the last row."""
+    n, q, sub = m.N - 1, m.q, -m.q
+    diag = [m.p + q] * n
+    up = [-m.p] * n             # first superdiagonal
+    up2 = [0.0] * n             # second superdiagonal, filled by interchanges
+    x = [1.0] * n + [0.0, 0.0]
+    for i in range(n - 1):
+        d = diag[i]
+        if abs(d) >= q:
+            fact = sub / d
+            diag[i + 1] -= fact * up[i]
+            x[i + 1] -= fact * x[i]
+        else:                   # interchange rows i and i + 1
+            fact = d / sub
+            diag[i], below = sub, diag[i + 1]
+            diag[i + 1] = up[i] - fact * below
+            up2[i] = up[i + 1]
+            up[i + 1] = -fact * up2[i]
+            up[i] = below
+            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - up[i] * x[i + 1] - up2[i] * x[i + 2]) / diag[i]
+    return x[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ __all__ = [
     "visit_profile",
     "barrier_recurrence_residual",
     "occupancy_residual",
+    "occupancy_residuals",
 ]
 
 
@@ -244,6 +245,18 @@ def barrier_recurrence_residual(model: WalkModel, k: int) -> float:
     return a * xp + b * x0 + c * xm - rhs
 
 
+def _balance(m: WalkModel, j: int, left: float, x: float,
+             right: float) -> float:
+    """(1 - hold_j) x_j minus the inflow into site j, from the visits
+    ``left``, ``x``, ``right`` at sites j - 1, j, j + 1."""
+    hold = m.r0 if j % m.N == 0 else m.r
+    from_left = m.p0 if (j - 1) % m.N == 0 else m.p
+    from_right = m.q0 if (j + 1) % m.N == 0 else m.q
+    return ((1.0 - hold) * x
+            - (from_left * left + from_right * right
+               + (1.0 if j == m.i0 else 0.0)))
+
+
 def occupancy_residual(model: WalkModel, j: int) -> float:
     """Residual of the single-site occupancy balance at site j.
 
@@ -252,12 +265,15 @@ def occupancy_residual(model: WalkModel, j: int) -> float:
     + back_{j+1} x_{j+1} + [j == i0], with barrier coefficients wherever a
     neighbour (or j itself) is a barrier.
     """
-    m = model
-    hold = m.r0 if j % m.N == 0 else m.r
-    from_left = m.p0 if (j - 1) % m.N == 0 else m.p
-    from_right = m.q0 if (j + 1) % m.N == 0 else m.q
-    lhs = (1.0 - hold) * site_visits(m, j)
-    rhs = (from_left * site_visits(m, j - 1)
-           + from_right * site_visits(m, j + 1)
-           + (1.0 if j == m.i0 else 0.0))
-    return lhs - rhs
+    return _balance(model, j, site_visits(model, j - 1),
+                    site_visits(model, j), site_visits(model, j + 1))
+
+
+def occupancy_residuals(profile: VisitProfile) -> dict[int, float]:
+    """:func:`occupancy_residual` at every site strictly between the
+    profile's outer barriers, read from its values."""
+    x = profile.values
+    k_min, k_max = profile.window
+    n = profile.model.N
+    return {j: _balance(profile.model, j, x[j - 1], x[j], x[j + 1])
+            for j in range(k_min * n + 1, k_max * n)}

@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import mfbwalk
-from mfbwalk import oracle, validate_model, visit_engine
+from mfbwalk import (make_model, occupancy_residual, oracle, validate_model,
+                     visit_engine)
 from mfbwalk.cli import build_parser, main
-from conftest import CFG_DRIFT, CFG_SYM
+from conftest import CFG_DRIFT, CFG_SYM, model_strategy
 
 SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
             "--r0", "0.25", "--s0", "0.25", "--N", "2", "--i0", "0"]
@@ -539,3 +541,64 @@ class TestModuleEntry:
                                 "models/cfg-sym.json", "--golden", str(golden))
         assert done.returncode == 3
         assert len(json.loads(done.stdout)["golden_mismatches"]) == 1
+
+
+class TestCompactJson:
+    """Each JSON report is one ``json.dumps`` line of the report dict."""
+
+    COMMANDS = [
+        ["visits", "--window", "-2..2"],
+        ["absorb-dist"],
+        ["reach", "--from", "0", "--to", "3"],
+        ["mean-time"],
+        ["mean-time", "--i", "1"],
+        ["barrier-time"],
+        ["simulate", "--walks", "300", "--seed", "5"],
+        ["verify", "--walks", "300"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_one_line_of_the_report(self, command, drift_file, monkeypatch,
+                                    capsys):
+        reports = []
+        emit = mfbwalk.cli._emit
+
+        def spy(args, rows, columns, report):
+            reports.append(report)
+            return emit(args, rows, columns, report)
+
+        monkeypatch.setattr(mfbwalk.cli, "_emit", spy)
+        code, out, _ = run([*command, "--model", drift_file], capsys)
+        assert code == 0
+        [report] = reports
+        assert out == json.dumps(report) + "\n"
+        assert out.count("\n") == 1
+        # the same values as the indented report printed before
+        assert json.loads(out) == json.loads(json.dumps(report, indent=1))
+
+
+class TestVerifyResiduals:
+    """verify's occupancy rows, read from the window's visit profile, equal
+    the per-site residual bit for bit."""
+
+    @staticmethod
+    def _assert_rows_equal(m, window):
+        rows = [r for r in mfbwalk.cli._verify_rows(m, window, 0, 42)
+                if r["quantity"] == "occupancy_residual"]
+        lo, hi = window
+        assert [r["index"] for r in rows] == \
+            list(range(lo * m.N + 1, hi * m.N))
+        for r in rows:
+            assert r["closed_form"] == occupancy_residual(m, r["index"])
+
+    @settings(max_examples=50, deadline=None)
+    @given(model_strategy())
+    def test_equals_occupancy_residual(self, m):
+        self._assert_rows_equal(m, (-3, 3))
+
+    @pytest.mark.parametrize("p,q", [(0.3, 0.25), (0.25, 0.3)])
+    def test_equals_occupancy_residual_n100(self, p, q):
+        # p > q walks are evaluated in their mirror frame
+        for i0 in (0, 37):
+            m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=100, i0=i0)
+            self._assert_rows_equal(m, (-2, 1))

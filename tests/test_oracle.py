@@ -255,6 +255,25 @@ class TestMeanTimes:
             for i in range(m.N + 1):
                 assert solved[i] == pytest.approx(mean_time_any(m, i), rel=rel)
 
+    @pytest.mark.parametrize("N", [2, 3, 100, 1000])
+    def test_periodic_solve_equals_banded_solve(self, N):
+        # the plain-Python elimination takes LAPACK's steps, row
+        # interchanges included (p < q), so it matches solve_banded exactly
+        from scipy.linalg import solve_banded
+        rng = np.random.default_rng(N)
+        for trial in range(100):
+            p, q = rng.uniform(0.01, 0.49, size=2)
+            if trial % 4 == 0:
+                q = p * (1.0 + 1e-9)
+            m = make_model(p=p, q=q, p0=0.3, q0=0.3,
+                           s0=float(10.0 ** rng.uniform(-7, -1)), N=N, i0=0)
+            band = np.array([[-m.p] * (N - 1), [m.p + m.q] * (N - 1),
+                             [-m.q] * (N - 1)])
+            T = np.zeros(N + 1)
+            T[1:-1] = solve_banded((1, 1), band, np.ones(N - 1))
+            m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
+            assert periodic_mean_times(m).tolist() == (m0 + T).tolist()
+
 
 class TestSimulate:
     def test_rejects_degenerate_requests(self, cfg_sym):

@@ -71,3 +71,17 @@ def test_closed_form_commands_never_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=PACKAGE.parent, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_simulate_sizes_its_step_cap_without_scipy():
+    # the default step cap comes from periodic_mean_times, solved in plain
+    # Python; only the truncated-lattice oracles load scipy
+    model = "--p .4 --q .2 --p0 .2 --q0 .2 --s0 .2 --N 2 --i0 0"
+    code = ("import sys\n"
+            "from mfbwalk.cli import main\n"
+            f"assert main(['simulate', '--walks', '1000', *{model!r}.split()]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=PACKAGE.parent, timeout=120)
+    assert done.returncode == 0, done.stderr
