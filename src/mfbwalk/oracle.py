@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
-# largest truncated lattice (2KN + 1 sites) the banded solvers will build;
-# at s0 = 1e-7 the default truncation would ask for about 1e8 sites
+# largest truncated lattice (2KN + 1 sites) the banded solvers will build,
+# and widest site window a simulation reports; at s0 = 1e-7 the default
+# truncation would ask for about 1e8 sites
 MAX_SITES = 2_000_000
 
 # Monte-Carlo stream layout constants.  Walk w belongs to batch w // BATCH
@@ -322,10 +323,11 @@ def _live_draws(bitgen, state, batch_index: int, block_index: int,
     """
     counter = state["state"]["counter"]
     counter[1:3] = block_index, batch_index
+    # the index in live of the first and the last row of each run
     cut = np.flatnonzero(np.diff(live) > _BRIDGE + 1)
-    first = np.r_[0, cut + 1]        # the index in live of each run's start
-    starts = live[first]
-    ends = live[np.r_[cut, live.size - 1]] + 1
+    first = np.concatenate(([0], cut + 1))
+    last = np.concatenate((cut, [live.size - 1]))
+    starts, ends = live[first], live[last] + 1
     runs = []
     for a, e in zip(starts.tolist(), ends.tolist()):
         counter[0] = _BLOCK // 4 * a
@@ -338,53 +340,55 @@ def _live_draws(bitgen, state, batch_index: int, block_index: int,
     # live row r of a run is row r - shift of k, where shift is the run's
     # start less the rows drawn before it
     shift = starts - (np.cumsum(ends - starts) - (ends - starts))
-    return k[live - np.repeat(shift, np.diff(np.r_[first, live.size]))]
+    return k[live - np.repeat(shift, last - first + 1)]
 
 
-def _step_table(model: WalkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted edges and the move of each class they delimit.
+def _step_moves(model: WalkModel) -> tuple[np.ndarray, np.ndarray]:
+    """The five thresholds of a step, two inside and three on a barrier,
+    sorted, and 8 times the move of each draw code inside (row 0) and on a
+    barrier (row 1).
 
     For ``u = k * 2**-53``, ``u < x`` holds exactly when
-    ``k < ceil(x * 2**53)``.  A walk on a barrier keys its draw as
-    ``k - 2**53`` and an interior walk as k, so one
-    ``edges.searchsorted(key, 'right')`` classifies both: absorb, forward,
-    back or hold on a barrier, then forward, back or hold inside.  An
-    absorbing move parks the walk.
+    ``k < ceil(x * 2**53)``.  The code of a draw k, the number of edges at or
+    below it, fixes the move at every site: forward, back or hold inside;
+    absorb, forward, back or hold on a barrier.  An absorbing move parks the
+    walk.  Slots 6 and 7 of a row pad it to eight.
     """
     m = model
 
     def edge(x):  # thresholds at 1 or above cap at 2**53, which no k reaches
         return min(math.ceil(x * 2.0 ** 53), 2 ** 53)
 
-    lift = 2 ** 53
-    edges = np.array([edge(m.s0) - lift, edge(m.s0 + m.p0) - lift,
-                      edge(m.s0 + m.p0 + m.q0) - lift, 0,
-                      edge(m.p), edge(m.p + m.q)], dtype=np.int64)
-    moves = np.array([_PARK, 1, -1, 0, 1, -1, 0], dtype=np.int64)
-    return edges, moves
+    interior = [edge(m.p), edge(m.p + m.q)]
+    barrier = [edge(m.s0), edge(m.s0 + m.p0), edge(m.s0 + m.p0 + m.q0)]
+    edges = sorted(interior + barrier)
+    lowest = [0] + edges                 # the lowest draw of each code
+    moves = np.zeros((2, 8), dtype=np.int64)
+    moves[0, :6] = np.take([1, -1, 0], np.searchsorted(interior, lowest, "right"))
+    moves[1, :6] = np.take([_PARK, 1, -1, 0],
+                           np.searchsorted(barrier, lowest, "right"))
+    return np.array(edges, dtype=np.int64), moves << 3
 
 
-def _classes(edges: np.ndarray, keys: np.ndarray,
-             below: np.ndarray) -> np.ndarray:
-    """``edges.searchsorted(keys, 'right')``.  Beyond 256 keys the same
-    counts come from summing ``edges <= key`` into ``below``, a bool array
-    of shape (edges.size, keys.size): a binary search branches at random on
-    random keys and costs about 20 ns a key, the comparisons about 4 ns a
-    key and 4 us a call."""
-    if keys.size <= 256:
-        return edges.searchsorted(keys, "right")
-    np.less_equal(edges[:, None], keys, out=below)
-    return below.view(np.uint8).sum(axis=0, dtype=np.uint8)
+def _move_table(moves: np.ndarray, N: int, base: int, sites: int) -> np.ndarray:
+    """Entry ``8 * i + code`` is 8 times the move of a walk at site
+    base + i, for ``sites`` sites, and a last entry ``8 * _PARK``, which
+    every parked position reads since ``take`` clips: a parked walk gains
+    ``_PARK`` again at every later step."""
+    barrier = (np.arange(base, base + sites) % N == 0).view(np.uint8)
+    return np.append(moves.take(barrier, axis=0), _PARK << 3)
 
 
-def _lift_table(N: int, base: int, size: int) -> np.ndarray:
-    """Key offsets of sites ``base .. base + size - 2`` (2**53 on a barrier,
-    0 inside) and a last entry 2**54, which every parked position reads
-    since ``take`` clips: its key lies below every edge, so a parked walk
-    absorbs again and gains ``_PARK`` at every later step."""
-    lift = (np.arange(base, base + size) % N == 0).astype(np.int64) << 53
-    lift[-1] = 1 << 54
-    return lift
+def _codes(edges: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The code of each draw, the number of edges at or below it, for a
+    (walks, steps) slice of a block, as a contiguous (steps, walks) int64
+    array.  The slice is copied row by row and classified before it is
+    turned: gathering a column of a block touches a cache line per walk.
+    A binary search branches at random on random draws; the five
+    comparisons and their sum cost a fifth as much beyond a few hundred."""
+    below = np.less_equal(edges[:, None, None], np.ascontiguousarray(draws))
+    codes = below.view(np.uint8).sum(axis=0, dtype=np.uint8)
+    return codes.T.astype(np.int64, order="C")
 
 
 class _Tally:
@@ -481,75 +485,65 @@ def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
     """One batch of walks; returns integer accumulators only.
 
     ``live`` holds the original rows of the live walks in ascending order
-    and ``q`` their sites minus ``base``, the first site of the lift table.
-    Each block draws the live rows only.  A step is five array operations
-    on the live walks: look up the lift of each site, subtract it from the
-    walk's draw, classify the keys over the step table, look up the moves
-    and add them, which writes the new positions into ``rec``.  An absorbed
-    walk stays in the arrays, parked, until a flush counts the recorded
-    positions and settles it: at the end of a block, when the record is
-    full, and after any fourth step since the last flush once half the
-    walks are parked.
+    and ``q`` their sites minus ``base``, the first site of the move table.
+    Each block draws the live rows only.  The steps between two flushes
+    form a segment, which ends with the block or when the record of
+    ``_RECORD`` positions is full.  A segment's draws are classified at
+    once into codes, and ``rec`` holds the walks' positions as ``8 * q``.
+    A step is then three array operations on the live walks: add the codes
+    to the positions, look up the moves and add them.  An absorbed walk
+    stays in the arrays, parked, until the flush at the end of the segment
+    counts the recorded positions and settles it.
     """
-    edges, moves = _step_table(model)
+    edges, moves = _step_moves(model)
     tally = _Tally(model, rows, step_cap, lo, hi)
     bitgen, state = _philox(seed)
     buf = np.empty(_RECORD + rows, dtype=np.int64)
-    lifts, keys = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
-    belows = np.empty(edges.size * rows, dtype=bool)
-
-    def views(q):
-        """rec, whose row 0 holds q, the positions at the last flush, and
-        row i those after the i-th step since, for up to _RECORD // q.size
-        steps (at least 4, at most _BLOCK); and per-walk scratch."""
-        n = q.size
-        steps = min(_BLOCK, max(4, _RECORD // n))
-        rec = buf[:(steps + 1) * n].reshape(steps + 1, n)
-        rec[0] = q
-        return rec, lifts[:n], keys[:n], belows[:edges.size * n].reshape(-1, n)
 
     live = np.arange(rows)
-    base, lift = model.i0, None
+    base, sites = model.i0, 0         # no table yet: the first block builds it
     q = np.zeros(rows, dtype=np.int64)
     t = 0
     while live.size and t < step_cap:
         draws = _live_draws(bitgen, state, batch_index, t // _BLOCK, live)
-        # after a flush within the block, picks holds the flat index in
-        # draws of each live walk's row
-        flat, picks = draws.reshape(-1), None
+        # after a flush within the block, picks holds the row in draws of
+        # each live walk
+        picks = None
         # a walk moves at most _BLOCK sites in a block: keep them all
         # inside the table, off its parking entry
         low, high = int(q.min()), int(q.max())
-        if lift is None or low < _BLOCK or high + _BLOCK > lift.size - 2:
+        if low < _BLOCK or high + _BLOCK >= sites:
             margin = high - low + 2 * _BLOCK
             q += margin - low
             base += low - margin
-            lift = _lift_table(model.N, base, high - low + 2 * margin + 2)
-        rec, lf, key, below = views(q)
-        s = 0
+            sites = high - low + 2 * margin + 1
+            table = _move_table(moves, model.N, base, sites)
         stop = min(_BLOCK, step_cap - t)
-        for off in range(stop):
-            pos = rec[s]
-            lift.take(pos, mode="clip", out=lf)
-            u = draws[:, off] if picks is None else flat[off:].take(picks)
-            np.subtract(u, lf, out=key)
-            np.add(pos, moves.take(_classes(edges, key, below)),
-                   out=rec[s + 1])
-            s += 1
-            if off + 1 < stop and s < rec.shape[0] - 1 and (
-                    s % 4 or 2 * np.count_nonzero(rec[s] > _PARK // 2) < q.size):
-                continue
-            q, keep = tally.flush(rec[1:s + 1], base, t + off + 1 - s)
+        off = 0
+        while off < stop:
+            n = q.size
+            # rec row 0 holds 8 q, the positions at the last flush, and row
+            # s those after the s-th step since
+            span = min(stop - off, max(4, _RECORD // n))
+            rec = buf[:(span + 1) * n].reshape(span + 1, n)
+            pos = np.left_shift(q, 3, out=rec[0])
+            key, move = np.empty((2, n), dtype=np.int64)
+            block = draws[:, off:off + span]
+            codes = _codes(edges, block if picks is None else block[picks])
+            for code, after in zip(codes, rec[1:]):
+                np.add(pos, code, out=key)
+                table.take(key, mode="clip", out=move)
+                pos = np.add(pos, move, out=after)
+            P = np.right_shift(rec[1:], 3, out=rec[1:])
+            q, keep = tally.flush(P, base, t + off)
+            off += span
             if keep is not None:
                 live = live[keep]
-                picks = (np.flatnonzero(keep) * _BLOCK if picks is None
-                         else picks[keep])
-            if not live.size:
-                break
-            rec, lf, key, below = views(q)
-            s = 0
+                picks = np.flatnonzero(keep) if picks is None else picks[keep]
+                if not live.size:
+                    break
         t += stop
-        draws = flat = None   # release the spent block before the next draw
+        draws = None   # release the spent block before the next draw
     return tally.result(rows)
 
 
@@ -572,7 +566,8 @@ def simulate(model: WalkModel, walks: int, seed: int,
     ``step_cap`` defaults to 50x the mean absorption time (at least 1000);
     walks still alive at the cap are reported as censored, keep their
     truncated visit counts, and are excluded from the absorption histogram
-    and the step mean.
+    and the step mean.  A cap of 0 censors every walk.  A negative cap, or a
+    window of more than ``MAX_SITES`` sites, raises ValueError.
     """
     if walks < 1:
         raise ValueError(f"walks must be >= 1 (got {walks})")
@@ -581,13 +576,18 @@ def simulate(model: WalkModel, walks: int, seed: int,
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
-    if step_cap is None:
-        step_cap = max(1000, math.ceil(50.0 * periodic_mean_times(model)[model.i0]))
+    if step_cap is not None and step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0 (got {step_cap})")
     if window is None:
         window = (-3 * model.N, 3 * model.N)
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"empty site window {window}")
+    if hi - lo + 1 > MAX_SITES:
+        raise ValueError(f"site window {lo}..{hi} holds {hi - lo + 1} sites, "
+                         f"more than {MAX_SITES}")
+    if step_cap is None:
+        step_cap = max(1000, math.ceil(50.0 * periodic_mean_times(model)[model.i0]))
 
     batches = [(j, min(_BATCH, walks - j * _BATCH))
                for j in range((walks + _BATCH - 1) // _BATCH)]

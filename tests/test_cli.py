@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,20 @@ class TestSimulate:
         assert err.splitlines() == [
             "warning: ExcessCensoring: 1405 of 2000 walks hit the step cap 2"]
         assert "oracle.py" not in err
+
+    def test_negative_step_cap_exits_2(self, drift_file, capsys):
+        code, out, err = run(["simulate", "--model", drift_file,
+                              "--walks", "100", "--step-cap", "-3"], capsys)
+        assert (code, out) == (2, "")
+        assert "step_cap must be >= 0" in err
+
+    def test_window_beyond_max_sites_exits_2_at_once(self, drift_file, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(["simulate", "--model", drift_file, "--walks", "10",
+                              "--window=-100000000..100000000"], capsys)
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert f"more than {oracle.MAX_SITES}" in err
 
 
 class TestExitCodes:

@@ -283,6 +283,16 @@ class TestSimulate:
             simulate(cfg_sym, walks=10, seed=1, workers=0)
         with pytest.raises(ValueError):
             simulate(cfg_sym, walks=10, seed=-1)
+        with pytest.raises(ValueError, match="step_cap"):
+            simulate(cfg_sym, walks=10, seed=1, step_cap=-1)
+        with pytest.raises(ValueError, match="site window"):
+            simulate(cfg_sym, walks=10, seed=1, window=(0, MAX_SITES))
+
+    def test_step_cap_zero_censors_every_walk(self, cfg_sym):
+        with pytest.warns(ExcessCensoring):
+            stats = simulate(cfg_sym, walks=10, seed=1, step_cap=0)
+        assert (stats.absorbed, stats.censored) == (0, 10)
+        assert stats.visit_means[0] == (1.0, 0.0)
 
     def test_single_walk_is_absorbed(self, cfg_sym):
         stats = simulate(cfg_sym, walks=1, seed=7, step_cap=10 ** 9)
@@ -405,18 +415,24 @@ class TestWalkerKernel:
                     k * 2.0 ** -53,
                     _uniform_block(seed, batch, block, int(live[-1]) + 1)[live])
 
-    def test_step_table_is_u_below_x_at_every_edge(self):
-        from mfbwalk.oracle import _PARK, _classes, _step_table
+    def test_move_table_is_u_below_x_at_every_edge(self):
+        # a step reads the move at 8 * (site - base) + code, where the code of
+        # a draw k counts the merged edges at or below it
+        from mfbwalk.oracle import _PARK, _codes, _move_table, _step_moves
         rng = np.random.default_rng(11)
         models = [random_model(rng, "DRIFT" if i % 2 else "BALANCED")
                   for i in range(20)]
         models += [make_model(**CFG_SYM), make_model(**CFG_DRIFT),
                    make_model(p=0.3, q=0.7, p0=0.25, q0=0.5, s0=0.25, N=3, i0=1),
                    make_model(p=1e-6, q=1 - 1e-6, p0=1e-6, q0=1e-6, s0=1 - 2e-6,
-                              N=2, i0=0)]
+                              N=2, i0=0),
+                   # r = 0, and r0 = 0: two edges coincide
+                   make_model(p=0.5, q=0.5, p0=0.2, q0=0.2, s0=0.3, N=2, i0=0),
+                   make_model(p=0.2, q=0.3, p0=0.35, q0=0.45, s0=0.2, N=4, i0=0)]
+        assert any(m.r == 0 for m in models) and any(m.r0 == 0 for m in models)
         for m in models:
-            edges, moves = _step_table(m)
-            assert np.all(np.diff(edges) >= 0)
+            edges, moves = _step_moves(m)
+            assert edges.size == 5 and np.all(np.diff(edges) >= 0)
             k = {0, 2 ** 53 - 1}
             for x in (m.p, m.p + m.q, m.s0, m.s0 + m.p0, m.s0 + m.p0 + m.q0):
                 edge = math.ceil(x * 2.0 ** 53)
@@ -426,13 +442,40 @@ class TestWalkerKernel:
             inside = 2 * (u < m.p) - (u < m.p + m.q)
             on_barrier = np.where(u < m.s0, _PARK, 2 * (u < m.s0 + m.p0)
                                   - (u < m.s0 + m.p0 + m.q0))
-            for keys, want in ((k, inside), (k - 2 ** 53, on_barrier)):
-                for reps in (1, 300):  # the search, then the comparison sum
-                    tiled = np.tile(keys, reps)
-                    below = np.empty((edges.size, tiled.size), dtype=bool)
+            # sites -1 .. N + 1, two barriers among them, from base -1
+            table = _move_table(moves, m.N, -1, m.N + 3)
+            for walks in (1, 300):
+                # a (walks, steps) slice of a block: step j reads key j // 3
+                block = np.tile(np.repeat(k, 3), (walks, 2))[:, :3 * k.size]
+                codes = _codes(edges, block)
+                assert codes.shape == (3 * k.size, walks)
+                for site in range(-1, m.N + 2):
+                    want = on_barrier if site % m.N == 0 else inside
+                    got = table.take(8 * (site + 1) + codes, mode="clip")
                     np.testing.assert_array_equal(
-                        moves.take(_classes(edges, tiled, below)),
-                        np.tile(want, reps))
+                        got, 8 * np.repeat(want, 3)[:, None].repeat(walks, 1))
+                    # a parked walk, absorbed one or two steps ago, absorbs again
+                    for ago in (1, 2):
+                        parked = 8 * (site + 1 + ago * _PARK) + codes
+                        assert np.all(table.take(parked, mode="clip") == 8 * _PARK)
+
+    @pytest.mark.parametrize("step_cap", [3, 65, 1000])
+    @pytest.mark.parametrize("N", [10, 17, 200])
+    def test_batch_matches_stepwise_at_larger_N(self, N, step_cap):
+        # 1000 walks thin out over many flushes, and the longer runs
+        # re-centre the move table; at N = 200 most walks reach the cap 1000
+        from mfbwalk.oracle import _simulate_batch
+        rng = np.random.default_rng(N * 1000 + step_cap)
+        model = random_model(rng, "DRIFT", N=N, pq_floor=0.02)
+        args = (model, int(rng.integers(0, 2 ** 63)), 1, 1000, step_cap,
+                -2 * N, 2 * N)
+        fast, ref = _simulate_batch(*args), _stepwise_batch(*args)
+        assert fast.keys() == ref.keys()
+        for key, want in ref.items():
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(fast[key], want)
+            else:
+                assert fast[key] == want, key
 
     @pytest.mark.parametrize("step_cap", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("rows", [200, 8192])
