@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from functools import cache
 
 from . import absorption_engine as ae
@@ -134,7 +136,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--walks", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--step-cap", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="batch threads, at most one per batch and usable CPU")
     sp.add_argument("--window", default=None, metavar="A..B",
                     help="site window for visit means (default -3N..3N)")
 
@@ -169,11 +172,11 @@ def _model_from_args(args) -> WalkModel:
     return validate_model(flags)
 
 
-def _emit(args, rows: list[dict], columns: tuple[str, ...],
+def _emit(args, rows: Iterable[dict], columns: tuple[str, ...],
           report: dict) -> int:
     """Print ``report`` as one compact JSON line, or ``rows`` as CSV under
-    ``columns``.  ``json.dumps`` without ``indent`` runs the C encoder;
-    ``json.dump`` to a stream never does."""
+    ``columns``; ``rows`` is read for CSV only.  ``json.dumps`` without
+    ``indent`` runs the C encoder; ``json.dump`` to a stream never does."""
     if args.output == "json":
         sys.stdout.write(json.dumps(report) + "\n")
         return EXIT_OK
@@ -255,12 +258,13 @@ def _cmd_simulate(model, args) -> int:
     stats = _quiet(oracle.simulate, model, walks=args.walks, seed=args.seed,
                    step_cap=args.step_cap, workers=args.workers,
                    window=window)
-    rows = [{"kind": "mean_steps", "index": "", "value": stats.mean_steps,
-             "se": stats.mean_steps_se}]
-    rows += [{"kind": "absorption_frequency", "index": k, "value": f,
-              "se": ""} for k, f in stats.absorption_hist.items()]
-    rows += [{"kind": "visit_mean", "index": site, "value": m, "se": s}
-             for site, (m, s) in stats.visit_means.items()]
+    rows = itertools.chain(
+        [{"kind": "mean_steps", "index": "", "value": stats.mean_steps,
+          "se": stats.mean_steps_se}],
+        ({"kind": "absorption_frequency", "index": k, "value": f, "se": ""}
+         for k, f in stats.absorption_hist.items()),
+        ({"kind": "visit_mean", "index": site, "value": m, "se": s}
+         for site, (m, s) in stats.visit_means.items()))
     return _emit(args, rows, ("kind", "index", "value", "se"), {
         "model": model.to_dict(), "quantity": "simulate",
         "walks": stats.walks, "seed": stats.seed, "step_cap": stats.step_cap,

@@ -16,8 +16,10 @@ what the tests and golden files freeze.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -392,23 +394,23 @@ def _codes(edges: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 class _Tally:
-    """Integer accumulators of one batch.
+    """Integer accumulators of one batch, over its reach: the window sites
+    within step_cap of the start, which every batch of a simulation shares.
 
     Visit counts are kept per live walk, in the smallest unsigned dtype
-    that holds step_cap + 1 arrivals, over the window sites within step_cap
-    of the start, plus a pad column on each side for the sites outside.
-    A walk's counts are folded into the exact ``visit_sum`` and
-    ``visit_sum_sq`` at the flush that finds it dead, and at the end if it
-    is censored.
+    that holds step_cap + 1 arrivals, over the reach plus a pad column on
+    each side for the sites outside.  A walk's counts are folded into the
+    exact ``visit_sum`` and ``visit_sum_sq`` at the flush that finds it
+    dead, and at :meth:`close` if it is censored.  A closed tally holds
+    no counts, and :meth:`merge` adds it to a simulation's running total.
     """
 
     def __init__(self, model: WalkModel, rows: int, step_cap: int,
                  lo: int, hi: int):
-        reach = max(step_cap, 0)
-        self.N, self.lo, self.hi = model.N, lo, hi
-        self.first_site = max(lo, model.i0 - reach)
-        self.width = max(min(hi, model.i0 + reach) - self.first_site + 1, 0)
-        dtype = np.min_scalar_type(reach + 1)
+        self.N = model.N
+        self.first_site = max(lo, model.i0 - step_cap)
+        self.width = max(min(hi, model.i0 + step_cap) - self.first_site + 1, 0)
+        dtype = np.min_scalar_type(step_cap + 1)
         self.one = dtype.type(1)
         self.counts = np.zeros((rows, self.width + 2), dtype=dtype)
         if 0 <= model.i0 - self.first_site < self.width:
@@ -420,7 +422,7 @@ class _Tally:
         total = np.int64 if step_cap <= 30_000_000 else object
         self.visit_sum = np.zeros(self.width, dtype=total)
         self.visit_sum_sq = np.zeros(self.width, dtype=total)
-        self.sum_steps = self.sum_steps_sq = 0
+        self.sum_steps = self.sum_steps_sq = self.censored = 0
         self.barriers = [np.zeros(0, dtype=np.int64)]
 
     def flush(self, P: np.ndarray, base: int, t0: int):
@@ -449,40 +451,38 @@ class _Tally:
         P += self.row_start[:P.shape[1]] - pad
         np.add.at(self.counts.reshape(-1), P.reshape(-1), self.one)
         if gone.size:
-            self._fold(gone)
+            self._fold(self.counts.take(gone, axis=0)[:, 1:-1])
             self.counts = self.counts[keep]
         return q, keep
 
-    def _fold(self, rows: np.ndarray) -> None:
-        # rows of 2**15 counts at a time keep the int64 copies small
-        chunk = max(1, (1 << 15) // (self.width + 2))
-        for i in range(0, rows.size, chunk):
-            counts = self.counts.take(rows[i:i + chunk], axis=0)[:, 1:-1]
-            c = np.ascontiguousarray(counts.T, dtype=self.visit_sum.dtype)
-            self.visit_sum += c.sum(axis=1)
-            self.visit_sum_sq += (c * c).sum(axis=1)
+    def _fold(self, c: np.ndarray) -> None:
+        # the (walks, reach) counts of settled walks: one exact integer
+        # reduction per sum, in the sums' dtype
+        self.visit_sum += np.add.reduce(c, axis=0, dtype=self.visit_sum.dtype)
+        self.visit_sum_sq += np.einsum("ij,ij->j", c, c, dtype=self.visit_sum.dtype)
 
-    def result(self, rows: int) -> dict:
-        censored = self.counts.shape[0]
-        self._fold(np.arange(censored))
-        at = slice(self.first_site - self.lo, self.first_site - self.lo + self.width)
-        visit_sum = np.zeros(self.hi - self.lo + 1, dtype=self.visit_sum.dtype)
-        visit_sum_sq = np.zeros_like(visit_sum)
-        visit_sum[at], visit_sum_sq[at] = self.visit_sum, self.visit_sum_sq
-        return {
-            "absorbed": rows - censored,
-            "censored": censored,
-            "sum_steps": self.sum_steps,
-            "sum_steps_sq": self.sum_steps_sq,
-            "hist": _count_dict(np.concatenate(self.barriers)),
-            "visit_sum": visit_sum,
-            "visit_sum_sq": visit_sum_sq,
-        }
+    def close(self) -> "_Tally":
+        """Fold the censored walks, those still counted, and release the
+        counts."""
+        self.censored = self.counts.shape[0]
+        self._fold(self.counts[:, 1:-1])
+        self.counts = self.row_start = None
+        return self
+
+    def merge(self, other: "_Tally") -> "_Tally":
+        """Add the closed tally of a later batch to this one."""
+        self.censored += other.censored
+        self.sum_steps += other.sum_steps
+        self.sum_steps_sq += other.sum_steps_sq
+        self.barriers += other.barriers
+        self.visit_sum += other.visit_sum
+        self.visit_sum_sq += other.visit_sum_sq
+        return self
 
 
 def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
                     step_cap: int, lo: int, hi: int):
-    """One batch of walks; returns integer accumulators only.
+    """One batch of walks; returns its closed :class:`_Tally`.
 
     ``live`` holds the original rows of the live walks in ascending order
     and ``q`` their sites minus ``base``, the first site of the move table.
@@ -544,12 +544,7 @@ def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
                     break
         t += stop
         draws = None   # release the spent block before the next draw
-    return tally.result(rows)
-
-
-def _count_dict(values: np.ndarray) -> dict[int, int]:
-    keys, counts = np.unique(values, return_counts=True)
-    return {int(k): int(c) for k, c in zip(keys, counts)}
+    return tally.close()
 
 
 def simulate(model: WalkModel, walks: int, seed: int,
@@ -560,8 +555,10 @@ def simulate(model: WalkModel, walks: int, seed: int,
     Each walk consumes exactly one uniform per transition (the absorbing
     draw included) from its own slice of a Philox counter space keyed by
     ``seed``, so the sampled trajectories depend only on (seed, walk index).
-    Partial results are reduced in batch order over integer accumulators,
-    making the output bit-identical across worker counts.
+    Each batch's integer accumulators, over the sites within ``step_cap``
+    of the start, are added in batch order to one running total, making the
+    output bit-identical across worker counts.  ``workers`` threads run the
+    batches, at most one per batch and per CPU this process may use.
 
     ``step_cap`` defaults to 50x the mean absorption time (at least 1000);
     walks still alive at the cap are reported as censored, keep their
@@ -596,39 +593,35 @@ def simulate(model: WalkModel, walks: int, seed: int,
         j, rows = batch
         return _simulate_batch(model, seed, j, rows, step_cap, lo, hi)
 
-    if workers == 1:
-        partials = [run(s) for s in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, batches))
+    threads = min(workers, len(batches), _usable_cpus())
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = pool.map(run, batches) if threads > 1 else map(run, batches)
+        total = functools.reduce(_Tally.merge, parts)
 
-    # reduction in batch order; every accumulator is an integer
-    absorbed = sum(p["absorbed"] for p in partials)
-    censored = sum(p["censored"] for p in partials)
-    sum_steps = sum(p["sum_steps"] for p in partials)
-    sum_steps_sq = sum(p["sum_steps_sq"] for p in partials)
-    hist: dict[int, int] = {}
-    for p in partials:
-        for k, c in p["hist"].items():
-            hist[k] = hist.get(k, 0) + c
-    visit_sum = sum(p["visit_sum"] for p in partials)
-    visit_sum_sq = sum(p["visit_sum_sq"] for p in partials)
-
-    mean_steps, se_steps = _mean_se(sum_steps, sum_steps_sq, absorbed)
-    visit_means = {}
-    for offset, site in enumerate(range(lo, hi + 1)):
-        visit_means[site] = _mean_se(int(visit_sum[offset]),
-                                     int(visit_sum_sq[offset]), walks)
+    censored, absorbed = total.censored, walks - total.censored
+    mean_steps, se_steps = _mean_se(total.sum_steps, total.sum_steps_sq, absorbed)
+    # a site outside the walks' reach is never visited
+    visit_means = dict.fromkeys(range(lo, hi + 1), _mean_se(0, 0, walks))
+    for site, s, s2 in zip(range(total.first_site, total.first_site + total.width),
+                           total.visit_sum.tolist(), total.visit_sum_sq.tolist()):
+        visit_means[site] = _mean_se(s, s2, walks)
+    keys, counts = np.unique(np.concatenate(total.barriers), return_counts=True)
     stats = EmpiricalStats(
         model=model, walks=walks, seed=seed, step_cap=step_cap,
         mean_steps=mean_steps, mean_steps_se=se_steps,
         visit_means=visit_means,
-        absorption_hist={k: hist[k] / walks for k in sorted(hist)},
+        absorption_hist=dict(zip(keys.tolist(), (counts / walks).tolist())),
         censored=censored, absorbed=absorbed)
     if censored > 1e-3 * walks:
         warnings.warn(ExcessCensoring(
             f"{censored} of {walks} walks hit the step cap {step_cap}"))
     return stats
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform tells."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _mean_se(total: int, total_sq: int, n: int) -> tuple[float, float]:

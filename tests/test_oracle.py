@@ -50,6 +50,10 @@ STREAM_PINS = [
      "caec869144fdd3a612d1cf737d3c2d38ec0fa96b12802032e7a1a0fb1fbbca86"),
     (SLOW, 300, 2, None, None, 300, 0,
      "6d0f91abe31821a4fa9cff5cbc54577b2084d72fe70f1009e72cd496bb7f6ac4"),
+    # one walk (se is NaN) in a window past the step cap 1000 on both sides:
+    # the sites beyond the walks' reach share one (mean, se)
+    (CFG_DRIFT, 1, 28, None, (-1200, 1500), 1, 0,
+     "7a6809b743c59f0316c4bb735c4d718a4777c2a93e3233b56dbd5757e95e4a03"),
 ]
 
 
@@ -100,6 +104,29 @@ def _stepwise_batch(model, seed, batch_index, rows, step_cap, lo, hi):
             "hist": {int(k): int(c) for k, c in zip(keys, counts)},
             "visit_sum": visits.sum(axis=0),
             "visit_sum_sq": (visits * visits).sum(axis=0)}
+
+
+def _assert_batch_matches_stepwise(model, seed, batch_index, rows, step_cap,
+                                   lo, hi):
+    """``_simulate_batch``'s closed tally equals ``_stepwise_batch``.  The
+    tally's visit sums cover only the window sites within step_cap of the
+    start: the reference's window arrays are lined up with that span and
+    must be zero outside it."""
+    from mfbwalk.oracle import _simulate_batch
+    args = (model, seed, batch_index, rows, step_cap, lo, hi)
+    tally, ref = _simulate_batch(*args), _stepwise_batch(*args)
+    keys, counts = np.unique(np.concatenate(tally.barriers), return_counts=True)
+    assert tally.counts is None
+    assert rows - tally.censored == ref["absorbed"]
+    assert tally.censored == ref["censored"]
+    assert tally.sum_steps == ref["sum_steps"]
+    assert tally.sum_steps_sq == ref["sum_steps_sq"]
+    assert dict(zip(keys.tolist(), counts.tolist())) == ref["hist"]
+    span = np.zeros(hi - lo + 1, dtype=bool)
+    span[tally.first_site - lo:tally.first_site - lo + tally.width] = True
+    for key in ("visit_sum", "visit_sum_sq"):
+        np.testing.assert_array_equal(getattr(tally, key), ref[key][span])
+        assert not ref[key][~span].any(), key
 
 
 def _dense_cyclic_solve(model) -> np.ndarray:
@@ -330,8 +357,56 @@ class TestSimulate:
             mean, se = stats.visit_means[j]
             assert abs(mean - site_visits(cfg_drift, j)) < 4.0 * max(se, 1e-12)
 
+    @pytest.mark.parametrize("workers,batches,threads",
+                             [(1, 3, 1), (2, 3, 2), (64, 3, 3), (64, 6, 4)])
+    def test_threads_bounded_by_batches_and_cpus(self, cfg_drift, monkeypatch,
+                                                 workers, batches, threads):
+        # at most one thread per batch and per CPU (four here); the stand-in
+        # pool records its size and runs the batches in order, in this thread
+        from mfbwalk import oracle
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialPool)
+        walks = (batches - 1) * oracle._BATCH + 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExcessCensoring)
+            stats = simulate(cfg_drift, walks=walks, seed=3, step_cap=2,
+                             workers=workers, window=(-4, 4))
+        assert sizes == [threads]
+        assert stats.absorbed + stats.censored == walks
+
+    def test_peak_memory_does_not_grow_with_batches(self, cfg_drift):
+        # every batch folds into one running total over the sites within
+        # step_cap of the start, so a 200 001-site window costs no more at
+        # 4 batches than at 1; the bound is half a window-wide int64 array
+        import tracemalloc
+        from mfbwalk.oracle import _BATCH
+        peaks = []
+        for batches in (1, 4):
+            tracemalloc.start()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExcessCensoring)
+                simulate(cfg_drift, walks=batches * _BATCH, seed=42,
+                         step_cap=50, window=(-100_000, 100_000))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 800_000, peaks
+
     def test_batch_matches_stepwise_reference(self):
-        from mfbwalk.oracle import _simulate_batch
         rng = np.random.default_rng(5)
         for trial in range(24):
             model = random_model(rng, "DRIFT" if trial % 2 else "BALANCED",
@@ -342,13 +417,7 @@ class TestSimulate:
             hi = lo + int(rng.integers(0, 4 * model.N))
             args = (model, int(rng.integers(0, 2 ** 63)),
                     int(rng.integers(0, 9)), rows, step_cap, lo, hi)
-            fast, ref = _simulate_batch(*args), _stepwise_batch(*args)
-            assert fast.keys() == ref.keys()
-            for key, want in ref.items():
-                if isinstance(want, np.ndarray):
-                    np.testing.assert_array_equal(fast[key], want)
-                else:
-                    assert fast[key] == want, key
+            _assert_batch_matches_stepwise(*args)
 
     @pytest.mark.parametrize("window", [(3, 6), (5, 6), (-8, -5), (-1, 9)])
     def test_window_without_start_site(self, cfg_drift, window):
@@ -464,25 +533,17 @@ class TestWalkerKernel:
     def test_batch_matches_stepwise_at_larger_N(self, N, step_cap):
         # 1000 walks thin out over many flushes, and the longer runs
         # re-centre the move table; at N = 200 most walks reach the cap 1000
-        from mfbwalk.oracle import _simulate_batch
         rng = np.random.default_rng(N * 1000 + step_cap)
         model = random_model(rng, "DRIFT", N=N, pq_floor=0.02)
         args = (model, int(rng.integers(0, 2 ** 63)), 1, 1000, step_cap,
                 -2 * N, 2 * N)
-        fast, ref = _simulate_batch(*args), _stepwise_batch(*args)
-        assert fast.keys() == ref.keys()
-        for key, want in ref.items():
-            if isinstance(want, np.ndarray):
-                np.testing.assert_array_equal(fast[key], want)
-            else:
-                assert fast[key] == want, key
+        _assert_batch_matches_stepwise(*args)
 
     @pytest.mark.parametrize("step_cap", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("rows", [200, 8192])
     def test_batch_matches_stepwise_without_holds(self, step_cap, rows):
         # with r = 0 (p + q = 1) or r0 = 0 (s0 + p0 + q0 = 1) two edges of
         # the step table coincide; random_model never draws such a walk
-        from mfbwalk.oracle import _simulate_batch
         models = [make_model(p=0.3, q=0.7, p0=0.25, q0=0.5, s0=0.25, N=3, i0=1),
                   make_model(p=0.5, q=0.5, p0=0.2, q0=0.2, s0=0.3, N=2, i0=0),
                   make_model(p=0.2, q=0.3, p0=0.35, q0=0.45, s0=0.2, N=4, i0=0)]
@@ -490,10 +551,4 @@ class TestWalkerKernel:
             (True, True), (True, False), (False, True)]
         for seed, model in enumerate(models):
             args = (model, seed, 2, rows, step_cap, -2 * model.N, 3 * model.N)
-            fast, ref = _simulate_batch(*args), _stepwise_batch(*args)
-            assert fast.keys() == ref.keys()
-            for key, want in ref.items():
-                if isinstance(want, np.ndarray):
-                    np.testing.assert_array_equal(fast[key], want)
-                else:
-                    assert fast[key] == want, key
+            _assert_batch_matches_stepwise(*args)
