@@ -295,7 +295,9 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     rows = [_row("total_absorption", "", ve.total_absorption(model), 1.0,
                  1e-10, "abs")]
 
-    tv = oracle.truncated_visits(model)
+    split = ae.has_barrier_split(model)
+    tv, deriv = (oracle.truncated_visits_and_derivatives(model) if split
+                 else (oracle.truncated_visits(model), None))
     rows.append(_row("conservation", "", tv.absorbed_mass + tv.leak, 1.0,
                      1e-10, "abs"))
     profile = ve.visit_profile(model, lo, hi)
@@ -314,8 +316,7 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     for j, residual in ve.occupancy_residuals(profile).items():
         rows.append(_row("occupancy_residual", j, residual, 0.0, 1e-10, "abs"))
 
-    if ae.has_barrier_split(model):
-        deriv = oracle.truncated_visit_derivatives(model)
+    if split:
         for k in range(-5, 6):
             rows.append(_row("mean_time_to_barrier", k,
                              ae.mean_time_to_barrier(model, k),

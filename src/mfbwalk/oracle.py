@@ -3,7 +3,7 @@
 Nothing in this module evaluates a closed form.  Three oracles live here:
 
 * the truncated occupancy system (I - P^T) x = e_i0 at z = 1 and its exact
-  z-derivative, two tridiagonal solves on one band,
+  z-derivative, two right-hand sides of one cyclic reduction in numpy,
 * the exact periodic linear system for mean absorption times, one O(N)
   tridiagonal solve after eliminating the interior onto m_0, and
 * a seeded, counter-based Monte-Carlo walker whose statistics are
@@ -35,6 +35,7 @@ __all__ = [
     "default_truncation",
     "truncated_visits",
     "truncated_visit_derivatives",
+    "truncated_visits_and_derivatives",
     "periodic_mean_times",
     "simulate",
     "write_golden",
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
-# largest truncated lattice (2KN + 1 sites) the banded solvers will build,
+# largest truncated lattice (2KN + 1 sites) the truncated solves will build,
 # and widest site window a simulation reports; at s0 = 1e-7 the default
 # truncation would ask for about 1e8 sites
 MAX_SITES = 2_000_000
@@ -148,9 +149,10 @@ def _banded_system(model: WalkModel, K: int) -> tuple[np.ndarray, int]:
     fw[0] = bw[0] = hold[0] = 0.0          # fringe sinks: no outgoing mass
     fw[-1] = bw[-1] = hold[-1] = 0.0
 
-    # solve_banded stores a[i, j] at ab[1 + i - j, j]: the entry above the
-    # diagonal, M[j-1, j], is the inflow into j-1 from j (site j stepping
-    # backward), and M[j+1, j] is site j stepping forward.
+    # column j of ab holds column j of the matrix, M[i, j] at ab[1 + i - j, j]
+    # (LAPACK's banded layout): above the diagonal, M[j-1, j], is the inflow
+    # into j-1 from j (site j stepping backward), and below it, M[j+1, j],
+    # site j stepping forward.  Each column sums to what site j loses.
     ab = np.zeros((3, n))
     ab[1, :] = 1.0 - hold
     ab[0, 1:] = -bw[1:]
@@ -158,17 +160,111 @@ def _banded_system(model: WalkModel, K: int) -> tuple[np.ndarray, int]:
     return ab, half
 
 
-def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # imported here, so that the closed-form commands never load scipy
-    from scipy.linalg import solve_banded
+# the cyclic reduction stops at a core of at most this many rows, which the
+# plain-Python elimination finishes; near this size a numpy level costs about
+# as much as the Python rows it removes
+_CORE = 64
 
-    try:
-        x = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(x)):  # pragma: no cover - defensive
-        raise SingularSystem("non-finite solution entries")
-    return x
+
+class _Reduction:
+    """Odd-even cyclic reduction of a tridiagonal matrix in the banded
+    storage of :func:`_banded_system`, factored once; :meth:`solve` applies
+    it to one right-hand side at a time.
+
+    The matrix is padded with identity rows to m 2**L - 1 rows, m - 1 at
+    most ``_CORE``, so that every level has an odd number of rows.  A level
+    eliminates its even rows 0, 2, .. onto the odd ones, which form the next
+    level; the L-th level, the core, goes to :func:`_gtsv`.  No row is
+    pivoted: I - P^T is weakly column diagonally dominant, and elimination
+    keeps that in any symmetric order, so each pivot is at least the rest of
+    its column (Wilkinson; growth factor at most 2).  For this M-matrix and
+    a nonnegative right-hand side the reduced right-hand sides and the back
+    substitution add terms of one sign.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        n = self.n = ab.shape[1]
+        levels = 0
+        while n + 1 > (_CORE + 1) << levels:
+            levels += 1
+        self.size = (-(-(n + 1) >> levels) << levels) - 1
+        # row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1]
+        a, b, c = np.zeros(self.size), np.ones(self.size), np.zeros(self.size)
+        a[1:n], b[:n], c[:n - 1] = ab[2, :-1], ab[1], ab[0, 1:]
+        self.levels = []
+        for _ in range(levels):
+            aE, bE, cE = a[0::2], b[0::2], c[0::2]      # the rows eliminated
+            alpha, gamma = a[1::2] / bE[:-1], c[1::2] / bE[1:]
+            self.levels.append((aE, bE, cE, alpha, gamma))
+            a, b, c = (-alpha * aE[:-1], b[1::2] - alpha * cE[:-1] - gamma * aE[1:],
+                       -gamma * cE[1:])
+        self.core = a[1:].tolist(), b.tolist(), c.tolist()
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with M x = ``rhs``.  One buffer, with a zero at each end, holds
+        the right-hand side, then the reduced ones, then x: level l is the
+        view ``buf[::2**l]``, whose row i is entry 1 + i, and its zero ends
+        stand for the neighbours missing at the first and the last row."""
+        buf = np.zeros(self.size + 2)
+        buf[1:self.n + 1] = rhs
+        views = [buf[::1 << level] for level in range(len(self.levels) + 1)]
+        for v, (_, _, _, alpha, gamma) in zip(views, self.levels):
+            kept = v[2:-1:2]
+            kept -= alpha * v[1:-2:2]
+            kept -= gamma * v[3::2]
+        sub, diag, sup = self.core
+        try:
+            views[-1][1:-1] = _gtsv(sub, diag.copy(), sup.copy(),
+                                    views[-1][1:-1].tolist())
+        except ZeroDivisionError as exc:  # pragma: no cover - defensive
+            raise SingularSystem("zero pivot") from exc
+        for v, (aE, bE, cE, _, _) in zip(views[-2::-1], self.levels[::-1]):
+            t = aE * v[0:-1:2]
+            t += cE * v[2::2]
+            np.subtract(v[1::2], t, out=t)
+            np.divide(t, bE, out=v[1::2])
+        x = buf[1:self.n + 1]
+        if not np.all(np.isfinite(x)):  # pragma: no cover - defensive
+            raise SingularSystem("non-finite solution entries")
+        return x
+
+
+def _solve_lattice(model: WalkModel, K: int | None, derivative: bool = False):
+    """K, its tail bound, x and, if ``derivative``, x' over sites
+    -K*N .. K*N, from one band and one reduction.
+
+    Differentiating (I - z P^T) x(z) = e_i0 gives
+    (I - P^T) x'(1) = P^T x(1), and P^T x(1) = x(1) - e_i0: a second
+    right-hand side for the same reduction, no differencing.
+    """
+    K, tail = _truncation(model, K)
+    ab, half = _banded_system(model, K)
+    lattice = _Reduction(ab)
+    rhs = np.zeros(2 * half + 1)
+    rhs[half + model.i0] = 1.0
+    x = lattice.solve(rhs)
+    if not derivative:
+        return K, tail, x, None
+    ptx = x.copy()
+    ptx[half + model.i0] -= 1.0
+    return K, tail, x, lattice.solve(ptx)
+
+
+def _visits_record(model: WalkModel, K: int, tail: float,
+                   x: np.ndarray) -> TruncatedVisits:
+    half = K * model.N
+    sites = np.arange(-half, half + 1)
+    barrier_mask = (sites % model.N == 0) & (np.abs(sites) < half)
+    absorbed = model.s0 * float(x[barrier_mask].sum())
+    leak = float(x[0] + x[-1])
+    values = dict(zip(sites.tolist(), x.tolist()))
+    return TruncatedVisits(model=model, K=K, values=values,
+                           tail_bound=tail, absorbed_mass=absorbed, leak=leak)
+
+
+def _site_dict(x: np.ndarray) -> dict[int, float]:
+    half = x.size // 2
+    return dict(zip(range(-half, half + 1), x.tolist()))
 
 
 def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
@@ -180,37 +276,24 @@ def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
     Raises ``TruncationInsufficient`` if an explicit K cannot meet that
     bound, or if the lattice would hold more than ``MAX_SITES`` sites.
     """
-    K, tail = _truncation(model, K)
-    ab, half = _banded_system(model, K)
-    rhs = np.zeros(2 * half + 1)
-    rhs[half + model.i0] = 1.0
-    x = _solve(ab, rhs)
-
-    sites = np.arange(-half, half + 1)
-    barrier_mask = (sites % model.N == 0) & (np.abs(sites) < half)
-    absorbed = model.s0 * float(x[barrier_mask].sum())
-    leak = float(x[0] + x[-1])
-    values = dict(zip(sites.tolist(), x.tolist()))
-    return TruncatedVisits(model=model, K=K, values=values,
-                           tail_bound=tail, absorbed_mass=absorbed, leak=leak)
+    return _visits_record(model, *_solve_lattice(model, K)[:3])
 
 
 def truncated_visit_derivatives(model: WalkModel,
                                 K: int | None = None) -> dict[int, float]:
-    """Exact dX_j/dz at z = 1 on the truncated lattice.
-
-    Differentiating (I - z P^T) x(z) = e_i0 gives
-    (I - P^T) x'(1) = P^T x(1), and P^T x(1) = x(1) - e_i0: one band, two
-    solves on it, no differencing.
+    """Exact dX_j/dz at z = 1 on the truncated lattice, by site: the
+    solution of (I - P^T) x'(1) = x(1) - e_i0 (see :func:`_solve_lattice`).
     """
-    K, _ = _truncation(model, K)
-    ab, half = _banded_system(model, K)
-    rhs = np.zeros(2 * half + 1)
-    rhs[half + model.i0] = 1.0
-    ptx = _solve(ab, rhs)
-    ptx[half + model.i0] -= 1.0
-    xprime = _solve(ab, ptx)
-    return dict(zip(range(-half, half + 1), xprime.tolist()))
+    return _site_dict(_solve_lattice(model, K, derivative=True)[3])
+
+
+def truncated_visits_and_derivatives(
+        model: WalkModel, K: int | None = None,
+) -> tuple[TruncatedVisits, dict[int, float]]:
+    """:func:`truncated_visits` and :func:`truncated_visit_derivatives`
+    from one band and one reduction."""
+    K, tail, x, xprime = _solve_lattice(model, K, derivative=True)
+    return _visits_record(model, K, tail, x), _site_dict(xprime)
 
 
 # ---------------------------------------------------------------------------
@@ -235,33 +318,42 @@ def periodic_mean_times(model: WalkModel) -> np.ndarray:
 
 
 def _interior_times(m: WalkModel) -> list[float]:
-    """T_1..T_{N-1} of :func:`periodic_mean_times` in plain Python, so that
-    sizing a step cap loads no scipy.  The steps are those of LAPACK's
-    tridiagonal solver behind ``solve_banded``, row interchanges included
-    (they occur for p < q, where the pivots tend to q), so the values equal
-    the banded solve's bit for bit.  Two trailing zeros of ``x`` stand in
-    for the solution beyond the last row."""
-    n, q, sub = m.N - 1, m.q, -m.q
-    diag = [m.p + q] * n
-    up = [-m.p] * n             # first superdiagonal
+    """T_1..T_{N-1} of :func:`periodic_mean_times`, by :func:`_gtsv`, whose
+    steps are LAPACK's: the values equal LAPACK's banded solve bit for bit."""
+    n = m.N - 1
+    return _gtsv([-m.q] * n, [m.p + m.q] * n, [-m.p] * n, [1.0] * n)
+
+
+def _gtsv(sub: list, diag: list, sup: list, rhs: list) -> list[float]:
+    """x with M x = ``rhs`` for the tridiagonal M with ``sub[i] = M[i+1, i]``,
+    ``diag[i] = M[i, i]`` and ``sup[i] = M[i, i+1]``, in plain Python.
+
+    The steps are those of LAPACK's tridiagonal solver (dgtsv), row
+    interchanges included (they occur where a pivot falls below the entry
+    under it, as rounding can make it for p < q in the interior solve).
+    ``diag`` and ``sup`` are overwritten; ``sup`` has n entries, the last
+    unread.  Two trailing zeros of ``x`` stand in for the solution beyond
+    the last row.
+    """
+    n = len(diag)
     up2 = [0.0] * n             # second superdiagonal, filled by interchanges
-    x = [1.0] * n + [0.0, 0.0]
+    x = rhs + [0.0, 0.0]
     for i in range(n - 1):
-        d = diag[i]
-        if abs(d) >= q:
-            fact = sub / d
-            diag[i + 1] -= fact * up[i]
+        d, s = diag[i], sub[i]
+        if abs(d) >= abs(s):
+            fact = s / d
+            diag[i + 1] -= fact * sup[i]
             x[i + 1] -= fact * x[i]
         else:                   # interchange rows i and i + 1
-            fact = d / sub
-            diag[i], below = sub, diag[i + 1]
-            diag[i + 1] = up[i] - fact * below
-            up2[i] = up[i + 1]
-            up[i + 1] = -fact * up2[i]
-            up[i] = below
+            fact = d / s
+            diag[i], below = s, diag[i + 1]
+            diag[i + 1] = sup[i] - fact * below
+            up2[i] = sup[i + 1]
+            sup[i + 1] = -fact * up2[i]
+            sup[i] = below
             x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
     for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - up[i] * x[i + 1] - up2[i] * x[i + 2]) / diag[i]
+        x[i] = (x[i] - sup[i] * x[i + 1] - up2[i] * x[i + 2]) / diag[i]
     return x[:n]
 
 
@@ -397,12 +489,14 @@ class _Tally:
     """Integer accumulators of one batch, over its reach: the window sites
     within step_cap of the start, which every batch of a simulation shares.
 
-    Visit counts are kept per live walk, in the smallest unsigned dtype
-    that holds step_cap + 1 arrivals, over the reach plus a pad column on
-    each side for the sites outside.  A walk's counts are folded into the
-    exact ``visit_sum`` and ``visit_sum_sq`` at the flush that finds it
-    dead, and at :meth:`close` if it is censored.  A closed tally holds
-    no counts, and :meth:`merge` adds it to a simulation's running total.
+    Visit counts are kept per walk, in the smallest unsigned dtype that
+    holds step_cap + 1 arrivals, over the reach plus a pad column on each
+    side for the sites outside.  A walk's row is its row in the batch: a
+    flush compacts only ``row_start``, the counter offsets of the live
+    walks, and a settled walk's row takes no further counts.  :meth:`close`
+    folds every row into the exact ``visit_sum`` and ``visit_sum_sq`` and
+    releases the counts, and :meth:`merge` adds the closed tally to a
+    simulation's running total.
     """
 
     def __init__(self, model: WalkModel, rows: int, step_cap: int,
@@ -419,9 +513,7 @@ class _Tally:
         self.row_start = np.arange(rows) * (self.width + 2)
         # int64 squares cannot overflow while step_cap stays below ~3e7 per
         # batch; beyond that use Python integers (still exact)
-        total = np.int64 if step_cap <= 30_000_000 else object
-        self.visit_sum = np.zeros(self.width, dtype=total)
-        self.visit_sum_sq = np.zeros(self.width, dtype=total)
+        self.sum_dtype = np.int64 if step_cap <= 30_000_000 else object
         self.sum_steps = self.sum_steps_sq = self.censored = 0
         self.barriers = [np.zeros(0, dtype=np.int64)]
 
@@ -448,24 +540,20 @@ class _Tally:
 
         pad = self.first_site - 1 - base
         np.clip(P, pad, pad + self.width + 1, out=P)
-        P += self.row_start[:P.shape[1]] - pad
+        P += self.row_start - pad
         np.add.at(self.counts.reshape(-1), P.reshape(-1), self.one)
         if gone.size:
-            self._fold(self.counts.take(gone, axis=0)[:, 1:-1])
-            self.counts = self.counts[keep]
+            self.row_start = self.row_start[keep]
         return q, keep
 
-    def _fold(self, c: np.ndarray) -> None:
-        # the (walks, reach) counts of settled walks: one exact integer
-        # reduction per sum, in the sums' dtype
-        self.visit_sum += np.add.reduce(c, axis=0, dtype=self.visit_sum.dtype)
-        self.visit_sum_sq += np.einsum("ij,ij->j", c, c, dtype=self.visit_sum.dtype)
-
     def close(self) -> "_Tally":
-        """Fold the censored walks, those still counted, and release the
+        """Fold the counts of every walk, one exact integer reduction per
+        sum, count the censored walks, those still live, and release the
         counts."""
-        self.censored = self.counts.shape[0]
-        self._fold(self.counts[:, 1:-1])
+        self.censored = self.row_start.size
+        c = self.counts[:, 1:-1]
+        self.visit_sum = np.add.reduce(c, axis=0, dtype=self.sum_dtype)
+        self.visit_sum_sq = np.einsum("ij,ij->j", c, c, dtype=self.sum_dtype)
         self.counts = self.row_start = None
         return self
 
@@ -659,7 +747,9 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
                         "value": value, "error_bound": error_bound,
                         "oracle": oracle, "params": params})
 
-    tv = truncated_visits(model)
+    split = model.branch is Branch.DRIFT and model.i0 == 0
+    tv, deriv = (truncated_visits_and_derivatives(model) if split
+                 else (truncated_visits(model), None))
     for j in range(-window * model.N, window * model.N + 1):
         record("site_visits", j, tv[j], 10 * tv.tail_bound,
                "truncated_solver", {"K": tv.K})
@@ -669,8 +759,7 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
         record("mean_time_any", i, float(period[i]), 1e-12,
                "periodic_solve", {})
 
-    if model.branch is Branch.DRIFT and model.i0 == 0:
-        deriv = truncated_visit_derivatives(model, K=tv.K)
+    if split:
         for k in range(-5, 6):
             record("mean_time_to_barrier", k, model.s0 * deriv[k * model.N],
                    1e-9, "truncated_derivative", {"K": tv.K})

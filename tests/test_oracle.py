@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfbwalk import (
     ExcessCensoring,
@@ -18,7 +20,13 @@ from mfbwalk import (
     truncated_visit_derivatives,
     truncated_visits,
 )
-from mfbwalk.oracle import _BRIDGE, MAX_SITES
+from mfbwalk.oracle import (
+    _BRIDGE,
+    _CORE,
+    MAX_SITES,
+    _Reduction,
+    truncated_visits_and_derivatives,
+)
 from conftest import CFG_DRIFT, CFG_SYM, mirror, random_model
 
 # slow absorption (mean time about 170) from an interior start, so walks
@@ -240,6 +248,51 @@ class TestTruncatedVisits:
                 assert outflow[col] == pytest.approx(1.0, abs=1e-15)
 
 
+# sizes at which the padding or the level count of the reduction changes
+_EDGE_SIZES = sorted({n for k in range(1, 9) for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)}
+                     | {_CORE - 1, _CORE, _CORE + 1})
+
+
+@st.composite
+def _m_matrix_system(draw):
+    """A tridiagonal system in banded storage with the sign pattern of
+    I - P^T, strictly column diagonally dominant, and a positive right-hand
+    side: the solution is positive with no cancellation, so a relative
+    check holds entry by entry."""
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from(_EDGE_SIZES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -rng.uniform(0.0, 1.0, n - 1)
+    ab[2, :-1] = -rng.uniform(0.0, 1.0, n - 1)
+    ab[1] = -(ab[0] + ab[2]) + rng.uniform(1e-3, 1.0, n)
+    return ab, rng.uniform(0.1, 1.0, n)
+
+
+class TestReduction:
+    @settings(max_examples=200, deadline=None)
+    @given(_m_matrix_system())
+    def test_matches_dense_solve(self, system):
+        ab, rhs = system
+        dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        np.testing.assert_allclose(_Reduction(ab).solve(rhs),
+                                   np.linalg.solve(dense, rhs), rtol=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 10])
+    def test_derivative_reuses_the_reduction(self, N):
+        # x' from the reduction that gave x equals a fresh reduction's solve
+        # of x - e_i0, and the pair equals the two single oracles
+        from mfbwalk.oracle import _banded_system
+        m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2, N=N, i0=0)
+        tv, deriv = truncated_visits_and_derivatives(m)
+        ab, half = _banded_system(m, tv.K)
+        rhs = np.array([tv.values[j] for j in range(-half, half + 1)])
+        rhs[half + m.i0] -= 1.0
+        fresh = _Reduction(ab).solve(rhs)
+        assert [deriv[j] for j in range(-half, half + 1)] == fresh.tolist()
+        assert deriv == truncated_visit_derivatives(m)
+        assert tv == truncated_visits(m)
+
+
 class TestMeanTimes:
     def test_periodic_solve_goldens(self, cfg_sym, cfg_drift):
         m_sym = periodic_mean_times(cfg_sym)
@@ -405,6 +458,23 @@ class TestSimulate:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 800_000, peaks
+
+    def test_batch_counter_is_not_copied(self, cfg_drift):
+        # a flush compacts the live walks' row offsets, not the per-walk
+        # counter, so an 8192-walk batch over a 200 001-site window peaks
+        # within a quarter of the counter above it; copying the surviving
+        # rows at a flush peaks near twice the counter
+        import tracemalloc
+        from mfbwalk.oracle import _BATCH, _simulate_batch
+        step_cap = 1000
+        counter = _BATCH * (2 * step_cap + 3) * np.min_scalar_type(step_cap + 1).itemsize
+        tracemalloc.start()
+        try:
+            _simulate_batch(cfg_drift, 42, 0, _BATCH, step_cap, -100_000, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * counter, (peak, counter)
 
     def test_batch_matches_stepwise_reference(self):
         rng = np.random.default_rng(5)

@@ -52,10 +52,17 @@ def test_golden_record_format_lives_in_the_oracle():
         assert name not in text
 
 
+def test_no_module_imports_scipy():
+    # the oracles solve in numpy and plain Python; scipy is a test reference
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "scipy" not in _imported_modules(tree), path.name
+
+
 def test_closed_form_commands_never_load_scipy():
-    # numpy and scipy load with the oracle module and scipy at the first
-    # banded solve, never with the package or a closed-form command; the
-    # package's oracle names import the oracle module on first use
+    # numpy loads with the oracle module, never with the package or a
+    # closed-form command, and scipy never; the package's oracle names
+    # import the oracle module on first use
     model = "--p .3 --q .25 --p0 .3 --q0 .3 --s0 .2 --N 10 --i0 0"
     commands = ["reach --from 0 --to 3", "visits", "absorb-dist",
                 "mean-time", "mean-time --i 4", "barrier-time"]
@@ -75,7 +82,7 @@ def test_closed_form_commands_never_load_scipy():
 
 def test_simulate_sizes_its_step_cap_without_scipy():
     # the default step cap comes from periodic_mean_times, solved in plain
-    # Python; only the truncated-lattice oracles load scipy
+    # Python
     model = "--p .4 --q .2 --p0 .2 --q0 .2 --s0 .2 --N 2 --i0 0"
     code = ("import sys\n"
             "from mfbwalk.cli import main\n"
@@ -84,4 +91,24 @@ def test_simulate_sizes_its_step_cap_without_scipy():
             "assert 'scipy' not in sys.modules\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=PACKAGE.parent, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_verify_never_loads_scipy():
+    # the truncated lattice is solved by cyclic reduction in numpy: neither
+    # the golden batteries nor the Monte-Carlo rows load scipy
+    root = PACKAGE.parents[1]
+    runs = [["verify", "--model", str(root / "models" / f"{name}.json"),
+             "--golden", str(root / "goldens" / f"{name}.json")]
+            for name in ("cfg-drift", "cfg-sym")]
+    runs.append(["verify", "--model", str(root / "models" / "cfg-drift.json"),
+                 "--walks", "1000"])
+    code = ("import sys\n"
+            "from mfbwalk.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=PACKAGE.parent, timeout=300)
     assert done.returncode == 0, done.stderr
