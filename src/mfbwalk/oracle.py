@@ -3,7 +3,8 @@
 Nothing in this module evaluates a closed form.  Three oracles live here:
 
 * the truncated occupancy system (I - P^T) x = e_i0 at z = 1 and its exact
-  z-derivative, two right-hand sides of one cyclic reduction in numpy,
+  z-derivative, two right-hand sides of one subtraction-free (GTH) cyclic
+  reduction in numpy,
 * the exact periodic linear system for mean absorption times, one O(N)
   tridiagonal solve after eliminating the interior onto m_0, and
 * a seeded, counter-based Monte-Carlo walker whose statistics are
@@ -136,8 +137,12 @@ def _truncation(model: WalkModel, K: int | None) -> tuple[int, float]:
     return K, tail
 
 
-def _banded_system(model: WalkModel, K: int) -> tuple[np.ndarray, int]:
-    """Banded storage of I - P^T over sites -K*N .. K*N (sinks at the ends)."""
+def _banded_system(model: WalkModel,
+                   K: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Banded storage of I - P^T over sites -K*N .. K*N (sinks at the ends)
+    and each column's deficit, what site j loses: s0 on a barrier, 0 inside
+    a period, 1 at a sink.  The diagonal is the outflow fw + bw + deficit,
+    never 1 - hold, which keeps few digits of a tiny p + q."""
     m = model
     n = 2 * K * m.N + 1
     half = K * m.N
@@ -145,60 +150,56 @@ def _banded_system(model: WalkModel, K: int) -> tuple[np.ndarray, int]:
     is_barrier = (sites % m.N) == 0
     fw = np.where(is_barrier, m.p0, m.p)
     bw = np.where(is_barrier, m.q0, m.q)
-    hold = np.where(is_barrier, m.r0, m.r)
-    fw[0] = bw[0] = hold[0] = 0.0          # fringe sinks: no outgoing mass
-    fw[-1] = bw[-1] = hold[-1] = 0.0
+    deficit = np.where(is_barrier, m.s0, 0.0)
+    fw[0] = bw[0] = fw[-1] = bw[-1] = 0.0   # fringe sinks: no outgoing mass
+    deficit[0] = deficit[-1] = 1.0
 
     # column j of ab holds column j of the matrix, M[i, j] at ab[1 + i - j, j]
     # (LAPACK's banded layout): above the diagonal, M[j-1, j], is the inflow
     # into j-1 from j (site j stepping backward), and below it, M[j+1, j],
-    # site j stepping forward.  Each column sums to what site j loses.
+    # site j stepping forward.  Each column sums to its deficit.
     ab = np.zeros((3, n))
-    ab[1, :] = 1.0 - hold
+    ab[1, :] = fw + bw + deficit
     ab[0, 1:] = -bw[1:]
     ab[2, :-1] = -fw[:-1]
-    return ab, half
-
-
-# the cyclic reduction stops at a core of at most this many rows, which the
-# plain-Python elimination finishes; near this size a numpy level costs about
-# as much as the Python rows it removes
-_CORE = 64
+    return ab, deficit, half
 
 
 class _Reduction:
-    """Odd-even cyclic reduction of a tridiagonal matrix in the banded
-    storage of :func:`_banded_system`, factored once; :meth:`solve` applies
-    it to one right-hand side at a time.
+    """Odd-even cyclic reduction of a tridiagonal M-matrix in the banded
+    storage of :func:`_banded_system`, whose column sums are ``deficit``,
+    factored once; :meth:`solve` applies it to one right-hand side at a time.
 
-    The matrix is padded with identity rows to m 2**L - 1 rows, m - 1 at
-    most ``_CORE``, so that every level has an odd number of rows.  A level
-    eliminates its even rows 0, 2, .. onto the odd ones, which form the next
-    level; the L-th level, the core, goes to :func:`_gtsv`.  No row is
-    pivoted: I - P^T is weakly column diagonally dominant, and elimination
-    keeps that in any symmetric order, so each pivot is at least the rest of
-    its column (Wilkinson; growth factor at most 2).  For this M-matrix and
-    a nonnegative right-hand side the reduced right-hand sides and the back
-    substitution add terms of one sign.
+    Identity rows pad the matrix to 2**L - 1 rows, so that every level has
+    an odd number of rows; a level eliminates its even rows onto the odd
+    ones, down to one row.  Row i reads -a[i] x[i-1] + b[i] x[i] -
+    c[i] x[i+1] with a, c >= 0, and column k sums to d[k] >= 0.  The pivots
+    follow the GTH rule (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985):
+    eliminating row e adds d[e] |M[e, k]| / b[e] to the sum of each
+    neighbour column k, and a pivot is its column's sum plus its
+    off-diagonal magnitudes.  No step subtracts, so for a nonnegative
+    right-hand side each entry of x is accurate to a small multiple of the
+    rounding unit, however ill-conditioned the matrix (O'Cinneide, Numer.
+    Math. 65, 1993).
     """
 
-    def __init__(self, ab: np.ndarray):
+    def __init__(self, ab: np.ndarray, deficit: np.ndarray):
         n = self.n = ab.shape[1]
-        levels = 0
-        while n + 1 > (_CORE + 1) << levels:
-            levels += 1
-        self.size = (-(-(n + 1) >> levels) << levels) - 1
-        # row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1]
-        a, b, c = np.zeros(self.size), np.ones(self.size), np.zeros(self.size)
-        a[1:n], b[:n], c[:n - 1] = ab[2, :-1], ab[1], ab[0, 1:]
+        self.size = (1 << n.bit_length()) - 1
+        (a, c), (b, d) = np.zeros((2, self.size)), np.ones((2, self.size))
+        a[1:n], b[:n], c[:n - 1], d[:n] = -ab[2, :-1], ab[1], -ab[0, 1:], deficit
         self.levels = []
-        for _ in range(levels):
+        while b.size > 1:
             aE, bE, cE = a[0::2], b[0::2], c[0::2]      # the rows eliminated
             alpha, gamma = a[1::2] / bE[:-1], c[1::2] / bE[1:]
             self.levels.append((aE, bE, cE, alpha, gamma))
-            a, b, c = (-alpha * aE[:-1], b[1::2] - alpha * cE[:-1] - gamma * aE[1:],
-                       -gamma * cE[1:])
-        self.core = a[1:].tolist(), b.tolist(), c.tolist()
+            w = d[0::2] / bE
+            a, c, d = (alpha * aE[:-1], gamma * cE[1:],
+                       d[1::2] + w[:-1] * cE[:-1] + w[1:] * aE[1:])
+            b = d.copy()
+            b[1:] += c[:-1]
+            b[:-1] += a[1:]
+        self.last = b[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with M x = ``rhs``.  One buffer, with a zero at each end, holds
@@ -210,18 +211,13 @@ class _Reduction:
         views = [buf[::1 << level] for level in range(len(self.levels) + 1)]
         for v, (_, _, _, alpha, gamma) in zip(views, self.levels):
             kept = v[2:-1:2]
-            kept -= alpha * v[1:-2:2]
-            kept -= gamma * v[3::2]
-        sub, diag, sup = self.core
-        try:
-            views[-1][1:-1] = _gtsv(sub, diag.copy(), sup.copy(),
-                                    views[-1][1:-1].tolist())
-        except ZeroDivisionError as exc:  # pragma: no cover - defensive
-            raise SingularSystem("zero pivot") from exc
+            kept += alpha * v[1:-2:2]
+            kept += gamma * v[3::2]
+        views[-1][1] /= self.last
         for v, (aE, bE, cE, _, _) in zip(views[-2::-1], self.levels[::-1]):
             t = aE * v[0:-1:2]
             t += cE * v[2::2]
-            np.subtract(v[1::2], t, out=t)
+            t += v[1::2]
             np.divide(t, bE, out=v[1::2])
         x = buf[1:self.n + 1]
         if not np.all(np.isfinite(x)):  # pragma: no cover - defensive
@@ -238,8 +234,8 @@ def _solve_lattice(model: WalkModel, K: int | None, derivative: bool = False):
     right-hand side for the same reduction, no differencing.
     """
     K, tail = _truncation(model, K)
-    ab, half = _banded_system(model, K)
-    lattice = _Reduction(ab)
+    ab, deficit, half = _banded_system(model, K)
+    lattice = _Reduction(ab, deficit)
     rhs = np.zeros(2 * half + 1)
     rhs[half + model.i0] = 1.0
     x = lattice.solve(rhs)

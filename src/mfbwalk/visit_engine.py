@@ -247,12 +247,13 @@ def barrier_recurrence_residual(model: WalkModel, k: int) -> float:
 
 def _balance(m: WalkModel, j: int, left: float, x: float,
              right: float) -> float:
-    """(1 - hold_j) x_j minus the inflow into site j, from the visits
-    ``left``, ``x``, ``right`` at sites j - 1, j, j + 1."""
-    hold = m.r0 if j % m.N == 0 else m.r
+    """The outflow (p + q) x_j, or (p0 + q0 + s0) x_j on a barrier, minus
+    the inflow into site j from the visits ``left``, ``x``, ``right`` at
+    sites j - 1, j, j + 1; 1 - hold would keep few digits of a tiny p + q."""
+    out = m.p0 + m.q0 + m.s0 if j % m.N == 0 else m.p + m.q
     from_left = m.p0 if (j - 1) % m.N == 0 else m.p
     from_right = m.q0 if (j + 1) % m.N == 0 else m.q
-    return ((1.0 - hold) * x
+    return (out * x
             - (from_left * left + from_right * right
                + (1.0 if j == m.i0 else 0.0)))
 

@@ -25,6 +25,16 @@ REPO = Path(__file__).resolve().parent.parent
 REFERENCE_MODELS = ["cfg-drift", "cfg-sym"]
 NEAR_BALANCE_ARGS = ["--p", "0.30000005", "--q", "0.29999995", "--p0", ".2",
                      "--q0", ".3", "--s0", ".1", "--N", "6", "--i0", "0"]
+# models on which the truncated lattice lost digits: tiny p, q (the hold
+# 1 - p - q stored rounded), a q0 of 1e-3 at N = 2000 (reduction pivots
+# that cancelled gave negative tails) and an s0 of 4.33e-6
+DEFECT_MODELS = [
+    "--p 7.02e-8 --q 7.02e-8 --p0 .428 --q0 .2755 --s0 .16 --N 3 --i0 1",
+    "--p 1.5e-7 --q 1.5e-7 --p0 .428 --q0 .2755 --s0 .16 --N 2000 --i0 0",
+    "--p .24313762749108847 --q .2285860976598959 --p0 .14550605289525223"
+    " --q0 .0010126714182545685 --s0 .49409249115434833 --N 2000 --i0 119",
+    "--p .148 --q .148 --p0 .377 --q0 .386 --s0 4.33e-6 --N 1000 --i0 250",
+]
 
 
 @pytest.fixture
@@ -306,6 +316,15 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["golden_mismatches"]
         assert "golden mismatch" in err
+
+    @pytest.mark.parametrize("args", DEFECT_MODELS, ids=[
+        "tiny-pq-N3", "tiny-pq-N2000", "small-q0-N2000", "small-s0-N1000"])
+    def test_defect_models_pass(self, args, capsys):
+        code, out, _ = run(["verify", *args.split(), "--window=-1..1"],
+                           capsys)
+        report = json.loads(out)
+        assert [r for r in report["rows"] if r["status"] != "pass"] == []
+        assert code == 0
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_golden_simulate_runs_once(self, name, monkeypatch, capsys):

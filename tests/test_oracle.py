@@ -3,6 +3,7 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from mfbwalk import (
 )
 from mfbwalk.oracle import (
     _BRIDGE,
-    _CORE,
     MAX_SITES,
     _Reduction,
     truncated_visits_and_derivatives,
@@ -231,7 +231,7 @@ class TestTruncatedVisits:
         # I - P^T reconstructed from the banded storage: row sums of P are
         # 1 on interior sites, 1 - s0 on barriers, 0 on the fringe sinks
         from mfbwalk.oracle import _banded_system
-        ab, half = _banded_system(cfg_drift, K=5)
+        ab, deficit, half = _banded_system(cfg_drift, K=5)
         n = 2 * half + 1
         outflow = np.zeros(n)           # column sums of P^T per source
         outflow += 1.0 - ab[1]          # hold
@@ -241,16 +241,18 @@ class TestTruncatedVisits:
             site = col - half
             if abs(site) == half:
                 assert outflow[col] == 0.0
+                assert deficit[col] == 1.0
             elif site % cfg_drift.N == 0:
                 assert outflow[col] == pytest.approx(1.0 - cfg_drift.s0,
                                                      abs=1e-15)
+                assert deficit[col] == cfg_drift.s0
             else:
                 assert outflow[col] == pytest.approx(1.0, abs=1e-15)
+                assert deficit[col] == 0.0
 
 
 # sizes at which the padding or the level count of the reduction changes
-_EDGE_SIZES = sorted({n for k in range(1, 9) for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)}
-                     | {_CORE - 1, _CORE, _CORE + 1})
+_EDGE_SIZES = sorted({n for k in range(1, 9) for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)})
 
 
 @st.composite
@@ -268,14 +270,65 @@ def _m_matrix_system(draw):
     return ab, rng.uniform(0.1, 1.0, n)
 
 
+@st.composite
+def _gth_system(draw):
+    """A tridiagonal M-matrix in banded storage with off-diagonal
+    magnitudes log-uniform in [1e-2, 1], its exact column sums (deficits),
+    mostly 0 and the rest log-uniform down to 1e-14, and a nonnegative
+    right-hand side with zeros.  With zero deficits a pivot formed by
+    subtraction cancels."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -10.0 ** rng.uniform(-2.0, 0.0, n - 1)
+    ab[2, :-1] = -10.0 ** rng.uniform(-2.0, 0.0, n - 1)
+    deficit = np.where(rng.random(n) < 0.2, 10.0 ** rng.uniform(-14.0, 0.0, n),
+                       0.0)
+    deficit[rng.integers(n)] = 10.0 ** rng.uniform(-14.0, 0.0)  # nonsingular
+    ab[1] = deficit - ab[0] - ab[2]
+    rhs = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.0, n), 0.0)
+    return ab, deficit, rhs
+
+
+def _thomas_mp(ab, deficit, rhs):
+    """The exact system of :func:`_gth_system`, whose diagonal is the sum
+    of the deficit and the column's off-diagonal magnitudes, solved by
+    Thomas elimination at 50 digits."""
+    mp = mpmath.mpf
+    with mpmath.workdps(50):
+        sup, sub = [mp(v) for v in ab[0, 1:]], [mp(v) for v in ab[2, :-1]]
+        diag = [mp(d) - mp(u) - mp(lo) for d, u, lo in zip(deficit, ab[0], ab[2])]
+        y = [mp(v) for v in rhs]
+        for i in range(1, len(y)):
+            f = sub[i - 1] / diag[i - 1]
+            diag[i] -= f * sup[i - 1]
+            y[i] -= f * y[i - 1]
+        x = y[:]
+        x[-1] = y[-1] / diag[-1]
+        for i in range(len(y) - 2, -1, -1):
+            x[i] = (y[i] - sup[i] * x[i + 1]) / diag[i]
+        return x
+
+
 class TestReduction:
     @settings(max_examples=200, deadline=None)
     @given(_m_matrix_system())
     def test_matches_dense_solve(self, system):
         ab, rhs = system
         dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-        np.testing.assert_allclose(_Reduction(ab).solve(rhs),
+        np.testing.assert_allclose(_Reduction(ab, ab.sum(axis=0)).solve(rhs),
                                    np.linalg.solve(dense, rhs), rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_gth_system())
+    def test_entrywise_accurate(self, system):
+        # every entry nonnegative and accurate relative to itself, however
+        # small, though the matrix may be near singular
+        ab, deficit, rhs = system
+        x = _Reduction(ab, deficit).solve(rhs)
+        assert np.all(x >= 0.0)
+        for got, want in zip(x.tolist(), _thomas_mp(ab, deficit, rhs)):
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("N", [2, 10])
     def test_derivative_reuses_the_reduction(self, N):
@@ -284,10 +337,10 @@ class TestReduction:
         from mfbwalk.oracle import _banded_system
         m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2, N=N, i0=0)
         tv, deriv = truncated_visits_and_derivatives(m)
-        ab, half = _banded_system(m, tv.K)
+        ab, deficit, half = _banded_system(m, tv.K)
         rhs = np.array([tv.values[j] for j in range(-half, half + 1)])
         rhs[half + m.i0] -= 1.0
-        fresh = _Reduction(ab).solve(rhs)
+        fresh = _Reduction(ab, deficit).solve(rhs)
         assert [deriv[j] for j in range(-half, half + 1)] == fresh.tolist()
         assert deriv == truncated_visit_derivatives(m)
         assert tv == truncated_visits(m)

@@ -16,6 +16,7 @@ from mfbwalk import (
     make_model,
     mean_time_any,
     occupancy_residual,
+    occupancy_residuals,
     reach_probability,
     reanchored,
     site_visits,
@@ -150,6 +151,14 @@ class TestSiteVisits:
             m = random_model(rng, "DRIFT" if trial % 2 else "BALANCED")
             for j in range(-2 * m.N, 2 * m.N + 1):
                 assert abs(occupancy_residual(m, j)) < 1e-10
+
+    def test_occupancy_balance_at_tiny_p_q(self):
+        # r = 1 - p - q is stored rounded, so an outflow formed as 1 - r
+        # kept only a few digits of p + q = 1.4e-7
+        m = make_model(p=7.02e-8, q=7.02e-8, p0=0.428, q0=0.2755, s0=0.16,
+                       N=3, i0=1)
+        residuals = occupancy_residuals(visit_profile(m, -3, 3))
+        assert max(map(abs, residuals.values())) < 1e-10
 
     def test_all_visits_nonnegative(self):
         rng = np.random.default_rng(16)
