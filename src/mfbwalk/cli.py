@@ -3,10 +3,10 @@
 Subcommands: visits, absorb-dist, reach, mean-time, barrier-time, simulate,
 verify.  Reports go to stdout as JSON (default) or CSV with a fixed column
 order; diagnostics go to stderr.  Exit codes: 0 success, 2 invalid model,
-inapplicable closed form or a value that cannot be computed in floating
-point (an ArithmeticError such as an overflow), 3 verify found a
-discrepancy beyond tolerance, 64 usage error, 66 model or golden file not
-found.
+inapplicable closed form, a value that cannot be computed in floating
+point (an ArithmeticError such as an overflow) or a report of more than
+MAX_SITES rows, 3 verify found a discrepancy beyond tolerance, 64 usage
+error, 66 model or golden file not found.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cache
 from . import absorption_engine as ae
 from . import visit_engine as ve
 from .errors import BalancedUnsupported, RejectedParameter, StartNotBarrier
-from .walk_model import WalkModel, load_model, validate_model
+from .walk_model import MAX_SITES, WalkModel, load_model, validate_model
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -69,7 +69,16 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_window(text: str) -> tuple[int, int]:
+def _budget(rows: int, what: str) -> None:
+    """Refuse, before any row is built, a report of more than
+    ``MAX_SITES`` rows."""
+    if rows > MAX_SITES:
+        raise ValueError(f"{what} holds {rows} rows, more than {MAX_SITES}")
+
+
+def _parse_window(text: str, sites_per_step: int = 1) -> tuple[int, int]:
+    """``A..B`` as (A, B), within the row budget at ``sites_per_step``
+    rows per step of the window."""
     try:
         lo_s, hi_s = text.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -77,7 +86,14 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise _UsageError(f"window must look like A..B (got {text!r})")
     if lo > hi:
         raise _UsageError(f"empty window {text!r}")
+    _budget((hi - lo) * sites_per_step + 1, f"window {text}")
     return lo, hi
+
+
+def _defined(x: float) -> float | None:
+    """``x``, or None for an undefined (NaN) mean or standard error: JSON
+    prints it as null and CSV as an empty field."""
+    return None if math.isnan(x) else x
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -191,7 +207,7 @@ def _emit(args, rows: Iterable[dict], columns: tuple[str, ...],
 # subcommands
 
 def _cmd_visits(model, args) -> int:
-    lo, hi = _parse_window(args.window)
+    lo, hi = _parse_window(args.window, model.N)
     profile = ve.visit_profile(model, lo, hi)
     rows = [{"site": site, "x": x,
              "absorption_mass": model.s0 * x if site % model.N == 0 else None}
@@ -223,6 +239,7 @@ def _cmd_mean_time(model, args) -> int:
     if args.i is not None:
         rows = [{"i": args.i, "mean_time": ae.mean_time_any(model, args.i)}]
     else:
+        _budget(model.N + 1, f"the period of N={model.N}")
         rows = [{"i": i, "mean_time": t}
                 for i, t in enumerate(ae.mean_time_period(model))]
     return _emit(args, rows, ("i", "mean_time"),
@@ -258,20 +275,21 @@ def _cmd_simulate(model, args) -> int:
     stats = _quiet(oracle.simulate, model, walks=args.walks, seed=args.seed,
                    step_cap=args.step_cap, workers=args.workers,
                    window=window)
+    mean, se = _defined(stats.mean_steps), _defined(stats.mean_steps_se)
     rows = itertools.chain(
-        [{"kind": "mean_steps", "index": "", "value": stats.mean_steps,
-          "se": stats.mean_steps_se}],
+        [{"kind": "mean_steps", "index": "", "value": mean, "se": se}],
         ({"kind": "absorption_frequency", "index": k, "value": f, "se": ""}
          for k, f in stats.absorption_hist.items()),
-        ({"kind": "visit_mean", "index": site, "value": m, "se": s}
+        ({"kind": "visit_mean", "index": site, "value": m, "se": _defined(s)}
          for site, (m, s) in stats.visit_means.items()))
     return _emit(args, rows, ("kind", "index", "value", "se"), {
         "model": model.to_dict(), "quantity": "simulate",
         "walks": stats.walks, "seed": stats.seed, "step_cap": stats.step_cap,
-        "mean_steps": stats.mean_steps, "mean_steps_se": stats.mean_steps_se,
+        "mean_steps": mean, "mean_steps_se": se,
         "absorbed": stats.absorbed, "censored": stats.censored,
         "absorption_hist": {str(k): v for k, v in stats.absorption_hist.items()},
-        "visit_means": {str(j): list(ms) for j, ms in stats.visit_means.items()},
+        "visit_means": {str(j): [m, _defined(s)]
+                        for j, (m, s) in stats.visit_means.items()},
     })
 
 
@@ -295,9 +313,7 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     rows = [_row("total_absorption", "", ve.total_absorption(model), 1.0,
                  1e-10, "abs")]
 
-    split = ae.has_barrier_split(model)
-    tv, deriv = (oracle.truncated_visits_and_derivatives(model) if split
-                 else (oracle.truncated_visits(model), None))
+    tv = oracle.truncated_visits(model)
     rows.append(_row("conservation", "", tv.absorbed_mass + tv.leak, 1.0,
                      1e-10, "abs"))
     profile = ve.visit_profile(model, lo, hi)
@@ -316,7 +332,8 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     for j, residual in ve.occupancy_residuals(profile).items():
         rows.append(_row("occupancy_residual", j, residual, 0.0, 1e-10, "abs"))
 
-    if split:
+    if ae.has_barrier_split(model):
+        deriv = tv.derivatives()
         for k in range(-5, 6):
             rows.append(_row("mean_time_to_barrier", k,
                              ae.mean_time_to_barrier(model, k),
@@ -361,7 +378,10 @@ def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[st
 
 def _cmd_verify(model, args) -> int:
     from . import oracle
-    window = _parse_window(args.window)
+    window = _parse_window(args.window, model.N)
+    if args.walks == 1:
+        raise ValueError("verify needs --walks 0 or at least 2: one walk "
+                         "has no standard error")
     if args.bless and not args.golden:
         raise _UsageError("--bless requires --golden FILE")
     golden = (oracle.read_golden(args.golden, model)

@@ -3,13 +3,15 @@
 Nothing in this module evaluates a closed form.  Three oracles live here:
 
 * the truncated occupancy system (I - P^T) x = e_i0 at z = 1 and its exact
-  z-derivative, two right-hand sides of one subtraction-free (GTH) cyclic
-  reduction in numpy,
+  z-derivative, two right-hand sides of one factored reduction,
 * the exact periodic linear system for mean absorption times, one O(N)
   tridiagonal solve after eliminating the interior onto m_0, and
 * a seeded, counter-based Monte-Carlo walker whose statistics are
   bit-identical for a given (seed, walks, step_cap) regardless of how the
   work is partitioned across workers.
+
+Both linear systems are solved by one subtraction-free (GTH) cyclic
+reduction in numpy, :class:`_Reduction`.
 
 Golden records are written, read and diffed here alone; their values are
 what the tests and golden files freeze.
@@ -23,12 +25,13 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ExcessCensoring, SingularSystem, TruncationInsufficient
-from .walk_model import Branch, WalkModel, barrier_spectrum, validate_model
+from .walk_model import (MAX_SITES, Branch, WalkModel, barrier_spectrum,
+                         validate_model)
 
 __all__ = [
     "TruncatedVisits",
@@ -36,7 +39,6 @@ __all__ = [
     "default_truncation",
     "truncated_visits",
     "truncated_visit_derivatives",
-    "truncated_visits_and_derivatives",
     "periodic_mean_times",
     "simulate",
     "write_golden",
@@ -46,10 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
-# largest truncated lattice (2KN + 1 sites) the truncated solves will build,
-# and widest site window a simulation reports; at s0 = 1e-7 the default
-# truncation would ask for about 1e8 sites
-MAX_SITES = 2_000_000
 
 # Monte-Carlo stream layout constants.  Walk w belongs to batch w // BATCH
 # and reads row w % BATCH of each block: block b of batch j is the
@@ -97,25 +95,50 @@ class TruncatedVisits:
 
     Sites -K*N .. K*N are retained; the two fringe sites are exit sinks so
     that every walk either gets absorbed at a genuine barrier or leaks out.
-    ``values[j]`` approximates x_j with geometric tail error ``tail_bound``;
+    ``tv[j]`` approximates x_j with geometric tail error ``tail_bound``;
     the identity ``absorbed_mass + leak == 1`` holds to solver precision.
+    The record owns the solution ``x`` over the lattice and the factored
+    ``reduction`` that gave it, which :meth:`derivatives` solves again;
+    neither is compared, hashed or shown.
     """
 
     model: WalkModel
     K: int
-    values: dict[int, float]
     tail_bound: float
     absorbed_mass: float
     leak: float
+    x: np.ndarray = field(compare=False, repr=False)
+    reduction: _Reduction = field(compare=False, repr=False)
 
     def __getitem__(self, site: int) -> float:
         """x at ``site``; ``TruncationInsufficient`` from the sinks ±K*N
         outward, where the lattice holds no visit count."""
-        if abs(site) >= self.K * self.model.N:
+        half = self.K * self.model.N
+        if abs(site) >= half:
             raise TruncationInsufficient(
                 f"site {site} is not inside the truncated lattice "
-                f"(K={self.K}, |site| < {self.K * self.model.N})")
-        return self.values[site]
+                f"(K={self.K}, |site| < {half})")
+        return float(self.x[half + site])
+
+    @functools.cached_property
+    def values(self) -> dict[int, float]:
+        """x by site over the whole lattice, sinks included."""
+        return self._by_site(self.x)
+
+    def derivatives(self) -> dict[int, float]:
+        """Exact dX_j/dz at z = 1 on the lattice, by site.
+
+        Differentiating (I - z P^T) x(z) = e_i0 gives
+        (I - P^T) x'(1) = P^T x(1), and P^T x(1) = x(1) - e_i0: a second
+        right-hand side for the held reduction, no differencing.
+        """
+        rhs = self.x.copy()
+        rhs[self.K * self.model.N + self.model.i0] -= 1.0
+        return self._by_site(self.reduction.solve(rhs))
+
+    def _by_site(self, v: np.ndarray) -> dict[int, float]:
+        half = self.K * self.model.N
+        return dict(zip(range(-half, half + 1), v.tolist()))
 
 
 def _truncation(model: WalkModel, K: int | None) -> tuple[int, float]:
@@ -166,9 +189,10 @@ def _banded_system(model: WalkModel,
 
 
 class _Reduction:
-    """Odd-even cyclic reduction of a tridiagonal M-matrix in the banded
-    storage of :func:`_banded_system`, whose column sums are ``deficit``,
-    factored once; :meth:`solve` applies it to one right-hand side at a time.
+    """Odd-even cyclic reduction of a tridiagonal M-matrix in LAPACK's
+    banded storage (see :func:`_banded_system`), whose column sums are
+    ``deficit``, factored once; :meth:`solve` applies it to one right-hand
+    side at a time.
 
     Identity rows pad the matrix to 2**L - 1 rows, so that every level has
     an odd number of rows; a level eliminates its even rows onto the odd
@@ -225,44 +249,6 @@ class _Reduction:
         return x
 
 
-def _solve_lattice(model: WalkModel, K: int | None, derivative: bool = False):
-    """K, its tail bound, x and, if ``derivative``, x' over sites
-    -K*N .. K*N, from one band and one reduction.
-
-    Differentiating (I - z P^T) x(z) = e_i0 gives
-    (I - P^T) x'(1) = P^T x(1), and P^T x(1) = x(1) - e_i0: a second
-    right-hand side for the same reduction, no differencing.
-    """
-    K, tail = _truncation(model, K)
-    ab, deficit, half = _banded_system(model, K)
-    lattice = _Reduction(ab, deficit)
-    rhs = np.zeros(2 * half + 1)
-    rhs[half + model.i0] = 1.0
-    x = lattice.solve(rhs)
-    if not derivative:
-        return K, tail, x, None
-    ptx = x.copy()
-    ptx[half + model.i0] -= 1.0
-    return K, tail, x, lattice.solve(ptx)
-
-
-def _visits_record(model: WalkModel, K: int, tail: float,
-                   x: np.ndarray) -> TruncatedVisits:
-    half = K * model.N
-    sites = np.arange(-half, half + 1)
-    barrier_mask = (sites % model.N == 0) & (np.abs(sites) < half)
-    absorbed = model.s0 * float(x[barrier_mask].sum())
-    leak = float(x[0] + x[-1])
-    values = dict(zip(sites.tolist(), x.tolist()))
-    return TruncatedVisits(model=model, K=K, values=values,
-                           tail_bound=tail, absorbed_mass=absorbed, leak=leak)
-
-
-def _site_dict(x: np.ndarray) -> dict[int, float]:
-    half = x.size // 2
-    return dict(zip(range(-half, half + 1), x.tolist()))
-
-
 def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
     """Solve the truncated occupancy system (I - P^T) x = e_i0.
 
@@ -272,24 +258,24 @@ def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
     Raises ``TruncationInsufficient`` if an explicit K cannot meet that
     bound, or if the lattice would hold more than ``MAX_SITES`` sites.
     """
-    return _visits_record(model, *_solve_lattice(model, K)[:3])
+    K, tail = _truncation(model, K)
+    ab, deficit, half = _banded_system(model, K)
+    reduction = _Reduction(ab, deficit)
+    rhs = np.zeros(2 * half + 1)
+    rhs[half + model.i0] = 1.0
+    x = reduction.solve(rhs)
+    # the barriers strictly inside the sinks are every N-th site from N
+    absorbed = model.s0 * float(x[model.N:-1:model.N].sum())
+    return TruncatedVisits(model=model, K=K, tail_bound=tail,
+                           absorbed_mass=absorbed, leak=float(x[0] + x[-1]),
+                           x=x, reduction=reduction)
 
 
 def truncated_visit_derivatives(model: WalkModel,
                                 K: int | None = None) -> dict[int, float]:
-    """Exact dX_j/dz at z = 1 on the truncated lattice, by site: the
-    solution of (I - P^T) x'(1) = x(1) - e_i0 (see :func:`_solve_lattice`).
-    """
-    return _site_dict(_solve_lattice(model, K, derivative=True)[3])
-
-
-def truncated_visits_and_derivatives(
-        model: WalkModel, K: int | None = None,
-) -> tuple[TruncatedVisits, dict[int, float]]:
-    """:func:`truncated_visits` and :func:`truncated_visit_derivatives`
-    from one band and one reduction."""
-    K, tail, x, xprime = _solve_lattice(model, K, derivative=True)
-    return _visits_record(model, K, tail, x), _site_dict(xprime)
+    """Exact dX_j/dz at z = 1 on the truncated lattice, by site
+    (:meth:`TruncatedVisits.derivatives`)."""
+    return truncated_visits(model, K).derivatives()
 
 
 # ---------------------------------------------------------------------------
@@ -302,55 +288,25 @@ def periodic_mean_times(model: WalkModel) -> np.ndarray:
     for interior i and ``(1 - r0) m_0 = p0 m_1 + q0 m_{N-1} + 1 - s0`` with
     ``m_N = m_0``; the absorbing transition itself is not counted as a step.
     With ``m_i = m_0 + T_i`` the interior rows are one O(N) tridiagonal
-    solve, ``(p + q) T_i - p T_{i+1} - q T_{i-1} = 1`` with T_0 = T_N = 0,
-    and the barrier row gives ``m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0``:
-    the 1/s0 conditioning costs one division of a sum of positive terms.
-    Returns an array of length N + 1 with ``m[N] == m[0]``.
+    system, ``(p + q) T_i - p T_{i+1} - q T_{i-1} = 1`` with T_0 = T_N = 0,
+    solved by the lattice's reduction.  Its column deficits are exact from
+    the model: p on the first column, q on the last, 0 between and p + q
+    when N = 2, so no pivot is a difference.  The barrier row gives
+    ``m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0``: the 1/s0 conditioning
+    costs one division of a sum of positive terms.  Returns an array of
+    length N + 1 with ``m[N] == m[0]``.
     """
     m = model
-    T = [0.0, *_interior_times(m), 0.0]
-    m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
-    return m0 + np.array(T)
-
-
-def _interior_times(m: WalkModel) -> list[float]:
-    """T_1..T_{N-1} of :func:`periodic_mean_times`, by :func:`_gtsv`, whose
-    steps are LAPACK's: the values equal LAPACK's banded solve bit for bit."""
     n = m.N - 1
-    return _gtsv([-m.q] * n, [m.p + m.q] * n, [-m.p] * n, [1.0] * n)
-
-
-def _gtsv(sub: list, diag: list, sup: list, rhs: list) -> list[float]:
-    """x with M x = ``rhs`` for the tridiagonal M with ``sub[i] = M[i+1, i]``,
-    ``diag[i] = M[i, i]`` and ``sup[i] = M[i, i+1]``, in plain Python.
-
-    The steps are those of LAPACK's tridiagonal solver (dgtsv), row
-    interchanges included (they occur where a pivot falls below the entry
-    under it, as rounding can make it for p < q in the interior solve).
-    ``diag`` and ``sup`` are overwritten; ``sup`` has n entries, the last
-    unread.  Two trailing zeros of ``x`` stand in for the solution beyond
-    the last row.
-    """
-    n = len(diag)
-    up2 = [0.0] * n             # second superdiagonal, filled by interchanges
-    x = rhs + [0.0, 0.0]
-    for i in range(n - 1):
-        d, s = diag[i], sub[i]
-        if abs(d) >= abs(s):
-            fact = s / d
-            diag[i + 1] -= fact * sup[i]
-            x[i + 1] -= fact * x[i]
-        else:                   # interchange rows i and i + 1
-            fact = d / s
-            diag[i], below = s, diag[i + 1]
-            diag[i + 1] = sup[i] - fact * below
-            up2[i] = sup[i + 1]
-            sup[i + 1] = -fact * up2[i]
-            sup[i] = below
-            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - sup[i] * x[i + 1] - up2[i] * x[i + 2]) / diag[i]
-    return x[:n]
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = -m.p, m.p + m.q, -m.q
+    deficit = np.zeros(n)
+    deficit[0] += m.p
+    deficit[-1] += m.q
+    T = np.zeros(m.N + 1)
+    T[1:-1] = _Reduction(ab, deficit).solve(np.ones(n))
+    m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
+    return m0 + T
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +700,7 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
                         "oracle": oracle, "params": params})
 
     split = model.branch is Branch.DRIFT and model.i0 == 0
-    tv, deriv = (truncated_visits_and_derivatives(model) if split
-                 else (truncated_visits(model), None))
+    tv = truncated_visits(model)
     for j in range(-window * model.N, window * model.N + 1):
         record("site_visits", j, tv[j], 10 * tv.tail_bound,
                "truncated_solver", {"K": tv.K})
@@ -756,6 +711,7 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
                "periodic_solve", {})
 
     if split:
+        deriv = tv.derivatives()
         for k in range(-5, 6):
             record("mean_time_to_barrier", k, model.s0 * deriv[k * model.N],
                    1e-9, "truncated_derivative", {"K": tv.K})

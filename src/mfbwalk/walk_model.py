@@ -35,6 +35,11 @@ BALANCE_EPS = 1e-9
 # is folded into the hold probability, outside it the input is rejected
 SUM_TOL = 1e-12
 
+# the most sites any one request may hold: a truncated lattice (2KN + 1
+# sites), a simulation's window or the rows of a CLI report; at s0 = 1e-7
+# the default truncation would ask for about 1e8 sites
+MAX_SITES = 2_000_000
+
 _FIELD_ORDER = ("p", "q", "r", "p0", "q0", "r0", "s0", "N", "i0")
 
 

@@ -35,6 +35,16 @@ DEFECT_MODELS = [
     " --q0 .0010126714182545685 --s0 .49409249115434833 --N 2000 --i0 119",
     "--p .148 --q .148 --p0 .377 --q0 .386 --s0 4.33e-6 --N 1000 --i0 250",
 ]
+# reports above the MAX_SITES row budget: a visits or verify window holds
+# (B - A) N + 1 rows, an absorb-dist or barrier-time window B - A + 1 and
+# the full mean-time period N + 1
+OVERSIZED = [
+    ["visits", *DRIFT_ARGS, "--window=-600000..600000"],
+    ["verify", *DRIFT_ARGS, "--window=-600000..600000"],
+    ["absorb-dist", *DRIFT_ARGS, "--window=-1000000..1000000"],
+    ["barrier-time", *DRIFT_ARGS, "--window=-1000000..1000000"],
+    ["mean-time", *DRIFT_ARGS[:-4], "--N", "100000000", "--i0", "0"],
+]
 
 
 @pytest.fixture
@@ -55,6 +65,10 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestVisits:
@@ -192,6 +206,29 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "step_cap must be >= 0" in err
 
+    @pytest.mark.parametrize("argv", [["--walks", "1"],
+                                      ["--walks", "3", "--step-cap", "0"]])
+    def test_undefined_statistics_print_null(self, drift_file, argv, capsys):
+        # one walk has no standard error, and no absorbed walk no step mean
+        code, out, _ = run(["simulate", "--model", drift_file, *argv], capsys)
+        assert code == 0
+        report = json.loads(out, parse_constant=_reject_constant)
+        if report["walks"] == 1:
+            assert report["mean_steps_se"] is None
+            assert all(se is None for _, se in report["visit_means"].values())
+        else:
+            assert report["mean_steps"] is None
+            assert report["mean_steps_se"] is None
+
+    def test_undefined_statistics_print_empty_csv_fields(self, drift_file, capsys):
+        code, out, _ = run(["simulate", "--model", drift_file, "--walks", "3",
+                            "--step-cap", "0", "--output", "csv"], capsys)
+        assert code == 0
+        assert "nan" not in out.lower()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        steps = next(r for r in rows if r["kind"] == "mean_steps")
+        assert (steps["value"], steps["se"]) == ("", "")
+
     def test_window_beyond_max_sites_exits_2_at_once(self, drift_file, capsys):
         t0 = time.perf_counter()
         code, out, err = run(["simulate", "--model", drift_file, "--walks", "10",
@@ -219,6 +256,15 @@ class TestExitCodes:
     def test_truncation_flag_is_gone(self, sym_file, capsys):
         assert run(["verify", "--model", sym_file, "--K", "40"],
                    capsys)[0] == 64
+
+    @pytest.mark.parametrize("argv", OVERSIZED, ids=lambda argv: argv[0])
+    def test_oversized_report_exits_2_before_any_row(self, argv, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert f"more than {oracle.MAX_SITES}" in err
 
     def test_missing_file_is_66(self, capsys):
         assert run(["visits", "--model", "/nonexistent/x.json"],
@@ -275,6 +321,13 @@ class TestVerify:
         report = json.loads(out)
         assert report["ok"]
         assert report["formula_discrepancies"] == []
+
+    def test_single_walk_exits_2(self, sym_file, capsys):
+        # one walk has no standard error to set the Monte-Carlo tolerance
+        code, out, err = run(["verify", "--model", sym_file, "--walks", "1"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert "--walks" in err
 
     def test_verify_with_monte_carlo(self, sym_file, capsys):
         code, out, _ = run(["verify", "--model", sym_file,

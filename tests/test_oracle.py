@@ -25,7 +25,6 @@ from mfbwalk.oracle import (
     _BRIDGE,
     MAX_SITES,
     _Reduction,
-    truncated_visits_and_derivatives,
 )
 from conftest import CFG_DRIFT, CFG_SYM, mirror, random_model
 
@@ -223,6 +222,23 @@ class TestTruncatedVisits:
         with pytest.raises(ValueError):
             truncated_visits(cfg_sym, K=2)
 
+    def test_item_reads_the_solution(self, cfg_drift):
+        # tv[j] is the lattice entry of site j, which values holds too; the
+        # sinks and the sites beyond hold no visit count
+        tv = truncated_visits(cfg_drift)
+        half = tv.K * cfg_drift.N
+        for j in range(-half + 1, half):
+            assert tv[j] == tv.values[j]
+        for j in (-half - 1, -half, half, half + 1):
+            with pytest.raises(TruncationInsufficient):
+                tv[j]
+
+    def test_record_compares_its_scalars(self, cfg_drift):
+        # the solution and its reduction are not compared, hashed or shown
+        tv, again = truncated_visits(cfg_drift), truncated_visits(cfg_drift)
+        assert tv == again and hash(tv) == hash(again)
+        assert "reduction" not in repr(tv) and "x=" not in repr(tv)
+
     def test_start_site_row_counts_time_zero(self, cfg_sym):
         tv = truncated_visits(cfg_sym)
         assert tv.values[cfg_sym.i0] >= 1.0
@@ -333,17 +349,20 @@ class TestReduction:
     @pytest.mark.parametrize("N", [2, 10])
     def test_derivative_reuses_the_reduction(self, N):
         # x' from the reduction that gave x equals a fresh reduction's solve
-        # of x - e_i0, and the pair equals the two single oracles
+        # of x - e_i0, and x and x' equal those of fresh oracle calls
         from mfbwalk.oracle import _banded_system
         m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2, N=N, i0=0)
-        tv, deriv = truncated_visits_and_derivatives(m)
+        tv = truncated_visits(m)
+        deriv = tv.derivatives()
         ab, deficit, half = _banded_system(m, tv.K)
         rhs = np.array([tv.values[j] for j in range(-half, half + 1)])
         rhs[half + m.i0] -= 1.0
         fresh = _Reduction(ab, deficit).solve(rhs)
         assert [deriv[j] for j in range(-half, half + 1)] == fresh.tolist()
         assert deriv == truncated_visit_derivatives(m)
-        assert tv == truncated_visits(m)
+        again = truncated_visits(m)
+        assert tv == again
+        assert tv.values == again.values
 
 
 class TestMeanTimes:
@@ -389,10 +408,10 @@ class TestMeanTimes:
                 assert solved[i] == pytest.approx(mean_time_any(m, i), rel=rel)
 
     @pytest.mark.parametrize("N", [2, 3, 100, 1000])
-    def test_periodic_solve_equals_banded_solve(self, N):
-        # the plain-Python elimination takes LAPACK's steps, row
-        # interchanges included (p < q), so it matches solve_banded exactly
-        from scipy.linalg import solve_banded
+    def test_periodic_solve_entrywise_accurate(self, N):
+        # every m_i within 1e-14 relative of the same elimination onto m_0
+        # at 50 digits, near balance (every fourth draw) and at s0 down to
+        # 1e-7; LAPACK's pivoted elimination was off by 1.8e-11 at N = 1000
         rng = np.random.default_rng(N)
         for trial in range(100):
             p, q = rng.uniform(0.01, 0.49, size=2)
@@ -400,12 +419,19 @@ class TestMeanTimes:
                 q = p * (1.0 + 1e-9)
             m = make_model(p=p, q=q, p0=0.3, q0=0.3,
                            s0=float(10.0 ** rng.uniform(-7, -1)), N=N, i0=0)
-            band = np.array([[-m.p] * (N - 1), [m.p + m.q] * (N - 1),
-                             [-m.q] * (N - 1)])
-            T = np.zeros(N + 1)
-            T[1:-1] = solve_banded((1, 1), band, np.ones(N - 1))
-            m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
-            assert periodic_mean_times(m).tolist() == (m0 + T).tolist()
+            ab = np.zeros((3, N - 1))
+            ab[0, 1:], ab[2, :-1] = -m.p, -m.q
+            with mpmath.workdps(50):
+                # exact column sums, so that each diagonal is exactly p + q
+                deficit = [mpmath.mpf(0)] * (N - 1)
+                deficit[0] += m.p
+                deficit[-1] += m.q
+                T = [0, *_thomas_mp(ab, deficit, np.ones(N - 1)), 0]
+                m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1 - mpmath.mpf(m.s0)) / m.s0
+                # rounded to doubles (1.1e-16 relative) to compare in numpy
+                want = np.array([float(m0 + t) for t in T])
+            got = periodic_mean_times(m)
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 class TestSimulate:
