@@ -29,12 +29,19 @@ The per-barrier split has no closed form for a driftless walk, and near
 balance the drift form cancels; :func:`has_barrier_split` says where it
 serves.  ``s0 * mfbwalk.oracle.truncated_visit_derivatives(m)[k * N]``
 gives it everywhere.
+
+The per-model constants of both (m_0 and the ruin denominators; the
+k-independent factors of the split) are derived once per model and held in
+512-entry caches, like :func:`mfbwalk.walk_model.barrier_spectrum`, so that
+each call does only its per-site or per-barrier arithmetic.  A refusal is
+cached as None and raised afresh on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BalancedUnsupported, StartNotBarrier
 from .walk_model import BarrierSpectrum, Branch, WalkModel, barrier_spectrum
@@ -84,43 +91,53 @@ def _horner(coeffs, t: float) -> float:
     return acc
 
 
-def _ruin_shape(u: float, y: float) -> float:
+def _ruin_shape(u: float, y: float, denom: float | None) -> float:
     """F(u, y) = (u - expm1(u y) / expm1(y)) / y, including its y -> 0 limit.
 
     F(u, y) = F(1 - u, -y), so u is reflected into [0, 1/2], where the
     direct form loses at most a factor 4/|y| to cancellation.  For y > 0
-    the ratio is rescaled by exp(-y) so that nothing overflows.
+    the ratio is rescaled by exp(-y) so that nothing overflows, which makes
+    the denominator ``denom = expm1(-|y|)`` on both signs; it is None where
+    the series serves.
     """
     if u > 0.5:
         u, y = 1.0 - u, -y
-    if abs(y) < _RUIN_SERIES_CUT:
+    if denom is None:
         return _horner([_horner(c, u) for c in _RUIN_SERIES], y)
     if y > 0.0:
-        ratio = math.exp((u - 1.0) * y) * math.expm1(-u * y) / math.expm1(-y)
+        ratio = math.exp((u - 1.0) * y) * math.expm1(-u * y) / denom
     else:
-        ratio = math.expm1(u * y) / math.expm1(y)
+        ratio = math.expm1(u * y) / denom
     return (u - ratio) / y
 
 
-def _time_to_next_barrier(model: WalkModel, i: int) -> float:
+def _time_to_next_barrier(ruin: tuple, i: int) -> float:
     """Expected steps from site 0 <= i <= N until a barrier is reached.
 
     This is the gambler's-ruin expected duration (Feller, Vol. 1, Ch. XIV)
     with holding, T_i = N^2 F(i/N, N x) x / (p expm1(x)) with
     x = log(q / p); p expm1(x) = q - p, and x / expm1(x) is 1 at x = 0.
+    ``ruin`` holds the model's (N, N^2, N x, expm1(-N |x|) or None,
+    x / expm1(x), p).
     """
+    n, n2, y, denom, scale, p = ruin
+    return n2 * _ruin_shape(i / n, y, denom) * scale / p
+
+
+@lru_cache(maxsize=512)
+def _mean_time_constants(model: WalkModel) -> tuple[float, tuple]:
+    """(m_0, ruin constants of :func:`_time_to_next_barrier`), derived once
+    per model; m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0 is the mean time
+    from a barrier."""
     m = model
     x = math.log(m.q / m.p)
-    scale = 1.0 if x == 0.0 else x / math.expm1(x)
-    return m.N ** 2 * _ruin_shape(i / m.N, m.N * x) * scale / m.p
-
-
-def _m0(model: WalkModel) -> float:
-    """m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0, the mean time from a
-    barrier."""
-    m = model
-    return (m.p0 * _time_to_next_barrier(m, 1)
-            + m.q0 * _time_to_next_barrier(m, m.N - 1) + 1.0 - m.s0) / m.s0
+    y = m.N * x
+    ruin = (m.N, m.N ** 2, y,
+            None if abs(y) < _RUIN_SERIES_CUT else math.expm1(-abs(y)),
+            1.0 if x == 0.0 else x / math.expm1(x), m.p)
+    m0 = (m.p0 * _time_to_next_barrier(ruin, 1)
+          + m.q0 * _time_to_next_barrier(ruin, m.N - 1) + 1.0 - m.s0) / m.s0
+    return m0, ruin
 
 
 def mean_time_any(model: WalkModel, i: int) -> float:
@@ -135,25 +152,21 @@ def mean_time_any(model: WalkModel, i: int) -> float:
     and eliminates its interior onto m_0, so at s0 = 1e-7 the two agree
     within 1e-12 relative at N = 1000 and 2e-15 at N = 10.
     """
-    return _m0(model) + _time_to_next_barrier(model, i % model.N)
+    m0, ruin = _mean_time_constants(model)
+    return m0 + _time_to_next_barrier(ruin, i % model.N)
 
 
 def mean_time_period(model: WalkModel) -> tuple[float, ...]:
     """m_i for i = 0..N (m_0 at both ends), equal to :func:`mean_time_any`
-    at each i, with m_0 derived once."""
-    m0 = _m0(model)
-    return tuple(m0 + _time_to_next_barrier(model, i % model.N)
-                 for i in range(model.N + 1))
+    at each i."""
+    m0, ruin = _mean_time_constants(model)
+    n = model.N
+    return tuple(m0 + _time_to_next_barrier(ruin, i % n) for i in range(n + 1))
 
 
-def _split_refusal(model: WalkModel) -> ValueError | None:
-    """The error that refuses the per-barrier closed form, or None.
-
-    Near balance the chain rule below cancels: against the exact derivative
-    its error stays below 1e-6 at y = N |log(q/p)| = 1e-2 for N up to 1000
-    and grows about as y^-3 below that, so it serves only above the cut of
-    the ruin series, which bounds the same variable.
-    """
+def _split_refusal(model: WalkModel) -> ValueError:
+    """The error that refuses the per-barrier closed form where
+    :func:`has_barrier_split` is false."""
     y = model.N * abs(math.log(model.q / model.p))
     if model.branch is Branch.BALANCED or (model.i0 == 0 and y < _RUIN_SERIES_CUT):
         return BalancedUnsupported(
@@ -161,16 +174,22 @@ def _split_refusal(model: WalkModel) -> ValueError | None:
             f"walk and lose their precision near balance (N |log(q/p)| = "
             f"{y:.3g} < {_RUIN_SERIES_CUT:g}); use s0 * "
             f"oracle.truncated_visit_derivatives(model)[k * N] instead")
-    if model.i0 != 0:
-        return StartNotBarrier(
-            f"per-barrier mean times are derived for a barrier start "
-            f"(i0 = 0); model has i0 = {model.i0}")
-    return None
+    return StartNotBarrier(
+        f"per-barrier mean times are derived for a barrier start "
+        f"(i0 = 0); model has i0 = {model.i0}")
 
 
 def has_barrier_split(model: WalkModel) -> bool:
-    """Whether :func:`mean_time_to_barrier` serves this model."""
-    return _split_refusal(model) is None
+    """Whether :func:`mean_time_to_barrier` serves this model.
+
+    It needs a barrier start and drift.  Near balance the chain rule below
+    cancels: against the exact derivative its error stays below 1e-6 at
+    y = N |log(q/p)| = 1e-2 for N up to 1000 and grows about as y^-3 below
+    that, so it serves only above the cut of the ruin series, which bounds
+    the same variable.
+    """
+    return (model.i0 == 0 and model.branch is not Branch.BALANCED
+            and model.N * abs(math.log(model.q / model.p)) >= _RUIN_SERIES_CUT)
 
 
 def _domega0(spectrum: BarrierSpectrum, zeta: float, display: bool) -> float:
@@ -193,9 +212,10 @@ def _domega0(spectrum: BarrierSpectrum, zeta: float, display: bool) -> float:
             - (n - 1) * zeta * coup * (1.0 + rho ** (n - 1)))
 
 
-def _time_to_barrier(model: WalkModel, k: int, display: bool) -> float:
-    """s0 * d/dz [Omega(z) (l1^N - l2^N) xi^k] at z = 1 on the frame, where
-    l1 = 1, l2 = rho and m_0k = m'_{0,-k} if it is mirrored, with
+def _split_terms(model: WalkModel, display: bool) -> tuple | None:
+    """The k-independent factors of s0 * d/dz [Omega(z) (l1^N - l2^N) xi^k]
+    at z = 1 on the frame, where l1 = 1, l2 = rho and m_0k = m'_{0,-k} if it
+    is mirrored, with
 
         dl_i/dz   = (-1)^i zeta l_i,           zeta = 1 / (q - p)
         dOmega/dz = -Omega^3 [omega0 domega0 + 4 p0 q0 rho^N alpha / (p q)]
@@ -203,13 +223,15 @@ def _time_to_barrier(model: WalkModel, k: int, display: bool) -> float:
 
     where alpha = r (1 - r) + 4 p q, omega0 = omega0(1) of :func:`_domega0`
     and Omega = [omega0^2 - 4 p0 q0 (1 - rho)^2 rho^(N-1)]^(-1/2).
+
+    Returns (mirrored, s0, xi1, xi2, dOmega gap + Omega dgap, Omega gap,
+    xi_factor) for :func:`_time_to_barrier`, or None where
+    :func:`has_barrier_split` is false.
     """
-    refusal = _split_refusal(model)
-    if refusal is not None:
-        raise refusal
+    if not has_barrier_split(model):
+        return None
     m = model
     spectrum = barrier_spectrum(m)
-    k = spectrum.frame_site(k * m.N) // m.N
     n, rho, p0, q0 = m.N, spectrum.rho, spectrum.p0, spectrum.q0
     zeta = 1.0 / (spectrum.q - spectrum.p)
     omega0 = ((rho ** n - 1.0) * (1.0 - m.r0)
@@ -222,10 +244,26 @@ def _time_to_barrier(model: WalkModel, k: int, display: bool) -> float:
     ratio = 4.0 * p0 * q0 / (m.p * m.q) * rho ** n
     domega_big = -omega_big ** 3 * (omega0 * domega0 + ratio * spectrum.alpha)
     xi_factor = omega_big * (spectrum.alpha * omega0 * zeta ** 2 + domega0)
-    xi = spectrum.xi1 if k <= 0 else spectrum.xi2
-    return m.s0 * xi ** k * (domega_big * gap
-                             + omega_big * dgap
-                             + omega_big * gap * abs(k) * xi_factor)
+    return (spectrum.mirrored, m.s0, spectrum.xi1, spectrum.xi2,
+            domega_big * gap + omega_big * dgap, omega_big * gap, xi_factor)
+
+
+@lru_cache(maxsize=512)
+def _split_constants(model: WalkModel) -> tuple | None:
+    """:func:`_split_terms` of the chain rule, derived once per model."""
+    return _split_terms(model, display=False)
+
+
+def _time_to_barrier(model: WalkModel, terms: tuple | None, k: int) -> float:
+    """m_0k from the model's :func:`_split_terms`, or its refusal if None."""
+    if terms is None:
+        raise _split_refusal(model)
+    mirrored, s0, xi1, xi2, base, omega_gap, xi_factor = terms
+    # the split serves i0 = 0 only, where the reflection maps kN to -kN
+    if mirrored:
+        k = -k
+    xi = xi1 if k <= 0 else xi2
+    return s0 * xi ** k * (base + omega_gap * abs(k) * xi_factor)
 
 
 def mean_time_to_barrier(model: WalkModel, k: int) -> float:
@@ -234,25 +272,29 @@ def mean_time_to_barrier(model: WalkModel, k: int) -> float:
     Requires :func:`has_barrier_split`: raises :class:`BalancedUnsupported`
     at or near balance and :class:`StartNotBarrier` for i0 != 0.
     """
-    return _time_to_barrier(model, k, display=False)
+    return _time_to_barrier(model, _split_constants(model), k)
 
 
 def display_time_to_barrier(model: WalkModel, k: int) -> float:
     """The same per-barrier time built on the compact display form of
     d omega0/dz (diagnostic path; it deviates from the chain rule)."""
-    return _time_to_barrier(model, k, display=True)
+    return _time_to_barrier(model, _split_terms(model, display=True), k)
 
 
 def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> AbsorptionTimes:
     """Period of mean times plus the per-barrier split over a window.
 
     The split is included only where :func:`has_barrier_split` holds;
-    otherwise ``per_barrier`` is empty.
+    otherwise ``per_barrier`` is empty.  An empty window (k_min > k_max)
+    raises ValueError.
     """
+    if k_min > k_max:
+        raise ValueError(f"empty barrier window ({k_min}, {k_max})")
     period = mean_time_period(model)
+    terms = _split_constants(model)
     per_barrier: dict[int, float] = {}
-    if has_barrier_split(model):
-        per_barrier = {k: mean_time_to_barrier(model, k)
+    if terms is not None:
+        per_barrier = {k: _time_to_barrier(model, terms, k)
                        for k in range(k_min, k_max + 1)}
     return AbsorptionTimes(model=model, period_values=period,
                            per_barrier=per_barrier)

@@ -82,9 +82,11 @@ class WalkModel:
         return json.dumps(self.to_dict())
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Raise :class:`RejectedParameter` unless ``cond``; ``message`` is a
+    ``str.format`` template, filled from ``args`` only on failure."""
     if not cond:
-        raise RejectedParameter(message)
+        raise RejectedParameter(message.format(*args))
 
 
 def validate_model(raw: Mapping) -> WalkModel:
@@ -100,9 +102,9 @@ def validate_model(raw: Mapping) -> WalkModel:
     Near-balanced inputs are not an error: they are tagged BALANCED.
     """
     unknown = set(raw) - set(_FIELD_ORDER)
-    _require(not unknown, f"unknown parameter(s): {sorted(unknown)}")
+    _require(not unknown, "unknown parameter(s): {}", sorted(unknown))
     missing = {k for k in _FIELD_ORDER if k not in raw and k not in ("r", "r0")}
-    _require(not missing, f"missing parameter(s): {sorted(missing)}")
+    _require(not missing, "missing parameter(s): {}", sorted(missing))
 
     try:
         p, q = float(raw["p"]), float(raw["q"])
@@ -110,35 +112,35 @@ def validate_model(raw: Mapping) -> WalkModel:
         N, i0 = int(raw["N"]), int(raw["i0"])
     except (TypeError, ValueError) as exc:
         raise RejectedParameter(f"non-numeric parameter: {exc}") from exc
-    _require(float(raw.get("N", N)) == N, f"N must be an integer (got {raw['N']})")
-    _require(float(raw.get("i0", i0)) == i0, f"i0 must be an integer (got {raw['i0']})")
+    _require(float(raw.get("N", N)) == N, "N must be an integer (got {})", raw["N"])
+    _require(float(raw.get("i0", i0)) == i0, "i0 must be an integer (got {})", raw["i0"])
 
-    _require(p > 0.0, f"p must be > 0 (got {p})")
-    _require(q > 0.0, f"q must be > 0 (got {q})")
-    _require(p + q <= 1.0 + SUM_TOL, f"p + q must be <= 1 (got {p + q})")
+    _require(p > 0.0, "p must be > 0 (got {})", p)
+    _require(q > 0.0, "q must be > 0 (got {})", q)
+    _require(p + q <= 1.0 + SUM_TOL, "p + q must be <= 1 (got {})", p + q)
     if "r" in raw and raw["r"] is not None:
         r = float(raw["r"])
         _require(abs(p + q + r - 1.0) <= SUM_TOL,
-                 f"p + q + r must equal 1 (got {p + q + r})")
+                 "p + q + r must equal 1 (got {})", p + q + r)
     r = 1.0 - p - q
     if r < 0.0:  # only possible within SUM_TOL
         r = 0.0
 
-    _require(p0 > 0.0, f"p0 must be > 0 (got {p0})")
-    _require(q0 > 0.0, f"q0 must be > 0 (got {q0})")
-    _require(s0 > 0.0, f"s0 must be > 0 (got {s0})")
+    _require(p0 > 0.0, "p0 must be > 0 (got {})", p0)
+    _require(q0 > 0.0, "q0 must be > 0 (got {})", q0)
+    _require(s0 > 0.0, "s0 must be > 0 (got {})", s0)
     _require(p0 + q0 + s0 <= 1.0 + SUM_TOL,
-             f"p0 + q0 + s0 must be <= 1 (got {p0 + q0 + s0})")
+             "p0 + q0 + s0 must be <= 1 (got {})", p0 + q0 + s0)
     if "r0" in raw and raw["r0"] is not None:
         r0 = float(raw["r0"])
         _require(abs(p0 + q0 + r0 + s0 - 1.0) <= SUM_TOL,
-                 f"p0 + q0 + r0 + s0 must equal 1 (got {p0 + q0 + r0 + s0})")
+                 "p0 + q0 + r0 + s0 must equal 1 (got {})", p0 + q0 + r0 + s0)
     r0 = 1.0 - p0 - q0 - s0
     if r0 < 0.0:
         r0 = 0.0
 
-    _require(N >= 2, f"N must be an integer >= 2 (got {N})")
-    _require(0 <= i0 < N, f"i0 must satisfy 0 <= i0 < N (got {i0})")
+    _require(N >= 2, "N must be an integer >= 2 (got {})", N)
+    _require(0 <= i0 < N, "i0 must satisfy 0 <= i0 < N (got {})", i0)
 
     return WalkModel(p=p, q=q, r=r, p0=p0, q0=q0, r0=r0, s0=s0, N=N, i0=i0)
 
@@ -159,7 +161,7 @@ def load_model(path) -> WalkModel:
 
 def reanchored(model: WalkModel, i0: int) -> WalkModel:
     """Same walk with a different start site; only the start is checked."""
-    _require(0 <= i0 < model.N, f"i0 must satisfy 0 <= i0 < N (got {i0})")
+    _require(0 <= i0 < model.N, "i0 must satisfy 0 <= i0 < N (got {})", i0)
     return replace(model, i0=int(i0))
 
 

@@ -1,4 +1,5 @@
 import math
+import traceback
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from mfbwalk import (
     BalancedUnsupported,
     Branch,
     StartNotBarrier,
+    absorption_engine,
     absorption_times,
     barrier_spectrum,
     default_truncation,
@@ -21,7 +23,7 @@ from mfbwalk import (
     periodic_mean_times,
     truncated_visit_derivatives,
 )
-from conftest import mirror, query_models, random_model
+from conftest import CFG_SYM, mirror, query_models, random_model
 
 # frozen oracle values: exact derivative of the truncated system, K = 60
 DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
@@ -248,3 +250,59 @@ class TestAbsorptionTimes:
         want = tuple(mean_time_any(m, i) for i in range(m.N + 1))
         assert absorption_times(m).period_values == want
         assert mean_time_period(m) == want
+
+    def test_empty_window_rejected(self, cfg_drift):
+        with pytest.raises(ValueError, match="empty barrier window"):
+            absorption_times(cfg_drift, 3, -3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(query_models())
+    def test_split_equals_mean_time_to_barrier(self, m):
+        per_barrier = absorption_times(m, -4, 4).per_barrier
+        if has_barrier_split(m):
+            assert per_barrier == {k: mean_time_to_barrier(m, k)
+                                   for k in range(-4, 5)}
+        else:
+            assert per_barrier == {}
+
+
+class TestCachedConstants:
+    @staticmethod
+    def _values(m):
+        values = [mean_time_period(m), [mean_time_any(m, i) for i in (-1, 0, 1, 7)],
+                  absorption_times(m, -4, 4)]
+        if has_barrier_split(m):
+            values += [[f(m, k) for k in range(-4, 5)]
+                       for f in (mean_time_to_barrier, display_time_to_barrier)]
+        return values
+
+    def test_values_survive_a_cache_clear(self, cfg_drift):
+        rng = np.random.default_rng(41)
+        models = [cfg_drift, mirror(cfg_drift), make_model(**NEAR_BALANCE)]
+        models += [random_model(rng, branch, N=int(rng.integers(2, 300)), i0=0)
+                   for branch in ("DRIFT", "BALANCED") for _ in range(10)]
+        first = [self._values(m) for m in models]
+        assert [self._values(m) for m in models] == first
+        absorption_engine._mean_time_constants.cache_clear()
+        absorption_engine._split_constants.cache_clear()
+        assert [self._values(m) for m in models] == first
+
+    @pytest.mark.parametrize("raw,wanted", [
+        (CFG_SYM, BalancedUnsupported),
+        (dict(p=0.4, q=0.2, p0=0.2, q0=0.2, s0=0.2, N=3, i0=1), StartNotBarrier),
+    ])
+    def test_refusals_are_raised_afresh(self, raw, wanted):
+        m = make_model(**raw)
+
+        def refusal():
+            with pytest.raises(wanted) as caught:
+                mean_time_to_barrier(m, 1)
+            return caught.value
+
+        first, second = refusal(), refusal()
+        assert first is not second
+        assert str(first) == str(second)
+        depth = len(traceback.extract_tb(first.__traceback__))
+        for _ in range(200):
+            last = refusal()
+        assert len(traceback.extract_tb(last.__traceback__)) == depth

@@ -55,6 +55,24 @@ class TestValidation:
         with pytest.raises(RejectedParameter, match="r0"):
             validate_model(dict(CFG_SYM, r0=0.3))
 
+    @pytest.mark.parametrize("change,message", [
+        ({"x": 1}, "unknown parameter(s): ['x']"),
+        ({"N": 2.5}, "N must be an integer (got 2.5)"),
+        ({"p": 0.0}, "p must be > 0 (got 0.0)"),
+        ({"q0": float("nan")}, "q0 must be > 0 (got nan)"),
+        ({"p": 0.6, "q": 0.5}, "p + q must be <= 1 (got 1.1)"),
+        ({"r": 0.3}, "p + q + r must equal 1 (got 0.8500000000000001)"),
+        ({"p0": 0.5, "q0": 0.4}, "p0 + q0 + s0 must be <= 1 (got 1.1)"),
+        ({"r0": 0.5}, "p0 + q0 + r0 + s0 must equal 1 (got 1.3)"),
+        ({"i0": 10}, "i0 must satisfy 0 <= i0 < N (got 10)"),
+    ])
+    def test_rejection_messages_quote_the_value(self, change, message):
+        # the messages are formatted only on failure, with the same text
+        raw = dict(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2, N=10, i0=0)
+        with pytest.raises(RejectedParameter) as caught:
+            validate_model({**raw, **change})
+        assert str(caught.value) == message
+
     def test_near_balance_is_tagged_balanced_not_error(self):
         m = make_model(p=0.3, q=0.3 + 1e-10, p0=0.2, q0=0.2, s0=0.2, N=2, i0=0)
         assert m.branch is Branch.BALANCED
