@@ -30,11 +30,13 @@ balance the drift form cancels; :func:`has_barrier_split` says where it
 serves.  ``s0 * mfbwalk.oracle.truncated_visit_derivatives(m)[k * N]``
 gives it everywhere.
 
-The per-model constants of both (m_0 and the ruin denominators; the
-k-independent factors of the split) are derived once per model and held in
-512-entry caches, like :func:`mfbwalk.walk_model.barrier_spectrum`, so that
-each call does only its per-site or per-barrier arithmetic.  A refusal is
-cached as None and raised afresh on every call.
+The per-model constants of both (m_0, the ruin denominators and, inside
+the series cut, the ruin series folded into one polynomial in the site for
+each half of the period; the k-independent factors of the split) are
+derived once per model and held in 512-entry caches, like
+:func:`mfbwalk.walk_model.barrier_spectrum`, so that each call does only
+its per-site or per-barrier arithmetic.  A refusal is cached as None and
+raised afresh on every call.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import BalancedUnsupported, StartNotBarrier
-from .walk_model import BarrierSpectrum, Branch, WalkModel, barrier_spectrum
+from .walk_model import (MAX_SITES, BarrierSpectrum, Branch, WalkModel,
+                         barrier_spectrum)
 
 __all__ = [
     "AbsorptionTimes",
@@ -91,52 +95,68 @@ def _horner(coeffs, t: float) -> float:
     return acc
 
 
-def _ruin_shape(u: float, y: float, denom: float | None) -> float:
-    """F(u, y) = (u - expm1(u y) / expm1(y)) / y, including its y -> 0 limit.
-
-    F(u, y) = F(1 - u, -y), so u is reflected into [0, 1/2], where the
-    direct form loses at most a factor 4/|y| to cancellation.  For y > 0
-    the ratio is rescaled by exp(-y) so that nothing overflows, which makes
-    the denominator ``denom = expm1(-|y|)`` on both signs; it is None where
-    the series serves.
-    """
-    if u > 0.5:
-        u, y = 1.0 - u, -y
-    if denom is None:
-        return _horner([_horner(c, u) for c in _RUIN_SERIES], y)
-    if y > 0.0:
-        ratio = math.exp((u - 1.0) * y) * math.expm1(-u * y) / denom
-    else:
-        ratio = math.expm1(u * y) / denom
-    return (u - ratio) / y
+def _folded_series(y: float) -> tuple[float, ...]:
+    """The ruin series at a fixed y as one polynomial in u, highest power
+    first: the coefficient of u^j is the polynomial in y of column j of
+    :data:`_RUIN_SERIES`."""
+    return tuple(_horner(column, y) for column in
+                 reversed(list(zip_longest(*_RUIN_SERIES, fillvalue=0.0))))
 
 
-def _time_to_next_barrier(ruin: tuple, i: int) -> float:
-    """Expected steps from site 0 <= i <= N until a barrier is reached.
+def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
+    """Expected steps T_i until a barrier is reached, for each site
+    0 <= i <= N of ``sites``.
 
     This is the gambler's-ruin expected duration (Feller, Vol. 1, Ch. XIV)
     with holding, T_i = N^2 F(i/N, N x) x / (p expm1(x)) with
     x = log(q / p); p expm1(x) = q - p, and x / expm1(x) is 1 at x = 0.
-    ``ruin`` holds the model's (N, N^2, N x, expm1(-N |x|) or None,
-    x / expm1(x), p).
+    The ruin shape is F(u, y) = (u - expm1(u y) / expm1(y)) / y with its
+    y -> 0 limit.  F(u, y) = F(1 - u, -y), so u is reflected into
+    [0, 1/2], where the direct form loses at most a factor 4/|y| to
+    cancellation.  For y > 0 the ratio is rescaled by exp(-y) so that
+    nothing overflows, which makes its denominator ``expm1(-|y|)`` on both
+    signs.  Where |y| is below the series cut, the model's
+    :func:`_folded_series` at y (``series[0]``) and at -y (``series[1]``,
+    the reflected half) serve instead, one Horner per site.
+
+    ``ruin`` holds the model's (N, N^2, N x, expm1(-N |x|) or None, the two
+    folded series or None, x / expm1(x), p).
     """
-    n, n2, y, denom, scale, p = ruin
-    return n2 * _ruin_shape(i / n, y, denom) * scale / p
+    n, n2, y_model, denom, series, scale, p = ruin
+    times = []
+    for i in sites:
+        u, y = i / n, y_model
+        reflected = u > 0.5
+        if reflected:
+            u, y = 1.0 - u, -y
+        if series is not None:
+            shape = 0.0
+            for c in series[reflected]:
+                shape = shape * u + c
+        elif y > 0.0:
+            ratio = math.exp((u - 1.0) * y) * math.expm1(-u * y) / denom
+            shape = (u - ratio) / y
+        else:
+            shape = (u - math.expm1(u * y) / denom) / y
+        times.append(n2 * shape * scale / p)
+    return times
 
 
 @lru_cache(maxsize=512)
 def _mean_time_constants(model: WalkModel) -> tuple[float, tuple]:
-    """(m_0, ruin constants of :func:`_time_to_next_barrier`), derived once
+    """(m_0, ruin constants of :func:`_times_to_next_barrier`), derived once
     per model; m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0 is the mean time
     from a barrier."""
     m = model
     x = math.log(m.q / m.p)
     y = m.N * x
+    in_series = abs(y) < _RUIN_SERIES_CUT
     ruin = (m.N, m.N ** 2, y,
-            None if abs(y) < _RUIN_SERIES_CUT else math.expm1(-abs(y)),
+            None if in_series else math.expm1(-abs(y)),
+            (_folded_series(y), _folded_series(-y)) if in_series else None,
             1.0 if x == 0.0 else x / math.expm1(x), m.p)
-    m0 = (m.p0 * _time_to_next_barrier(ruin, 1)
-          + m.q0 * _time_to_next_barrier(ruin, m.N - 1) + 1.0 - m.s0) / m.s0
+    t1, t_last = _times_to_next_barrier(ruin, (1, m.N - 1))
+    m0 = (m.p0 * t1 + m.q0 * t_last + 1.0 - m.s0) / m.s0
     return m0, ruin
 
 
@@ -153,15 +173,20 @@ def mean_time_any(model: WalkModel, i: int) -> float:
     within 1e-12 relative at N = 1000 and 2e-15 at N = 10.
     """
     m0, ruin = _mean_time_constants(model)
-    return m0 + _time_to_next_barrier(ruin, i % model.N)
+    return m0 + _times_to_next_barrier(ruin, (i % model.N,))[0]
 
 
 def mean_time_period(model: WalkModel) -> tuple[float, ...]:
     """m_i for i = 0..N (m_0 at both ends), equal to :func:`mean_time_any`
-    at each i."""
-    m0, ruin = _mean_time_constants(model)
+    at each i.  A period of more than ``MAX_SITES`` values raises
+    ValueError."""
     n = model.N
-    return tuple(m0 + _time_to_next_barrier(ruin, i % n) for i in range(n + 1))
+    if n + 1 > MAX_SITES:
+        raise ValueError(f"a period of {n + 1} mean times is more than "
+                         f"{MAX_SITES}")
+    m0, ruin = _mean_time_constants(model)
+    times = _times_to_next_barrier(ruin, range(1, n))
+    return (m0, *[m0 + t for t in times], m0)
 
 
 def _split_refusal(model: WalkModel) -> ValueError:

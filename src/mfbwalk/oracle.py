@@ -24,6 +24,7 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -123,10 +124,12 @@ class TruncatedVisits:
     @functools.cached_property
     def values(self) -> dict[int, float]:
         """x by site over the whole lattice, sinks included."""
-        return self._by_site(self.x)
+        half = self.K * self.model.N
+        return dict(zip(range(-half, half + 1), self.x.tolist()))
 
-    def derivatives(self) -> dict[int, float]:
-        """Exact dX_j/dz at z = 1 on the lattice, by site.
+    def derivatives(self) -> Mapping[int, float]:
+        """Exact dX_j/dz at z = 1 on the lattice, by site, sinks included:
+        a read-only mapping over the solved array.
 
         Differentiating (I - z P^T) x(z) = e_i0 gives
         (I - P^T) x'(1) = P^T x(1), and P^T x(1) = x(1) - e_i0: a second
@@ -134,11 +137,31 @@ class TruncatedVisits:
         """
         rhs = self.x.copy()
         rhs[self.K * self.model.N + self.model.i0] -= 1.0
-        return self._by_site(self.reduction.solve(rhs))
+        return _LatticeView(self.K * self.model.N, self.reduction.solve(rhs))
 
-    def _by_site(self, v: np.ndarray) -> dict[int, float]:
-        half = self.K * self.model.N
-        return dict(zip(range(-half, half + 1), v.tolist()))
+
+class _LatticeView(Mapping):
+    """Read-only ``{site: v[half + site]}`` over sites -half..half, in
+    order; a site outside them is a missing key, never a wrapped index."""
+
+    __slots__ = ("_half", "_v")
+
+    def __init__(self, half: int, v: np.ndarray):
+        self._half, self._v = half, v
+
+    def __getitem__(self, site: int) -> float:
+        try:
+            if -self._half <= site <= self._half and site == int(site):
+                return float(self._v[self._half + int(site)])
+        except TypeError:  # not a number, as a dict's missing key
+            pass
+        raise KeyError(site)
+
+    def __iter__(self):
+        return iter(range(-self._half, self._half + 1))
+
+    def __len__(self) -> int:
+        return 2 * self._half + 1
 
 
 def _truncation(model: WalkModel, K: int | None) -> tuple[int, float]:
@@ -272,7 +295,7 @@ def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
 
 
 def truncated_visit_derivatives(model: WalkModel,
-                                K: int | None = None) -> dict[int, float]:
+                                K: int | None = None) -> Mapping[int, float]:
     """Exact dX_j/dz at z = 1 on the truncated lattice, by site
     (:meth:`TruncatedVisits.derivatives`)."""
     return truncated_visits(model, K).derivatives()

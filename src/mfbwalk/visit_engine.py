@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .walk_model import BarrierSpectrum, WalkModel, barrier_spectrum
+from .walk_model import (MAX_SITES, BarrierSpectrum, WalkModel,
+                         barrier_spectrum)
 
 __all__ = [
     "VisitProfile",
@@ -129,36 +130,38 @@ def total_absorption(model: WalkModel) -> float:
     return model.s0 * (c1 * spectrum.xi1 / spectrum.gap1 + xn / spectrum.gap2)
 
 
-def _weights(sp: BarrierSpectrum, n: int) -> tuple[float, float]:
+def _weights(sp: BarrierSpectrum, n: int, qint) -> tuple[float, float]:
     """The weights ``(p0/p) rho^n [N - n]`` and ``(q0/q) [n]`` of barriers kN
-    and (k + 1)N at the frame's interior offset n, before dividing by [N]."""
-    return ((sp.p0 / sp.p) * sp.rho ** n * sp.qint(sp.model.N - n),
-            (sp.q0 / sp.q) * sp.qint(n))
+    and (k + 1)N at the frame's interior offset n, before dividing by [N];
+    ``qint`` gives the frame's q-integers (:meth:`BarrierSpectrum.qint`, or
+    a lookup in a table of them)."""
+    return ((sp.p0 / sp.p) * sp.rho ** n * qint(sp.model.N - n),
+            (sp.q0 / sp.q) * qint(n))
 
 
-def _interior(sp: BarrierSpectrum, i0: int, k: int, n: int,
-              weights: tuple[float, float], xk: float, xk1: float) -> float:
-    """x at the frame's site kN + n (0 < n < N) of a walk started at the
-    frame site i0, from the visits xk, xk1 at the bracketing barriers and
-    the offset's :func:`_weights`."""
-    left, right = weights
-    value = left * xk + right * xk1
-    if k == 0:
-        lo, hi = sorted((n, i0))
-        value += sp.rho ** (hi - i0) * sp.qint(lo) * sp.qint(sp.model.N - hi) / sp.q
-    return value / sp.qn
+def _source(sp: BarrierSpectrum, i0: int, n: int, qint) -> float:
+    """The source term ``rho^(hi - i0) [lo] [N - hi] / q`` with
+    ``lo, hi = sorted((n, i0))`` at offset n of the interval that holds the
+    frame start i0, before dividing by [N]; ``qint`` as in :func:`_weights`."""
+    lo, hi = sorted((n, i0))
+    return sp.rho ** (hi - i0) * qint(lo) * qint(sp.model.N - hi) / sp.q
 
 
 def _visits(sp: BarrierSpectrum, i0: int, coeffs: tuple[float, float],
             j: int) -> float:
     """x at the frame's site j of a walk started at the frame site
-    0 <= i0 < N, whose recurrence constants are ``coeffs``."""
+    0 <= i0 < N, whose recurrence constants are ``coeffs``: an interior
+    site interpolates between its bracketing barriers with the offset's
+    :func:`_weights`, plus the :func:`_source` term in the start interval."""
     k, n = divmod(j, sp.model.N)
     xk = _frame_barrier(sp, coeffs, k)
     if n == 0:
         return xk
-    return _interior(sp, i0, k, n, _weights(sp, n), xk,
-                     _frame_barrier(sp, coeffs, k + 1))
+    left, right = _weights(sp, n, sp.qint)
+    value = left * xk + right * _frame_barrier(sp, coeffs, k + 1)
+    if k == 0:
+        value += _source(sp, i0, n, sp.qint)
+    return value / sp.qn
 
 
 def site_visits(model: WalkModel, j: int) -> float:
@@ -199,21 +202,41 @@ def reach_probability(model: WalkModel, i: int, j: int) -> float:
 
 
 def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitProfile:
-    """Materialize x_j for every site between barriers k_min and k_max,
-    evaluating each barrier and each offset's weights once."""
+    """Materialize x_j for every site between barriers k_min and k_max.
+
+    The frame's q-integers [0..N] and each offset's :func:`_weights` are
+    tabled once, and every barrier interval of the frame is filled from its
+    two barriers in one pass, the start interval with its source term.  A
+    window of more than ``MAX_SITES`` sites raises ValueError.
+    """
     if k_min > k_max:
         raise ValueError(f"empty barrier window ({k_min}, {k_max})")
+    n = model.N
+    if (k_max - k_min) * n + 1 > MAX_SITES:
+        raise ValueError(f"window ({k_min}, {k_max}) holds "
+                         f"{(k_max - k_min) * n + 1} sites, more than "
+                         f"{MAX_SITES}")
     sp = barrier_spectrum(model)
     coeffs = boundary_coefficients(model)
-    first, last = sorted(sp.frame_site(k * model.N) // model.N for k in (k_min, k_max))
-    barriers = {k: _frame_barrier(sp, coeffs, k) for k in range(first, last + 1)}
-    weights = {n: _weights(sp, n) for n in range(1, model.N)}
-    values = {}
-    for j in range(k_min * model.N, k_max * model.N + 1):
-        k, n = divmod(sp.frame_site(j), model.N)
-        values[j] = (barriers[k] if n == 0 else
-                     _interior(sp, sp.i0, k, n, weights[n], barriers[k],
-                               barriers[k + 1]))
+    # the frame window spans whole intervals; a mirrored frame runs its
+    # sites against the model's
+    first, last = sorted((sp.frame_site(k_min * n) // n,
+                          sp.frame_site(k_max * n) // n))
+    qint = [sp.qint(i) for i in range(n + 1)].__getitem__
+    weights = [_weights(sp, i, qint) for i in range(1, n)]
+    qn = sp.qn
+    xk1 = _frame_barrier(sp, coeffs, first)
+    frame = [xk1]
+    for k in range(first, last):
+        xk, xk1 = xk1, _frame_barrier(sp, coeffs, k + 1)
+        if k == 0:
+            frame += [(a * xk + b * xk1 + _source(sp, sp.i0, i, qint)) / qn
+                      for i, (a, b) in enumerate(weights, 1)]
+        else:
+            frame += [(a * xk + b * xk1) / qn for a, b in weights]
+        frame.append(xk1)
+    sites = range(k_min * n, k_max * n + 1)
+    values = dict(zip(sites, reversed(frame) if sp.mirrored else frame))
     return VisitProfile(model=model, barrier_coeff_left=coeffs[0],
                         barrier_coeff_right=coeffs[1], window=(k_min, k_max),
                         values=values)

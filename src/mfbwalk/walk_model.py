@@ -50,7 +50,13 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class WalkModel:
-    """Validated parameter bundle.  Construct via :func:`validate_model`."""
+    """Validated parameter bundle.  Construct via :func:`validate_model`.
+
+    A model keys every per-model cache, so its hash (the dataclass's hash
+    of the field tuple) is computed once, at its first use, and stored
+    outside the fields; a pickle carries the fields only, so a model
+    unpickled elsewhere hashes afresh.
+    """
 
     p: float
     q: float
@@ -61,6 +67,18 @@ class WalkModel:
     s0: float
     N: int
     i0: int
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # the first hash of this model
+            value = hash((self.p, self.q, self.r, self.p0, self.q0, self.r0,
+                          self.s0, self.N, self.i0))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        return WalkModel, tuple(getattr(self, name) for name in _FIELD_ORDER)
 
     @property
     def rho(self) -> float:
@@ -183,8 +201,9 @@ class BarrierSpectrum:
     frame.  ``mirrored`` says which, :meth:`frame_site` carries a site into
     the frame, and ``p, q, p0, q0, i0, rho = p / q`` are the frame's.  The
     closed forms use the q-integers ``[n] = (1 - rho^n) / (1 - rho)``
-    (:meth:`qint`; ``[n] = n`` at rho = 1, and ``qn = [N]``), so they hold
-    no power above one and no division by ``1 - rho``.
+    (:meth:`qint`, over the stored denominator ``qden = expm1(log_rho)``;
+    ``[n] = n`` at rho = 1, and ``qn = [N]``), so they hold no power above
+    one and no division by ``1 - rho``.
 
     Away from the start the barrier visits obey
     ``q0 x_{k+1} + psi0 x_k + p0 rho^(N-1) x_{k-1} = 0`` with
@@ -205,6 +224,7 @@ class BarrierSpectrum:
     i0: int
     rho: float
     log_rho: float
+    qden: float
     qn: float
     psi0: float
     xi1: float
@@ -215,8 +235,9 @@ class BarrierSpectrum:
     alpha: float
 
     def qint(self, n: int) -> float:
-        """The q-integer [n] of the frame."""
-        return _qint(n, self.log_rho)
+        """The q-integer [n] of the frame, bit for bit :func:`_qint`."""
+        log_rho = self.log_rho
+        return float(n) if log_rho == 0.0 else math.expm1(n * log_rho) / self.qden
 
     def frame_site(self, j: int) -> int:
         """The site of the frame that holds site j of the model."""
@@ -255,6 +276,6 @@ def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
     xi1 = 1.0 + gap1
     return BarrierSpectrum(
         model=m, mirrored=mirrored, p=p, q=q, p0=p0, q0=q0, i0=i0, rho=rho,
-        log_rho=log_rho, qn=qn, psi0=-(q0 + c + s), xi1=xi1, xi2=c / (q0 * xi1),
-        gap1=gap1, gap2=gap2, Omega=1.0 / root,
+        log_rho=log_rho, qden=math.expm1(log_rho), qn=qn, psi0=-(q0 + c + s),
+        xi1=xi1, xi2=c / (q0 * xi1), gap1=gap1, gap2=gap2, Omega=1.0 / root,
         alpha=m.r * (1.0 - m.r) + 4.0 * m.p * m.q)

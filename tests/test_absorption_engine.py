@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 import traceback
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from mfbwalk import (
     periodic_mean_times,
     truncated_visit_derivatives,
 )
+from mfbwalk.walk_model import MAX_SITES
 from conftest import CFG_SYM, mirror, query_models, random_model
 
 # frozen oracle values: exact derivative of the truncated system, K = 60
@@ -34,6 +37,23 @@ DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
              5: 0.10155785664187866}
 
 NEAR_BALANCE = dict(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6, i0=0)
+
+
+def _mean_time_mp(m, i):
+    """m_i of the model at 50 digits: the gambler's-ruin duration with
+    holding, T_j = (j - N (1 - a^j) / (1 - a^N)) / (q - p) with a = q / p
+    (j (N - j) / (p + q) at balance), plus m_0."""
+    with mpmath.workdps(50):
+        p, q, n = mpmath.mpf(m.p), mpmath.mpf(m.q), m.N
+
+        def T(j):
+            if p == q:
+                return j * (n - j) / (p + q)
+            a = q / p
+            return (j - n * (1 - a ** j) / (1 - a ** n)) / (q - p)
+
+        m0 = (m.p0 * T(1) + m.q0 * T(n - 1) + 1 - mpmath.mpf(m.s0)) / m.s0
+        return float(m0 + T(i))
 
 
 class TestMeanTimeAny:
@@ -107,6 +127,24 @@ class TestMeanTimeAny:
             want = sympy.Poly(sympy.expand(poly), u).all_coeffs()[::-1]
             assert coeffs == pytest.approx([float(c) for c in want],
                                            rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("N", [2, 3, 10, 100, 1000])
+    def test_series_range_matches_50_digits(self, N):
+        # |y| = N |log(q/p)| below the series cut, on both sides of balance
+        # (a p > q walk reflects its y), at sites on both halves of the period
+        rng = np.random.default_rng(N + 50)
+        for y in (0.0, 1e-12, -1e-12, 3e-9, -3e-7, 1e-5, -2e-4, 3e-3,
+                  -9.9e-3, 9.9e-3):
+            p = rng.uniform(0.05, 0.45)
+            m = make_model(p=p, q=p * math.exp(y / N), p0=rng.uniform(0.05, 0.45),
+                           q0=rng.uniform(0.05, 0.45), s0=rng.uniform(0.02, 0.1),
+                           N=N, i0=0)
+            assert N * abs(math.log(m.q / m.p)) < 1e-2
+            for i in sorted({0, 1, N // 3, N // 2, N - N // 3, N - 1}):
+                want = _mean_time_mp(m, i)
+                assert abs(mean_time_any(m, i) - want) <= 1e-13 * want
+            assert mean_time_period(m) == \
+                tuple(mean_time_any(m, i) for i in range(N + 1))
 
     def test_branch_continuity_at_balance(self):
         rng = np.random.default_rng(23)
@@ -254,6 +292,19 @@ class TestAbsorptionTimes:
     def test_empty_window_rejected(self, cfg_drift):
         with pytest.raises(ValueError, match="empty barrier window"):
             absorption_times(cfg_drift, 3, -3)
+
+    def test_period_above_the_budget_refused_before_allocating(self):
+        # N + 1 > MAX_SITES mean times; mean_time_any still serves each site
+        m = make_model(p=0.3, q=0.3, p0=0.3, q0=0.3, s0=0.2, N=MAX_SITES, i0=0)
+        tracemalloc.start()
+        try:
+            for call in (mean_time_period, absorption_times):
+                with pytest.raises(ValueError, match=f"more than {MAX_SITES}"):
+                    call(m)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert mean_time_any(m, 7) > 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(query_models())

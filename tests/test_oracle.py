@@ -360,6 +360,18 @@ class TestReduction:
         fresh = _Reduction(ab, deficit).solve(rhs)
         assert [deriv[j] for j in range(-half, half + 1)] == fresh.tolist()
         assert deriv == truncated_visit_derivatives(m)
+        # a read-only mapping over the solved array: the keys and values of
+        # the whole-lattice dict, in order, and no site beyond the sinks
+        as_dict = dict(zip(range(-half, half + 1), fresh.tolist()))
+        assert deriv == as_dict and as_dict == deriv
+        assert list(deriv.items()) == list(as_dict.items())
+        assert len(deriv) == len(as_dict)
+        for j in (-half - 1, half + 1, -3 * half, 0.5, "0"):
+            assert j not in deriv
+            with pytest.raises(KeyError):
+                deriv[j]
+        with pytest.raises(TypeError):
+            deriv[0] = 1.0
         again = truncated_visits(m)
         assert tv == again
         assert tv.values == again.values

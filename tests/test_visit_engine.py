@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mfbwalk import (
     truncated_visits,
     visit_profile,
 )
+from mfbwalk.walk_model import MAX_SITES
 from conftest import EDGE_MODELS, mirror, model_strategy, query_models, random_model
 
 # frozen oracle values (truncated solver, K = 60, tail < 1e-27)
@@ -323,6 +325,18 @@ class TestVisitProfile:
     def test_empty_window_rejected(self, cfg_sym):
         with pytest.raises(ValueError):
             visit_profile(cfg_sym, 2, 1)
+
+    def test_window_above_the_budget_refused_before_allocating(self):
+        # barriers -1000..1000 at N = 1000 hold 2 000 001 sites
+        m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2, N=1000, i0=0)
+        tracemalloc.start()
+        try:
+            for window in ((-1000, 1000), (-3000, 3000)):
+                with pytest.raises(ValueError, match=f"more than {MAX_SITES}"):
+                    visit_profile(m, *window)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     @staticmethod
     def _assert_matches_site_visits(m, k_min, k_max):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from mfbwalk import (
     barrier_spectrum,
     make_model,
     model_from_json,
+    reanchored,
     validate_model,
+    walk_model,
 )
-from conftest import CFG_DRIFT, CFG_SYM, mirror, model_strategy, random_model
+from conftest import (CFG_DRIFT, CFG_SYM, mirror, model_strategy, query_models,
+                      random_model)
 
 
 class TestValidation:
@@ -87,6 +92,32 @@ class TestValidation:
         assert again == m
         assert list(json.loads(m.to_json())) == \
             ["p", "q", "r", "p0", "q0", "r0", "s0", "N", "i0"]
+
+
+class TestModelHash:
+    # the hash is stored once per model; every equal model shares it
+    def test_equal_models_share_the_hash(self):
+        m = make_model(**CFG_DRIFT)
+        shuffled = {k: CFG_DRIFT[k] for k in reversed(list(CFG_DRIFT)) if k != "r0"}
+        copies = [validate_model(shuffled), pickle.loads(pickle.dumps(m)),
+                  dataclasses.replace(m), reanchored(m, m.i0)]
+        for other in copies:
+            assert other == m and other is not m
+            assert hash(other) == hash(m)
+        fields = tuple(getattr(m, f.name) for f in dataclasses.fields(m))
+        assert hash(m) == hash(fields)
+        assert hash(reanchored(make_model(**CFG_SYM), 1)) != \
+            hash(make_model(**CFG_SYM))
+
+    def test_hash_is_not_a_field(self):
+        m = make_model(**CFG_SYM)
+        hash(m)
+        names = ["p", "q", "r", "p0", "q0", "r0", "s0", "N", "i0"]
+        assert [f.name for f in dataclasses.fields(m)] == names
+        assert list(m.to_dict()) == names
+        assert repr(m) == "WalkModel(" + ", ".join(
+            f"{k}={getattr(m, k)!r}" for k in names) + ")"
+        assert b"_hash" not in pickle.dumps(m)  # a pickle carries the fields
 
 
 class TestLambdaPair:
@@ -170,6 +201,14 @@ class TestBarrierSpectrum:
                 spectrum1 = barrier_spectrum(pert)
                 assert abs(spectrum1.xi1 - spectrum0.xi1) < 1e-4
                 assert abs(spectrum1.xi2 - spectrum0.xi2) < 1e-4
+
+    @settings(max_examples=100, deadline=None)
+    @given(query_models())
+    def test_qint_divides_by_the_stored_denominator(self, m):
+        sp = barrier_spectrum(m)
+        for n in range(m.N + 1):
+            assert sp.qint(n) == walk_model._qint(n, sp.log_rho)  # bit for bit
+        assert sp.qn == sp.qint(m.N)
 
     def test_drift_psi0(self, cfg_drift):
         # frame rho = 1/2, [2] = 3/2: -(0.2 + 0.2 / 2 + 0.2 * 3/2)
