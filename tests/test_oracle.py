@@ -63,6 +63,93 @@ STREAM_PINS = [
      "7a6809b743c59f0316c4bb735c4d718a4777c2a93e3233b56dbd5757e95e4a03"),
 ]
 
+# sha256 of the bytes of three oracle arrays: the truncated solution tv.x,
+# its z-derivative x' over the lattice and periodic_mean_times, recorded
+# with the reduction that took the LAPACK band.  Every pinned value is
+# computed entry by entry, with no sum whose order could change, so any
+# change to the systems or to their elimination changes a digest.
+_PINNED = dict(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2)
+_PINNED_MIRROR = dict(p=0.25, q=0.3, p0=0.3, q0=0.3, s0=0.2)
+ORACLE_PINS = [
+    # model, tv.x, x', periodic_mean_times
+    (CFG_DRIFT,
+     "03b7851adc98278c06676330f30a3e6f4446363164af37b81d7baee7d50e130b",
+     "66bd4d4646de1e11a2e242705b203f8d7eec9848f43dafff7fb5b4f3a214efd0",
+     "07c9483d1d4853056e41b90289449404d67e968f0d00f0bc024083bcc4b3dea2"),
+    (CFG_SYM,
+     "947e10c055dbc2dc0c72ce67c5563d575aaf2540cc98ee61782505844c7fb28e",
+     "be1a978dcad2eca9ffbd1b96c461db252e187ec60ff14587d24d06110627013b",
+     "031a94dfe2027091c8c2564d63d1e569caf8717a5eed1ac97aa15ac5c51112cf"),
+    (dict(_PINNED, N=2, i0=0),
+     "d3765f3cef47a8cc0bfc35bb22355255ddb40aefc07161a3788d7193c40f8603",
+     "e07eb80e859655da3370040a7908674e59536ecdffaf5a93492c296f5a5e18f9",
+     "fe16ef740464b716149f0f0be674b3e33553b63d6e6b705cf2545b7cc51172c8"),
+    (dict(_PINNED_MIRROR, N=2, i0=0),
+     "da9ebb8239219ad71498628c3d138c5cdd9c6eb4d86eb8ea1b2d04fdb3745460",
+     "2c8d2092f87253b7cc232fecc2aed58d81eb31c9305fe2398cc798049da0a2ad",
+     "fe16ef740464b716149f0f0be674b3e33553b63d6e6b705cf2545b7cc51172c8"),
+    (dict(_PINNED, N=2, i0=1),
+     "23bb4123bd3ed4bf6064a296f704f310e5bfc93d803ba6c343c4c5ac7b1291e7",
+     "db8ea63bd8c8a2872b19d6e8cf7668e9e6ca768c9d530b7a5ebcc7d784bf3ed0",
+     "fe16ef740464b716149f0f0be674b3e33553b63d6e6b705cf2545b7cc51172c8"),
+    (dict(_PINNED_MIRROR, N=2, i0=1),
+     "5dc51b055f9144ed44f822b6fc2e8a0e55ac11c0a09985cc650b5d8c6d60d8d9",
+     "0e1ea93866e4c6872b90d64950dd5a8c21cabc4280c300954afcb00064dff40f",
+     "fe16ef740464b716149f0f0be674b3e33553b63d6e6b705cf2545b7cc51172c8"),
+    (dict(_PINNED, N=10, i0=0),
+     "58d5e049e1a538fdc8f75ca4eccd2e34ffd065d504431bf19d2cda8c5e5cc22b",
+     "39fa60e9cadd588c836da1c0df05b048436ea32cc7120a6441e26297f34a8899",
+     "bd59fd52ecab13ea7b1b13e3c196cb5ef3d13b2759edb07aed51bd6f94ac9c98"),
+    (dict(_PINNED_MIRROR, N=10, i0=0),
+     "0060bccc679baa66de1b0d3d7d4e0574982308a50eaf0155040a5bbd4b2b6eec",
+     "779296f73af346813f67b53e8ee31ef4b4c9587882f9a2fe3fdb6918afb706b9",
+     "21e7e89c44e3b3db600215d17742fc4fc41c7b0f7b68a6a894f46df20a7f172c"),
+    (dict(_PINNED, N=10, i0=6),
+     "6afaa75cb5aa529164fbeefdab1cc8716981bdd8fcc37bbbf0141410895593f6",
+     "8f16592f5bc5fc3f82715cc56a62c561d8c4218b046593fb4f96565d3bea742e",
+     "bd59fd52ecab13ea7b1b13e3c196cb5ef3d13b2759edb07aed51bd6f94ac9c98"),
+    (dict(_PINNED_MIRROR, N=10, i0=4),
+     "8f021eec3fb07db4d8d331c6c33e6a5ad625433a6693e5b1fcf970c33845987f",
+     "ea04a21b986fe84c26b95e41e4291e179a26032f5e8e1eb7e1d3fa2020fe163b",
+     "21e7e89c44e3b3db600215d17742fc4fc41c7b0f7b68a6a894f46df20a7f172c"),
+    (dict(_PINNED, N=100, i0=0),
+     "1ee666a8fa0fbc0ed4f2bb125b3b5fda08a53f7acab175150583c96a5ef71849",
+     "8b0c60f179466fc603054120434cb418b41c1a82c0b2e48613f6be94fd267c94",
+     "343c794f3dac8f43b840d3b833e3079970213e4fbcae18a99478a67637e81fcf"),
+    (dict(_PINNED_MIRROR, N=100, i0=0),
+     "c673fc9cd5e2c5efaa4fb8d2133ce3d4bc79a25d070a742e760f335a1d00b157",
+     "b942e69a7a668f10305aa572808224601b02cf47a1df597e87840b7f02491c4a",
+     "b6acf437d8c2d095b0bebef650f2d863ec89fd8e746f68104153ae11dad7732f"),
+    (dict(_PINNED, N=100, i0=51),
+     "496c95e84f7b68f3cdb4b8184dea5e6a68e4c25f62c8093653914513cfd3d0cd",
+     "297fd99488247787667c6d2bf600253c79a1b690032f20c8726c5921451de9e5",
+     "343c794f3dac8f43b840d3b833e3079970213e4fbcae18a99478a67637e81fcf"),
+    (dict(_PINNED_MIRROR, N=100, i0=49),
+     "962577a0de40cd1e28f9d7bbc5dd06aa1d409c3b9f85201b30f4047c58179cf3",
+     "ef3d5912f6fea3be579b75ef2213f61470a7b8da83a914870fc2434d037e4bd6",
+     "b6acf437d8c2d095b0bebef650f2d863ec89fd8e746f68104153ae11dad7732f"),
+    (dict(_PINNED, N=1000, i0=0),
+     "9859d8338ba879a796c89fd86b349339d59ba413f03b4f3f98ec85c942d05384",
+     "1b1b89e71c5e5fcd35159d995fe90ba5d37ad6a2f6969c74576aeb0a22209b84",
+     "dbaa1fb3a111480321a927240645fbd9fe0a87d119fcdb4ce5752aa5d9296d2b"),
+    (dict(_PINNED_MIRROR, N=1000, i0=0),
+     "0ab38a4773116c858ce17abc4f094d97932c2b663a44839c63d1621f4d7f9a3e",
+     "b55875d09190b65fffa64cc259708c02fcdb1bfeead555ddfae0e3d565a988a8",
+     "4506cfeb4b26f2c7bbad6d116701d8919f4fc377bbf0cb01e4a35c9037fe7823"),
+    (dict(_PINNED, N=1000, i0=501),
+     "5fc30c50526a864926435318732cfc1953b4436c503c2cc08b546bd450de36d9",
+     "c25e35697969b1b8b73654a3de2933c157f42d2492d25cac50a2a632b9da1277",
+     "dbaa1fb3a111480321a927240645fbd9fe0a87d119fcdb4ce5752aa5d9296d2b"),
+    (dict(_PINNED_MIRROR, N=1000, i0=499),
+     "d014d4655125a2d73660fbc14ed7bc31a08af179309ac39f389c8e12ee590fd3",
+     "0637034a531d88a8fcdee3355d13383ae09528448961690a122c1f57f19f2c63",
+     "4506cfeb4b26f2c7bbad6d116701d8919f4fc377bbf0cb01e4a35c9037fe7823"),
+    (dict(p=0.3, q=0.3, p0=0.2, q0=0.35, s0=0.1, N=10, i0=3),
+     "d43abe614d5e708f8d985f87194b1c552ad5e82b8e92dc10df9490ee8756373e",
+     "e80842766a5c7021dd883edc3b4691d41ad648d4b2809328bab70e70bb610d38",
+     "f52fbd0f90d5085f0a2ee17986bf4ca32380404a7aca170c668dd13b931b19a8"),
+]
+
 
 def _stepwise_batch(model, seed, batch_index, rows, step_cap, lo, hi):
     """Reference walker: every row steps until the last walk is absorbed,
@@ -154,6 +241,10 @@ def _dense_cyclic_solve(model) -> np.ndarray:
         b[i] = 1.0
     sol = np.linalg.solve(A, b)
     return np.append(sol, sol[0])
+
+
+def _array_digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
 
 
 def _stats_digest(stats) -> str:
@@ -375,6 +466,15 @@ class TestReduction:
         again = truncated_visits(m)
         assert tv == again
         assert tv.values == again.values
+
+
+    @pytest.mark.parametrize("params,x,dx,period", ORACLE_PINS)
+    def test_oracle_arrays_pinned(self, params, x, dx, period):
+        m = make_model(**params)
+        tv = truncated_visits(m)
+        dxs = np.fromiter(tv.derivatives().values(), float)
+        assert [_array_digest(a) for a in (tv.x, dxs, periodic_mean_times(m))] \
+            == [x, dx, period]
 
 
 class TestMeanTimes:
