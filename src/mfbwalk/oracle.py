@@ -11,7 +11,8 @@ Nothing in this module evaluates a closed form.  Three oracles live here:
   work is partitioned across workers.
 
 Both linear systems are solved by one subtraction-free (GTH) cyclic
-reduction in numpy, :class:`_Reduction`.
+reduction in numpy, :class:`_Reduction`, which reads each system as its
+rates: what every column sends to its two neighbours and what it loses.
 
 Golden records are written, read and diffed here alone; their values are
 what the tests and golden files freeze.
@@ -121,11 +122,11 @@ class TruncatedVisits:
                 f"(K={self.K}, |site| < {half})")
         return float(self.x[half + site])
 
-    @functools.cached_property
-    def values(self) -> dict[int, float]:
-        """x by site over the whole lattice, sinks included."""
-        half = self.K * self.model.N
-        return dict(zip(range(-half, half + 1), self.x.tolist()))
+    @property
+    def values(self) -> Mapping[int, float]:
+        """x by site over the whole lattice, sinks included: a read-only
+        mapping over the solved array."""
+        return _LatticeView(self.K * self.model.N, self.x)
 
     def derivatives(self) -> Mapping[int, float]:
         """Exact dX_j/dz at z = 1 on the lattice, by site, sinks included:
@@ -183,43 +184,36 @@ def _truncation(model: WalkModel, K: int | None) -> tuple[int, float]:
     return K, tail
 
 
-def _banded_system(model: WalkModel,
-                   K: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Banded storage of I - P^T over sites -K*N .. K*N (sinks at the ends)
-    and each column's deficit, what site j loses: s0 on a barrier, 0 inside
-    a period, 1 at a sink.  The diagonal is the outflow fw + bw + deficit,
-    never 1 - hold, which keeps few digits of a tiny p + q."""
+def _lattice_rates(model: WalkModel,
+                   K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The rates of I - P^T over sites -K*N .. K*N, as :class:`_Reduction`
+    reads them: what site j steps forward (``fw``) and back (``bw``), and
+    its deficit, what it loses: s0 on a barrier, 0 inside a period, and 1
+    at the two fringe sinks, which step nowhere."""
     m = model
-    n = 2 * K * m.N + 1
     half = K * m.N
     sites = np.arange(-half, half + 1)
     is_barrier = (sites % m.N) == 0
     fw = np.where(is_barrier, m.p0, m.p)
     bw = np.where(is_barrier, m.q0, m.q)
     deficit = np.where(is_barrier, m.s0, 0.0)
-    fw[0] = bw[0] = fw[-1] = bw[-1] = 0.0   # fringe sinks: no outgoing mass
+    fw[0] = bw[0] = fw[-1] = bw[-1] = 0.0
     deficit[0] = deficit[-1] = 1.0
-
-    # column j of ab holds column j of the matrix, M[i, j] at ab[1 + i - j, j]
-    # (LAPACK's banded layout): above the diagonal, M[j-1, j], is the inflow
-    # into j-1 from j (site j stepping backward), and below it, M[j+1, j],
-    # site j stepping forward.  Each column sums to its deficit.
-    ab = np.zeros((3, n))
-    ab[1, :] = fw + bw + deficit
-    ab[0, 1:] = -bw[1:]
-    ab[2, :-1] = -fw[:-1]
-    return ab, deficit, half
+    return fw, bw, deficit, half
 
 
 class _Reduction:
-    """Odd-even cyclic reduction of a tridiagonal M-matrix in LAPACK's
-    banded storage (see :func:`_banded_system`), whose column sums are
-    ``deficit``, factored once; :meth:`solve` applies it to one right-hand
-    side at a time.
+    """Odd-even cyclic reduction of a tridiagonal M-matrix given by its
+    rates, factored once; :meth:`solve` applies it to one right-hand side
+    at a time.
 
-    Identity rows pad the matrix to 2**L - 1 rows, so that every level has
-    an odd number of rows; a level eliminates its even rows onto the odd
-    ones, down to one row.  Row i reads -a[i] x[i-1] + b[i] x[i] -
+    Column j sends ``back[j]`` to row j - 1 and ``forward[j]`` to row
+    j + 1, and loses ``deficit[j]``: its diagonal is the sum of the three,
+    so the column sums to its deficit.  The first column's ``back`` and the
+    last column's ``forward`` leave the system, and count as those columns'
+    losses.  Identity rows pad the matrix to 2**L - 1 rows, so that every
+    level has an odd number of rows; a level eliminates its even rows onto
+    the odd ones, down to one row.  Row i reads -a[i] x[i-1] + b[i] x[i] -
     c[i] x[i+1] with a, c >= 0, and column k sums to d[k] >= 0.  The pivots
     follow the GTH rule (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985):
     eliminating row e adds d[e] |M[e, k]| / b[e] to the sum of each
@@ -230,11 +224,15 @@ class _Reduction:
     Math. 65, 1993).
     """
 
-    def __init__(self, ab: np.ndarray, deficit: np.ndarray):
-        n = self.n = ab.shape[1]
+    def __init__(self, back: np.ndarray, forward: np.ndarray,
+                 deficit: np.ndarray):
+        n = self.n = deficit.size
         self.size = (1 << n.bit_length()) - 1
         (a, c), (b, d) = np.zeros((2, self.size)), np.ones((2, self.size))
-        a[1:n], b[:n], c[:n - 1], d[:n] = -ab[2, :-1], ab[1], -ab[0, 1:], deficit
+        a[1:n], b[:n], c[:n - 1], d[:n] = (forward[:-1], back + forward + deficit,
+                                           back[1:], deficit)
+        d[0] += back[0]
+        d[n - 1] += forward[-1]
         self.levels = []
         while b.size > 1:
             aE, bE, cE = a[0::2], b[0::2], c[0::2]      # the rows eliminated
@@ -282,8 +280,8 @@ def truncated_visits(model: WalkModel, K: int | None = None) -> TruncatedVisits:
     bound, or if the lattice would hold more than ``MAX_SITES`` sites.
     """
     K, tail = _truncation(model, K)
-    ab, deficit, half = _banded_system(model, K)
-    reduction = _Reduction(ab, deficit)
+    fw, bw, deficit, half = _lattice_rates(model, K)
+    reduction = _Reduction(bw, fw, deficit)
     rhs = np.zeros(2 * half + 1)
     rhs[half + model.i0] = 1.0
     x = reduction.solve(rhs)
@@ -312,22 +310,19 @@ def periodic_mean_times(model: WalkModel) -> np.ndarray:
     ``m_N = m_0``; the absorbing transition itself is not counted as a step.
     With ``m_i = m_0 + T_i`` the interior rows are one O(N) tridiagonal
     system, ``(p + q) T_i - p T_{i+1} - q T_{i-1} = 1`` with T_0 = T_N = 0,
-    solved by the lattice's reduction.  Its column deficits are exact from
-    the model: p on the first column, q on the last, 0 between and p + q
-    when N = 2, so no pivot is a difference.  The barrier row gives
+    solved by the lattice's reduction: each column sends p back and q
+    forward and loses nothing, and the p of the first column and the q of
+    the last, which leave the system, are its only losses, so no pivot is a
+    difference.  The barrier row gives
     ``m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0``: the 1/s0 conditioning
     costs one division of a sum of positive terms.  Returns an array of
     length N + 1 with ``m[N] == m[0]``.
     """
     m = model
     n = m.N - 1
-    ab = np.zeros((3, n))
-    ab[0, 1:], ab[1], ab[2, :-1] = -m.p, m.p + m.q, -m.q
-    deficit = np.zeros(n)
-    deficit[0] += m.p
-    deficit[-1] += m.q
     T = np.zeros(m.N + 1)
-    T[1:-1] = _Reduction(ab, deficit).solve(np.ones(n))
+    T[1:-1] = _Reduction(np.full(n, m.p), np.full(n, m.q),
+                         np.zeros(n)).solve(np.ones(n))
     m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
     return m0 + T
 

@@ -24,9 +24,11 @@ from mfbwalk import (
 from mfbwalk.oracle import (
     _BRIDGE,
     MAX_SITES,
+    _lattice_rates,
     _Reduction,
 )
-from conftest import CFG_DRIFT, CFG_SYM, mirror, random_model
+from mfbwalk.visit_engine import reach_probability
+from conftest import CFG_DRIFT, CFG_SYM, mirror, query_models, random_model
 
 # slow absorption (mean time about 170) from an interior start, so walks
 # span several 64-step draw blocks and the 8195-walk batches thin out
@@ -335,27 +337,41 @@ class TestTruncatedVisits:
         assert tv.values[cfg_sym.i0] >= 1.0
 
     def test_transition_row_deficits(self, cfg_drift):
-        # I - P^T reconstructed from the banded storage: row sums of P are
-        # 1 on interior sites, 1 - s0 on barriers, 0 on the fringe sinks
-        from mfbwalk.oracle import _banded_system
-        ab, deficit, half = _banded_system(cfg_drift, K=5)
-        n = 2 * half + 1
-        outflow = np.zeros(n)           # column sums of P^T per source
-        outflow += 1.0 - ab[1]          # hold
-        outflow[1:] += -ab[0, 1:]       # backward
-        outflow[:-1] += -ab[2, :-1]     # forward
-        for col in range(n):
+        # the rates of I - P^T: a site's steps and loss add up to the mass
+        # it does not hold, 1 - r0 on a barrier and 1 - r inside, and the
+        # fringe sinks step nowhere and lose everything
+        m = cfg_drift
+        fw, bw, deficit, half = _lattice_rates(m, K=5)
+        assert fw.size == bw.size == deficit.size == 2 * half + 1
+        for col in range(2 * half + 1):
             site = col - half
+            rates = (fw[col], bw[col], deficit[col])
             if abs(site) == half:
-                assert outflow[col] == 0.0
-                assert deficit[col] == 1.0
-            elif site % cfg_drift.N == 0:
-                assert outflow[col] == pytest.approx(1.0 - cfg_drift.s0,
-                                                     abs=1e-15)
-                assert deficit[col] == cfg_drift.s0
+                assert rates == (0.0, 0.0, 1.0)
+            elif site % m.N == 0:
+                assert rates == (m.p0, m.q0, m.s0)
+                assert sum(rates) == pytest.approx(1.0 - m.r0, abs=1e-15)
             else:
-                assert outflow[col] == pytest.approx(1.0, abs=1e-15)
-                assert deficit[col] == 0.0
+                assert rates == (m.p, m.q, 0.0)
+                assert sum(rates) == pytest.approx(1.0 - m.r, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(query_models(), st.data())
+    def test_reach_probability_is_a_sink_arrival(self, m, data):
+        # a walk that dies on arriving at j arrives there at most once, so
+        # its expected arrivals at j are the probability of reaching j
+        j = data.draw(st.integers(-2 * m.N, 2 * m.N).filter(lambda j: j != m.i0))
+        K = default_truncation(m)
+        if 2 * K * m.N + 1 > 200_000:   # the s0 = 1e-7 extremes
+            return
+        fw, bw, deficit, half = _lattice_rates(m, K)
+        fw[half + j] = bw[half + j] = 0.0
+        deficit[half + j] = 1.0
+        rhs = np.zeros(2 * half + 1)
+        rhs[half + m.i0] = 1.0
+        x = _Reduction(bw, fw, deficit).solve(rhs)
+        assert x[half + j] == pytest.approx(reach_probability(m, m.i0, j),
+                                            rel=1e-12)
 
 
 # sizes at which the padding or the level count of the reduction changes
@@ -364,47 +380,51 @@ _EDGE_SIZES = sorted({n for k in range(1, 9) for n in (2 ** k - 1, 2 ** k, 2 ** 
 
 @st.composite
 def _m_matrix_system(draw):
-    """A tridiagonal system in banded storage with the sign pattern of
-    I - P^T, strictly column diagonally dominant, and a positive right-hand
-    side: the solution is positive with no cancellation, so a relative
-    check holds entry by entry."""
+    """The rates (back, forward, deficit) of a tridiagonal system with the
+    sign pattern of I - P^T, every column losing mass, the end columns'
+    outward rates included, and a positive right-hand side: the solution
+    is positive with no cancellation, so a relative check holds entry by
+    entry."""
     n = draw(st.one_of(st.integers(1, 300), st.sampled_from(_EDGE_SIZES)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -rng.uniform(0.0, 1.0, n - 1)
-    ab[2, :-1] = -rng.uniform(0.0, 1.0, n - 1)
-    ab[1] = -(ab[0] + ab[2]) + rng.uniform(1e-3, 1.0, n)
-    return ab, rng.uniform(0.1, 1.0, n)
+    back, forward = rng.uniform(0.0, 1.0, (2, n))
+    return (back, forward, rng.uniform(1e-3, 1.0, n)), rng.uniform(0.1, 1.0, n)
+
+
+def _dense(back, forward, deficit):
+    """The matrix of a rates system: column j holds back + forward +
+    deficit on the diagonal, -back[j] in row j - 1 and -forward[j] in row
+    j + 1; the end columns' outward rates fall outside it."""
+    return (np.diag(back + forward + deficit) - np.diag(back[1:], 1)
+            - np.diag(forward[:-1], -1))
 
 
 @st.composite
 def _gth_system(draw):
-    """A tridiagonal M-matrix in banded storage with off-diagonal
-    magnitudes log-uniform in [1e-2, 1], its exact column sums (deficits),
-    mostly 0 and the rest log-uniform down to 1e-14, and a nonnegative
-    right-hand side with zeros.  With zero deficits a pivot formed by
-    subtraction cancels."""
+    """The rates of a tridiagonal M-matrix with off-diagonal magnitudes
+    log-uniform in [1e-2, 1], end columns' outward rates log-uniform down
+    to 1e-14, deficits mostly 0 and the rest log-uniform down to 1e-14,
+    and a nonnegative right-hand side with zeros.  With zero deficits a
+    pivot formed by subtraction cancels."""
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -10.0 ** rng.uniform(-2.0, 0.0, n - 1)
-    ab[2, :-1] = -10.0 ** rng.uniform(-2.0, 0.0, n - 1)
+    back, forward = 10.0 ** rng.uniform(-2.0, 0.0, (2, n))
+    # what leaves past the two ends: the only loss of many systems
+    back[0], forward[-1] = 10.0 ** rng.uniform(-14.0, 0.0, 2)
     deficit = np.where(rng.random(n) < 0.2, 10.0 ** rng.uniform(-14.0, 0.0, n),
                        0.0)
-    deficit[rng.integers(n)] = 10.0 ** rng.uniform(-14.0, 0.0)  # nonsingular
-    ab[1] = deficit - ab[0] - ab[2]
     rhs = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.0, n), 0.0)
-    return ab, deficit, rhs
+    return (back, forward, deficit), rhs
 
 
-def _thomas_mp(ab, deficit, rhs):
-    """The exact system of :func:`_gth_system`, whose diagonal is the sum
-    of the deficit and the column's off-diagonal magnitudes, solved by
-    Thomas elimination at 50 digits."""
+def _thomas_mp(back, forward, deficit, rhs):
+    """The exact system of rates (back, forward, deficit), whose diagonal
+    is their sum (:func:`_dense`), solved by Thomas elimination at 50
+    digits."""
     mp = mpmath.mpf
     with mpmath.workdps(50):
-        sup, sub = [mp(v) for v in ab[0, 1:]], [mp(v) for v in ab[2, :-1]]
-        diag = [mp(d) - mp(u) - mp(lo) for d, u, lo in zip(deficit, ab[0], ab[2])]
+        sup, sub = [-mp(v) for v in back[1:]], [-mp(v) for v in forward[:-1]]
+        diag = [mp(b) + mp(f) + mp(d) for b, f, d in zip(back, forward, deficit)]
         y = [mp(v) for v in rhs]
         for i in range(1, len(y)):
             f = sub[i - 1] / diag[i - 1]
@@ -421,34 +441,33 @@ class TestReduction:
     @settings(max_examples=200, deadline=None)
     @given(_m_matrix_system())
     def test_matches_dense_solve(self, system):
-        ab, rhs = system
-        dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-        np.testing.assert_allclose(_Reduction(ab, ab.sum(axis=0)).solve(rhs),
-                                   np.linalg.solve(dense, rhs), rtol=1e-12)
+        rates, rhs = system
+        np.testing.assert_allclose(_Reduction(*rates).solve(rhs),
+                                   np.linalg.solve(_dense(*rates), rhs),
+                                   rtol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(_gth_system())
     def test_entrywise_accurate(self, system):
         # every entry nonnegative and accurate relative to itself, however
         # small, though the matrix may be near singular
-        ab, deficit, rhs = system
-        x = _Reduction(ab, deficit).solve(rhs)
+        rates, rhs = system
+        x = _Reduction(*rates).solve(rhs)
         assert np.all(x >= 0.0)
-        for got, want in zip(x.tolist(), _thomas_mp(ab, deficit, rhs)):
+        for got, want in zip(x.tolist(), _thomas_mp(*rates, rhs)):
             assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("N", [2, 10])
     def test_derivative_reuses_the_reduction(self, N):
         # x' from the reduction that gave x equals a fresh reduction's solve
         # of x - e_i0, and x and x' equal those of fresh oracle calls
-        from mfbwalk.oracle import _banded_system
         m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=0.2, N=N, i0=0)
         tv = truncated_visits(m)
         deriv = tv.derivatives()
-        ab, deficit, half = _banded_system(m, tv.K)
+        fw, bw, deficit, half = _lattice_rates(m, tv.K)
         rhs = np.array([tv.values[j] for j in range(-half, half + 1)])
         rhs[half + m.i0] -= 1.0
-        fresh = _Reduction(ab, deficit).solve(rhs)
+        fresh = _Reduction(bw, fw, deficit).solve(rhs)
         assert [deriv[j] for j in range(-half, half + 1)] == fresh.tolist()
         assert deriv == truncated_visit_derivatives(m)
         # a read-only mapping over the solved array: the keys and values of
@@ -466,9 +485,15 @@ class TestReduction:
         again = truncated_visits(m)
         assert tv == again
         assert tv.values == again.values
+        # x by site is the same read-only mapping
+        as_dict = dict(zip(range(-half, half + 1), tv.x.tolist()))
+        assert tv.values == as_dict and list(tv.values.items()) == list(as_dict.items())
+        with pytest.raises(TypeError):
+            tv.values[0] = 1.0
 
 
-    @pytest.mark.parametrize("params,x,dx,period", ORACLE_PINS)
+    @pytest.mark.parametrize("params,x,dx,period", ORACLE_PINS, ids=[
+        "p{p}-q{q}-N{N}-i{i0}".format(**row[0]) for row in ORACLE_PINS])
     def test_oracle_arrays_pinned(self, params, x, dx, period):
         m = make_model(**params)
         tv = truncated_visits(m)
@@ -531,14 +556,10 @@ class TestMeanTimes:
                 q = p * (1.0 + 1e-9)
             m = make_model(p=p, q=q, p0=0.3, q0=0.3,
                            s0=float(10.0 ** rng.uniform(-7, -1)), N=N, i0=0)
-            ab = np.zeros((3, N - 1))
-            ab[0, 1:], ab[2, :-1] = -m.p, -m.q
+            rates = np.full(N - 1, m.p), np.full(N - 1, m.q), np.zeros(N - 1)
             with mpmath.workdps(50):
-                # exact column sums, so that each diagonal is exactly p + q
-                deficit = [mpmath.mpf(0)] * (N - 1)
-                deficit[0] += m.p
-                deficit[-1] += m.q
-                T = [0, *_thomas_mp(ab, deficit, np.ones(N - 1)), 0]
+                # each diagonal is exactly p + q
+                T = [0, *_thomas_mp(*rates, np.ones(N - 1)), 0]
                 m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1 - mpmath.mpf(m.s0)) / m.s0
                 # rounded to doubles (1.1e-16 relative) to compare in numpy
                 want = np.array([float(m0 + t) for t in T])
