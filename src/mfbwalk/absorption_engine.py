@@ -128,7 +128,7 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
         u, y = i / n, y_model
         reflected = u > 0.5
         if reflected:
-            u, y = 1.0 - u, -y
+            u, y = (n - i) / n, -y
         if series is not None:
             shape = 0.0
             for c in series[reflected]:

@@ -39,10 +39,11 @@ DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
 NEAR_BALANCE = dict(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6, i0=0)
 
 
-def _mean_time_mp(m, i):
-    """m_i of the model at 50 digits: the gambler's-ruin duration with
-    holding, T_j = (j - N (1 - a^j) / (1 - a^N)) / (q - p) with a = q / p
-    (j (N - j) / (p + q) at balance), plus m_0."""
+def _mean_times_mp(m, sites):
+    """m_i of the model at each site i, at 50 digits and rounded: the
+    gambler's-ruin duration with holding, T_j = (j - N (1 - a^j) /
+    (1 - a^N)) / (q - p) with a = q / p (j (N - j) / (p + q) at balance),
+    plus m_0."""
     with mpmath.workdps(50):
         p, q, n = mpmath.mpf(m.p), mpmath.mpf(m.q), m.N
 
@@ -53,7 +54,7 @@ def _mean_time_mp(m, i):
             return (j - n * (1 - a ** j) / (1 - a ** n)) / (q - p)
 
         m0 = (m.p0 * T(1) + m.q0 * T(n - 1) + 1 - mpmath.mpf(m.s0)) / m.s0
-        return float(m0 + T(i))
+        return [float(m0 + T(i)) for i in sites]
 
 
 class TestMeanTimeAny:
@@ -140,11 +141,22 @@ class TestMeanTimeAny:
                            q0=rng.uniform(0.05, 0.45), s0=rng.uniform(0.02, 0.1),
                            N=N, i0=0)
             assert N * abs(math.log(m.q / m.p)) < 1e-2
-            for i in sorted({0, 1, N // 3, N // 2, N - N // 3, N - 1}):
-                want = _mean_time_mp(m, i)
+            sites = sorted({0, 1, N // 3, N // 2, N - N // 3, N - 1})
+            for i, want in zip(sites, _mean_times_mp(m, sites)):
                 assert abs(mean_time_any(m, i) - want) <= 1e-13 * want
             assert mean_time_period(m) == \
                 tuple(mean_time_any(m, i) for i in range(N + 1))
+
+    @pytest.mark.parametrize("q", [0.3, 0.2999])
+    @pytest.mark.parametrize("N", [899, 1999])
+    def test_period_matches_50_digits_at_large_N(self, N, q):
+        # a site past N/2 is reflected to (N - i) / N, which rounds once;
+        # 1 - i / N rounds twice and was 2.2e-14 off at N = 899 and 3.6e-14
+        # at N = 1999 on the balanced walk
+        m = make_model(p=0.3, q=q, p0=0.3, q0=0.3, s0=0.005, N=N, i0=0)
+        want = _mean_times_mp(m, range(N + 1))
+        assert max(abs(got - w) / w
+                   for got, w in zip(mean_time_period(m), want)) <= 5e-15
 
     def test_branch_continuity_at_balance(self):
         rng = np.random.default_rng(23)
