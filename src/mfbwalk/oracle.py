@@ -704,7 +704,8 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
                    seed: int = 42) -> list[dict]:
     """Oracle ground-truth records for a model: site visits over barriers
     -window..window at :func:`default_truncation`, mean times, per-barrier
-    times where the closed form serves, and Monte-Carlo records when
+    times from the truncated derivative for every drift walk started on a
+    barrier, near balance included, and Monte-Carlo records when
     ``walks > 0``.  Each record is ``{model, quantity, index, value,
     error_bound, oracle, params}``; ``params`` holds what the oracle call
     was made with.
@@ -744,31 +745,29 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
     return records
 
 
-def golden_mismatches(records: list[dict]) -> list[dict]:
-    """Stored records that :func:`oracle_battery` would not write again.
+def golden_mismatches(model: WalkModel, records: list[dict]) -> list[dict]:
+    """Stored records of ``model`` that :func:`oracle_battery` would not
+    write again.
 
-    The battery runs once per model, over the window of its widest
-    ``truncated_solver`` record and with the walks and seed of its
-    ``simulate`` records.  A stored record matches the fresh record of its
-    (quantity, index) with the same oracle and params and a value within
-    ``max(error_bound, 1e-12)``.  Mismatches come in file order as
-    ``{quantity, index, stored, fresh, error_bound}``, ``fresh`` None
-    where the battery writes no such record.
+    The battery runs once, over the window of the widest
+    ``truncated_solver`` record and with the walks and seed of the
+    ``simulate`` records; with no records it does not run.  A stored record
+    matches the fresh record of its (quantity, index) with the same oracle
+    and params and a value within ``max(error_bound, 1e-12)``.  Mismatches
+    come in file order as ``{quantity, index, stored, fresh, error_bound}``,
+    ``fresh`` None where the battery writes no such record.
     """
-    models = [validate_model(rec["model"]) for rec in records]
-    fresh = {}
-    for model in dict.fromkeys(models):
-        own = [rec for m, rec in zip(models, records) if m == model]
-        sites = [abs(r["index"]) for r in own if r["oracle"] == "truncated_solver"]
-        sim = [r["params"] for r in own if r["oracle"] == "simulate"]
-        sim = sim[-1] if sim else {"walks": 0, "seed": 42}
-        for r in oracle_battery(model, max(sites, default=0) // model.N,
-                                sim["walks"], sim["seed"]):
-            fresh[model, r["quantity"], r["index"]] = r
-
+    if not records:
+        return []
+    sites = [abs(r["index"]) for r in records if r["oracle"] == "truncated_solver"]
+    sim = [r["params"] for r in records if r["oracle"] == "simulate"]
+    sim = sim[-1] if sim else {"walks": 0, "seed": 42}
+    fresh = {(r["quantity"], r["index"]): r
+             for r in oracle_battery(model, max(sites, default=0) // model.N,
+                                     sim["walks"], sim["seed"])}
     misses = []
-    for model, rec in zip(models, records):
-        new = fresh.get((model, rec["quantity"], rec["index"]), {})
+    for rec in records:
+        new = fresh.get((rec["quantity"], rec["index"]), {})
         bound = max(rec.get("error_bound", 0.0), 1e-12)
         if ((new.get("oracle"), new.get("params"))
                 != (rec["oracle"], rec.get("params", {}))
