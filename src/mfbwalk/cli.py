@@ -400,7 +400,8 @@ def _cmd_verify(model, args) -> int:
     for note in discrepancies:
         print(f"FormulaDiscrepancy: {note}", file=sys.stderr)
 
-    golden_mismatches = _quiet(oracle.golden_mismatches, model, golden)
+    golden_mismatches = (_quiet(oracle.golden_mismatches, model, golden)
+                         if golden else [])
     for miss in golden_mismatches:
         print(f"golden mismatch: {miss}", file=sys.stderr)
 

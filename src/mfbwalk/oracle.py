@@ -209,7 +209,8 @@ class _Reduction:
 
     Column j sends ``back[j]`` to row j - 1 and ``forward[j]`` to row
     j + 1, and loses ``deficit[j]``: its diagonal is the sum of the three,
-    so the column sums to its deficit.  The first column's ``back`` and the
+    never 1 - hold, which keeps few digits of a tiny p + q, and the column
+    sums to its deficit.  The first column's ``back`` and the
     last column's ``forward`` leave the system, and count as those columns'
     losses.  Identity rows pad the matrix to 2**L - 1 rows, so that every
     level has an odd number of rows; a level eliminates its even rows onto
@@ -751,14 +752,12 @@ def golden_mismatches(model: WalkModel, records: list[dict]) -> list[dict]:
 
     The battery runs once, over the window of the widest
     ``truncated_solver`` record and with the walks and seed of the
-    ``simulate`` records; with no records it does not run.  A stored record
-    matches the fresh record of its (quantity, index) with the same oracle
-    and params and a value within ``max(error_bound, 1e-12)``.  Mismatches
-    come in file order as ``{quantity, index, stored, fresh, error_bound}``,
-    ``fresh`` None where the battery writes no such record.
+    ``simulate`` records.  A stored record matches the fresh record of its
+    (quantity, index) with the same oracle and params and a value within
+    ``max(error_bound, 1e-12)``.  Mismatches come in file order as
+    ``{quantity, index, stored, fresh, error_bound}``, ``fresh`` None where
+    the battery writes no such record.
     """
-    if not records:
-        return []
     sites = [abs(r["index"]) for r in records if r["oracle"] == "truncated_solver"]
     sim = [r["params"] for r in records if r["oracle"] == "simulate"]
     sim = sim[-1] if sim else {"walks": 0, "seed": 42}
