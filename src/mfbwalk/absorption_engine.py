@@ -112,8 +112,8 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
     x = log(q / p); p expm1(x) = q - p, and x / expm1(x) is 1 at x = 0.
     The ruin shape is F(u, y) = (u - expm1(u y) / expm1(y)) / y with its
     y -> 0 limit.  F(u, y) = F(1 - u, -y), so u is reflected into
-    [0, 1/2], where the direct form loses at most a factor 4/|y| to
-    cancellation.  For y > 0 the ratio is rescaled by exp(-y) so that
+    [0, 1/2], as (N - i) / N, which rounds once, and there the direct form
+    loses at most a factor 4/|y| to cancellation.  For y > 0 the ratio is rescaled by exp(-y) so that
     nothing overflows, which makes its denominator ``expm1(-|y|)`` on both
     signs.  Where |y| is below the series cut, the model's
     :func:`_folded_series` at y (``series[0]``) and at -y (``series[1]``,

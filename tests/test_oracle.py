@@ -16,6 +16,7 @@ from mfbwalk import (
     make_model,
     mean_time_any,
     periodic_mean_times,
+    reach_probability,
     simulate,
     site_visits,
     truncated_visit_derivatives,
@@ -27,7 +28,6 @@ from mfbwalk.oracle import (
     _lattice_rates,
     _Reduction,
 )
-from mfbwalk.visit_engine import reach_probability
 from conftest import CFG_DRIFT, CFG_SYM, mirror, query_models, random_model
 
 # slow absorption (mean time about 170) from an interior start, so walks
@@ -490,7 +490,6 @@ class TestReduction:
         assert tv.values == as_dict and list(tv.values.items()) == list(as_dict.items())
         with pytest.raises(TypeError):
             tv.values[0] = 1.0
-
 
     @pytest.mark.parametrize("params,x,dx,period", ORACLE_PINS, ids=[
         "p{p}-q{q}-N{N}-i{i0}".format(**row[0]) for row in ORACLE_PINS])
