@@ -13,22 +13,17 @@ Two quantities live here:
 * ``mean_time_to_barrier``: the expected time carried by walks absorbed at
   one specific barrier, for drift walks started on a barrier (i0 = 0).  It
   equals s0 times the z-derivative at z = 1 of the barrier occupancy
-  generating function X_{kN}(z) = Omega(z) (lambda1^N(z) - lambda2^N(z))
-  xi_i^k(z), differentiated term by term through the implicit derivatives
-  of the two quadratics, all written out at z = 1 in the rho <= 1 frame of
-  :func:`mfbwalk.walk_model.barrier_spectrum`, where lambda1 = 1 and
-  lambda2 = rho.  A compact display form of the coupling-coefficient
-  derivative circulates that drops the (1 - r0) and (N-1)(rho q0 + p0)
-  factors (5.45 against the chain rule's 5.7 on the frame of the drift
-  reference model); :func:`display_time_to_barrier`
-  evaluates it as a diagnostic for ``verify``, while the chain-rule path is
-  the one that matches the exact derivative of the truncated occupancy
-  system (:func:`mfbwalk.oracle.truncated_visit_derivatives`).
+  generating function X_{kN}(z), which :func:`_split_terms` takes from the
+  chain of the walk's passages between barriers: two per-model scalars,
+  both sums of positive terms, so it holds near balance too.  A compact
+  display form of the coupling-coefficient derivative circulates that drops
+  the (1 - r0) and (N-1)(rho q0 + p0) factors (5.45 against the exact 5.7
+  on the frame of the drift reference model); :func:`display_time_to_barrier`
+  evaluates it as a diagnostic for ``verify``.
 
-The per-barrier split has no closed form for a driftless walk, and near
-balance the drift form cancels; :func:`has_barrier_split` says where it
-serves.  ``s0 * mfbwalk.oracle.truncated_visit_derivatives(m)[k * N]``
-gives it everywhere.
+:func:`has_barrier_split` says where the split serves: balanced walks and
+starts off a barrier stay refused, as perfbench documents them; ``s0 *
+mfbwalk.oracle.truncated_visit_derivatives(m)[k * N]`` gives it everywhere.
 
 The per-model constants of both (m_0, the ruin denominators and, inside
 the series cut, the ruin series folded into one polynomial in the site for
@@ -47,7 +42,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import BalancedUnsupported, StartNotBarrier
-from .walk_model import (MAX_SITES, BarrierSpectrum, Branch, WalkModel,
+from .walk_model import (BALANCE_EPS, MAX_SITES, Branch, WalkModel,
                          barrier_spectrum)
 
 __all__ = [
@@ -72,6 +67,11 @@ _RUIN_SERIES = (
 )
 # below this |y| the series replaces the direct form, which cancels
 _RUIN_SERIES_CUT = 1e-2
+# Taylor coefficients in t^2 of h(t) of :func:`_coth_shape`,
+# 2^(2n) B_2n / (2n)! for n = 1..6, and the t below which they serve
+_COTH_SERIES = (1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555,
+                -1382 / 638512875)
+_COTH_SERIES_CUT = 0.2
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _mean_time_constants(model: WalkModel) -> tuple[float, tuple]:
     per model; m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0 is the mean time
     from a barrier."""
     m = model
-    x = math.log(m.q / m.p)
+    x = math.log1p((m.q - m.p) / m.p)
     y = m.N * x
     in_series = abs(y) < _RUIN_SERIES_CUT
     ruin = (m.N, m.N ** 2, y,
@@ -190,14 +190,12 @@ def mean_time_period(model: WalkModel) -> tuple[float, ...]:
 
 
 def _split_refusal(model: WalkModel) -> ValueError:
-    """The error that refuses the per-barrier closed form where
+    """The error that refuses the per-barrier times where
     :func:`has_barrier_split` is false."""
-    y = model.N * abs(math.log(model.q / model.p))
-    if model.branch is Branch.BALANCED or (model.i0 == 0 and y < _RUIN_SERIES_CUT):
+    if model.branch is Branch.BALANCED:
         return BalancedUnsupported(
-            f"per-barrier mean times have no closed form for a balanced "
-            f"walk and lose their precision near balance (N |log(q/p)| = "
-            f"{y:.3g} < {_RUIN_SERIES_CUT:g}); use s0 * "
+            f"per-barrier mean times are not served for a balanced walk "
+            f"(|p - q| < {BALANCE_EPS:g}); use s0 * "
             f"oracle.truncated_visit_derivatives(model)[k * N] instead")
     return StartNotBarrier(
         f"per-barrier mean times are derived for a barrier start "
@@ -205,77 +203,78 @@ def _split_refusal(model: WalkModel) -> ValueError:
 
 
 def has_barrier_split(model: WalkModel) -> bool:
-    """Whether :func:`mean_time_to_barrier` serves this model.
-
-    It needs a barrier start and drift.  Near balance the chain rule below
-    cancels: against the exact derivative its error stays below 1e-6 at
-    y = N |log(q/p)| = 1e-2 for N up to 1000 and grows about as y^-3 below
-    that, so it serves only above the cut of the ruin series, which bounds
-    the same variable.
-    """
-    return (model.i0 == 0 and model.branch is not Branch.BALANCED
-            and model.N * abs(math.log(model.q / model.p)) >= _RUIN_SERIES_CUT)
+    """Whether :func:`mean_time_to_barrier` serves this model: a drift walk
+    started on a barrier."""
+    return model.i0 == 0 and model.branch is Branch.DRIFT
 
 
-def _domega0(spectrum: BarrierSpectrum, zeta: float, display: bool) -> float:
-    """d omega0/dz at z = 1 in the rho <= 1 frame, by the chain rule through
-
-        omega0(z) = (l2^N - l1^N)(1 - r0 z) + z (l1^(N-1) - l2^(N-1))(rho q0 + p0)
-
-    with l1 = 1, l2 = rho and dl_i/dz = (-1)^i zeta l_i, or the compact
-    display form if ``display`` (diagnostic only)."""
-    m, rho = spectrum.model, spectrum.rho
-    n = m.N
-    coup = rho * spectrum.q0 + spectrum.p0
-    if display:
-        return (m.r0 * (1.0 - rho ** n)
-                + coup * (1.0 - rho ** (n - 1))
-                + zeta * (n * (1.0 + rho ** n) - (1.0 + rho ** (n - 1))))
-    return (n * zeta * (1.0 - m.r0) * (1.0 + rho ** n)
-            + m.r0 * (1.0 - rho ** n)
-            + coup * (1.0 - rho ** (n - 1))
-            - (n - 1) * zeta * coup * (1.0 + rho ** (n - 1)))
+def _coth_shape(t: float) -> float:
+    """h(t) = (t coth t - 1) / t^2 for t >= 0, within 2e-14 relative; below
+    the cut the direct form cancels and :data:`_COTH_SERIES` serves."""
+    return (_horner(_COTH_SERIES, t * t) if t < _COTH_SERIES_CUT
+            else (t / math.tanh(t) - 1.0) / (t * t))
 
 
 def _split_terms(model: WalkModel, display: bool) -> tuple | None:
-    """The k-independent factors of s0 * d/dz [Omega(z) (l1^N - l2^N) xi^k]
-    at z = 1 on the frame, where l1 = 1, l2 = rho and m_0k = m'_{0,-k} if it
-    is mirrored, with
+    """The k-independent factors of m_0k = s0 x_{kN} (A + |k| B) on the
+    rho <= 1 frame of :func:`barrier_spectrum` (m_0k = m'_{0,-k} if it is
+    mirrored), where A = x0'/x0 and B = |xi'/xi| at z = 1.
 
-        dl_i/dz   = (-1)^i zeta l_i,           zeta = 1 / (q - p)
-        dOmega/dz = -Omega^3 [omega0 domega0 + 4 p0 q0 rho^N alpha / (p q)]
-        dxi_i/dz  = (-1)^i xi_i Omega [alpha omega0 zeta^2 + domega0]
+    From a visit to a frame barrier the walk next reaches the barrier below
+    with chance a = q0 / [N] and the one above with c = p0 rho^(N-1) / [N],
+    each after 1 + tau steps on average, where (x = -log rho)
 
-    where alpha = r (1 - r) + 4 p q, omega0 = omega0(1) of :func:`_domega0`
-    and Omega = [omega0^2 - 4 p0 q0 (1 - rho)^2 rho^(N-1)]^(-1/2).
+        tau = (N coth(N x / 2) - coth(x / 2)) / (q - p)
 
-    Returns (mirrored, s0, xi1, xi2, dOmega gap + Omega dgap, Omega gap,
-    xi_factor) for :func:`_time_to_barrier`, or None where
+    is the crossing time given the crossing, here through h =
+    :func:`_coth_shape`.  Every other move returns to the same barrier, so
+    ``a x_{k+1} - |b| x_k + c x_{k-1} = 0`` with |b| = s0 + a + c and, at
+    i0 = 0, x_{kN} = x0 xi^k with x0 = Omega [N] = (b^2 - 4ac)^(-1/2).  The
+    returning moves take b' = r0 + (p0 + rho q0)([N-1]/[N] + T_1 -
+    tau rho^(N-1)/[N]) steps per visit, T_1 the ruin duration from the
+    frame's site 1; with S = |b| b' + 4ac (1 + tau), A = S x0^2 and
+    B = 1 + tau + (b' + S x0) / (|b| + 1/x0).
+
+    ``display`` adds the term by which the display form of d omega0/dz
+    differs (diagnostic only): E = Omega D / (q (1 - rho)^2) to B and
+    Omega |psi0| E to A, where D = N r0 (1 + rho^N) - (1 + rho^(N-1))
+    + (N - 1)(rho q0 + p0)(1 + rho^(N-1)).
+
+    Returns (mirrored, xi1, xi2, s0 x0 A, s0 x0 B), or None where
     :func:`has_barrier_split` is false.
     """
     if not has_barrier_split(model):
         return None
     m = model
-    spectrum = barrier_spectrum(m)
-    n, rho, p0, q0 = m.N, spectrum.rho, spectrum.p0, spectrum.q0
-    zeta = 1.0 / (spectrum.q - spectrum.p)
-    omega0 = ((rho ** n - 1.0) * (1.0 - m.r0)
-              + (1.0 - rho ** (n - 1)) * (rho * q0 + p0))
-    omega_big = 1.0 / math.sqrt(
-        omega0 * omega0 - 4.0 * p0 * q0 * (1.0 - rho) ** 2 * rho ** (n - 1))
-    domega0 = _domega0(spectrum, zeta, display)
-    gap = 1.0 - rho ** n
-    dgap = -n * zeta * (1.0 + rho ** n)
-    ratio = 4.0 * p0 * q0 / (m.p * m.q) * rho ** n
-    domega_big = -omega_big ** 3 * (omega0 * domega0 + ratio * spectrum.alpha)
-    xi_factor = omega_big * (spectrum.alpha * omega0 * zeta ** 2 + domega0)
-    return (spectrum.mirrored, m.s0, spectrum.xi1, spectrum.xi2,
-            domega_big * gap + omega_big * dgap, omega_big * gap, xi_factor)
+    sp = barrier_spectrum(m)
+    n, rho, p0, q0, q = m.N, sp.rho, sp.p0, sp.q0, sp.q
+    x = -sp.log_rho
+    lift = rho ** (n - 1)
+    a, c = q0 / sp.qn, p0 * lift / sp.qn
+    b = m.s0 + a + c
+    x0 = sp.Omega * sp.qn
+    x_per_drift = x / (-q * math.expm1(-x))  # x / (q - p)
+    tau = x_per_drift * (n * n * _coth_shape(n * x / 2)
+                         - _coth_shape(x / 2)) / 2
+    t1 = _times_to_next_barrier(_mean_time_constants(m)[1],
+                                (n - 1 if sp.mirrored else 1,))[0]
+    coup = p0 + rho * q0
+    db = m.r0 + coup * (sp.qint(n - 1) / sp.qn + t1 - tau * lift / sp.qn)
+    s = b * db + 4.0 * a * c * (1.0 + tau)
+    big_a = s * x0 * x0
+    big_b = 1.0 + tau + (db + s * x0) / (b + 1.0 / x0)
+    if display:
+        d = (n * m.r0 * (1.0 + rho ** n) - (1.0 + lift)
+             + (n - 1) * coup * (1.0 + lift))
+        e = sp.Omega * d / (q * (1.0 - rho) ** 2)
+        big_a += sp.Omega * abs(sp.psi0) * e
+        big_b += e
+    return sp.mirrored, sp.xi1, sp.xi2, m.s0 * x0 * big_a, m.s0 * x0 * big_b
 
 
 @lru_cache(maxsize=512)
 def _split_constants(model: WalkModel) -> tuple | None:
-    """:func:`_split_terms` of the chain rule, derived once per model."""
+    """:func:`_split_terms` of the barrier chain, derived once per model."""
     return _split_terms(model, display=False)
 
 
@@ -283,26 +282,26 @@ def _time_to_barrier(model: WalkModel, terms: tuple | None, k: int) -> float:
     """m_0k from the model's :func:`_split_terms`, or its refusal if None."""
     if terms is None:
         raise _split_refusal(model)
-    mirrored, s0, xi1, xi2, base, omega_gap, xi_factor = terms
+    mirrored, xi1, xi2, base, slope = terms
     # the split serves i0 = 0 only, where the reflection maps kN to -kN
     if mirrored:
         k = -k
     xi = xi1 if k <= 0 else xi2
-    return s0 * xi ** k * (base + omega_gap * abs(k) * xi_factor)
+    return xi ** k * (base + abs(k) * slope)
 
 
 def mean_time_to_barrier(model: WalkModel, k: int) -> float:
     """Mean time carried by walks absorbed at barrier k*N, start at 0.
 
     Requires :func:`has_barrier_split`: raises :class:`BalancedUnsupported`
-    at or near balance and :class:`StartNotBarrier` for i0 != 0.
+    for a balanced walk and :class:`StartNotBarrier` for i0 != 0.
     """
     return _time_to_barrier(model, _split_constants(model), k)
 
 
 def display_time_to_barrier(model: WalkModel, k: int) -> float:
     """The same per-barrier time built on the compact display form of
-    d omega0/dz (diagnostic path; it deviates from the chain rule)."""
+    d omega0/dz (diagnostic path; it deviates from the exact derivative)."""
     return _time_to_barrier(model, _split_terms(model, display=True), k)
 
 

@@ -370,9 +370,9 @@ def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[st
             value = ae.mean_time_to_barrier(model, k)
             shown = ae.display_time_to_barrier(model, k)
             if differ(value, shown):
-                notes.append(f"per-barrier mean time at k={k}: chain rule "
-                             f"{value!r} vs display form {shown!r}; the "
-                             f"chain-rule value is returned")
+                notes.append(f"per-barrier mean time at k={k}: barrier "
+                             f"chain {value!r} vs display form {shown!r}; "
+                             f"the barrier-chain value is returned")
     return notes
 
 

@@ -11,8 +11,7 @@ class RejectedParameter(ValueError):
 
 
 class BalancedUnsupported(ValueError):
-    """The requested closed form exists only for walks with enough drift
-    (p != q, and not so close to balance that it loses its precision)."""
+    """Per-barrier absorption times are refused for a balanced walk."""
 
 
 class StartNotBarrier(ValueError):

@@ -706,10 +706,10 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
     """Oracle ground-truth records for a model: site visits over barriers
     -window..window at :func:`default_truncation`, mean times, per-barrier
     times from the truncated derivative for every drift walk started on a
-    barrier, near balance included, and Monte-Carlo records when
-    ``walks > 0``.  Each record is ``{model, quantity, index, value,
-    error_bound, oracle, params}``; ``params`` holds what the oracle call
-    was made with.
+    barrier (the models that ``absorption_engine.has_barrier_split``
+    serves), and Monte-Carlo records when ``walks > 0``.  Each record is
+    ``{model, quantity, index, value, error_bound, oracle, params}``;
+    ``params`` holds what the oracle call was made with.
     """
     records = []
     mdl = model.to_dict()

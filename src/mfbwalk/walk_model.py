@@ -12,8 +12,8 @@ the only point at which the library evaluates its generating functions.
 frame (a walk with p > q is reflected), where the interior roots are 1 and
 rho and one q-integer form, free of overflow, serves drift and balance.
 
-The z-derivatives at z = 1 that the per-barrier times need are written out
-in closed form in :mod:`mfbwalk.absorption_engine`.
+The per-barrier times, z-derivatives at z = 1, are taken in closed form
+from the chain of barrier passages in :mod:`mfbwalk.absorption_engine`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping
 from .errors import RejectedParameter
 
 # |p - q| below this tags a model BALANCED.  The visit forms do not read the
-# tag; it marks where the per-barrier times have no closed form.
+# tag; it marks where the per-barrier times are refused.
 BALANCE_EPS = 1e-9
 
 # absolute tolerance on the sum-to-one constraints; inside it the residual
@@ -205,8 +205,8 @@ class BarrierSpectrum:
     rho = 1; its roots are of saddle type, ``xi1 > 1 > xi2 >= 0``.  They
     are solved for in ``t = xi - 1``, where nothing cancels, so the gaps
     ``gap1 = xi1 - 1`` and ``gap2 = 1 - xi2`` keep full relative precision.
-    ``Omega = [psi0^2 - 4 p0 q0 rho^(N-1)]^(-1/2)`` and
-    ``alpha = r (1 - r) + 4 p q`` feed the display forms and z-derivatives.
+    ``Omega = [psi0^2 - 4 p0 q0 rho^(N-1)]^(-1/2)`` feeds the display forms
+    and the per-barrier times.
     """
 
     model: WalkModel
@@ -226,7 +226,6 @@ class BarrierSpectrum:
     gap1: float
     gap2: float
     Omega: float
-    alpha: float
 
     def qint(self, n: int) -> float:
         """The q-integer [n] = expm1(n log rho) / expm1(log rho) of the
@@ -274,5 +273,4 @@ def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
     return BarrierSpectrum(
         model=m, mirrored=mirrored, p=p, q=q, p0=p0, q0=q0, i0=i0, rho=rho,
         log_rho=log_rho, qden=qden, qn=qn, psi0=-(q0 + c + s),
-        xi1=xi1, xi2=c / (q0 * xi1), gap1=gap1, gap2=gap2, Omega=1.0 / root,
-        alpha=m.r * (1.0 - m.r) + 4.0 * m.p * m.q)
+        xi1=xi1, xi2=c / (q0 * xi1), gap1=gap1, gap2=gap2, Omega=1.0 / root)

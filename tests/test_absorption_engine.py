@@ -6,7 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mfbwalk import (
     BalancedUnsupported,
@@ -23,6 +24,7 @@ from mfbwalk import (
     mean_time_period,
     mean_time_to_barrier,
     periodic_mean_times,
+    reanchored,
     truncated_visit_derivatives,
 )
 from mfbwalk.walk_model import MAX_SITES
@@ -36,7 +38,33 @@ DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
              3: 0.5234918077953412, 4: 0.23606574386116255,
              5: 0.10155785664187866}
 
+# display_time_to_barrier(cfg_drift, k), the display form's values
+DRIFT_DISPLAY_M0K = {-5: 0.0026008068820554332, -4: 0.012047078797459258,
+                     -3: 0.053130182409477256, -2: 0.2159248860942085,
+                     -1: 0.7446180003622117, 0: 1.525356623215818,
+                     1: 1.4892360007244234, 2: 0.8636995443768342,
+                     3: 0.42504145927581805, 4: 0.19275326075934812,
+                     5: 0.08322582022577388}
+
 NEAR_BALANCE = dict(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6, i0=0)
+
+
+def barrier_starts():
+    """``query_models()`` re-anchored to a barrier start, and NEAR_BALANCE."""
+    return st.one_of(query_models().map(lambda m: reanchored(m, 0)),
+                     st.just(make_model(**NEAR_BALANCE)))
+
+
+def _assert_matches_derivative(m, values, rel=1e-12):
+    """``values[k]`` against s0 * dX_{kN}/dz of the truncated lattice; a
+    value that underflows must be an underflowed zero of the oracle too."""
+    deriv = truncated_visit_derivatives(m)
+    for k, value in values.items():
+        want = m.s0 * deriv[k * m.N]
+        if want == 0.0:
+            assert value == 0.0
+        else:
+            assert value == pytest.approx(want, rel=rel)
 
 
 def _mean_times_mp(m, sites):
@@ -152,11 +180,13 @@ class TestMeanTimeAny:
     def test_period_matches_50_digits_at_large_N(self, N, q):
         # a site past N/2 is reflected to (N - i) / N, which rounds once;
         # 1 - i / N rounds twice and was 2.2e-14 off at N = 899 and 3.6e-14
-        # at N = 1999 on the balanced walk
-        m = make_model(p=0.3, q=q, p0=0.3, q0=0.3, s0=0.005, N=N, i0=0)
-        want = _mean_times_mp(m, range(N + 1))
-        assert max(abs(got - w) / w
-                   for got, w in zip(mean_time_period(m), want)) <= 5e-15
+        # at N = 1999 on the balanced walk.  Both orientations: log(q / p)
+        # rounds q / p first and put p = .2999, q = .3 8.5e-15 off at N = 1999
+        for p, q_ in ((0.3, q), (q, 0.3)):
+            m = make_model(p=p, q=q_, p0=0.3, q0=0.3, s0=0.005, N=N, i0=0)
+            want = _mean_times_mp(m, range(N + 1))
+            assert max(abs(got - w) / w
+                       for got, w in zip(mean_time_period(m), want)) <= 5e-15
 
     def test_branch_continuity_at_balance(self):
         rng = np.random.default_rng(23)
@@ -174,15 +204,23 @@ class TestMeanTimeAny:
 
 class TestSpectralDerivatives:
     def test_drift_reference_values(self, cfg_drift):
-        # on the mirrored frame: rho = 1/2, zeta = 5, rho q0 + p0 = 0.3
-        from mfbwalk.absorption_engine import _domega0
+        # on the mirrored frame: rho = 1/2, zeta = 1 / (q - p) = 5 and
+        # rho q0 + p0 = 0.3.  The display form's d omega0/dz is 5.45, 0.25
+        # below the exact 5.7; the gap reaches B as Omega zeta D / (1 - rho)
+        # with zeta D = -0.25, and A as Omega |psi0| Omega zeta D / (1 - rho)
+        from mfbwalk.absorption_engine import _split_terms
         spectrum = barrier_spectrum(cfg_drift)
-        zeta = 1.0 / abs(cfg_drift.p - cfg_drift.q)
-        assert spectrum.alpha == pytest.approx(0.56, rel=1e-14)
-        assert _domega0(spectrum, zeta, display=False) == \
-            pytest.approx(5.7, rel=1e-12)
-        assert _domega0(spectrum, zeta, display=True) == \
-            pytest.approx(5.45, rel=1e-12)
+        exact = _split_terms(cfg_drift, display=False)
+        shown = _split_terms(cfg_drift, display=True)
+        scale = (cfg_drift.s0 * spectrum.Omega * spectrum.qn
+                 * spectrum.Omega / (1.0 - spectrum.rho))
+        assert (shown[4] - exact[4]) / scale == pytest.approx(-0.25, rel=1e-12)
+        assert (shown[3] - exact[3]) / (scale * spectrum.Omega
+                                        * abs(spectrum.psi0)) == \
+            pytest.approx(-0.25, rel=1e-12)
+        for k, want in DRIFT_DISPLAY_M0K.items():
+            assert display_time_to_barrier(cfg_drift, k) == \
+                pytest.approx(want, rel=1e-9)
 
     def test_balanced_unsupported(self, cfg_sym):
         with pytest.raises(BalancedUnsupported):
@@ -209,12 +247,32 @@ class TestMeanTimeToBarrier:
         with pytest.raises(StartNotBarrier):
             mean_time_to_barrier(m, 0)
 
-    def test_near_balance_refused(self):
-        # N |log(q/p)| = 2e-6, where the chain rule would give -158.97 at k = 0
+    def test_near_balance_matches_exact_derivative(self):
+        # N |log(q/p)| = 2e-6: a form that divides by q - p cancels here
+        # (to -158.97 at k = 0); the barrier chain's terms are sums of
+        # positive terms
         m = make_model(**NEAR_BALANCE)
-        assert not has_barrier_split(m)
-        with pytest.raises(BalancedUnsupported):
-            mean_time_to_barrier(m, 0)
+        assert has_barrier_split(m)
+        _assert_matches_derivative(
+            m, {k: mean_time_to_barrier(m, k) for k in range(-5, 6)})
+
+    def test_coth_shape_matches_50_digits(self):
+        # h(t) = (t coth t - 1) / t^2: a Bernoulli series below the cut,
+        # the direct form above it
+        sympy = pytest.importorskip("sympy")
+        from mfbwalk.absorption_engine import (_COTH_SERIES, _COTH_SERIES_CUT,
+                                               _coth_shape)
+        want = [2 ** (2 * n) * sympy.bernoulli(2 * n) / sympy.factorial(2 * n)
+                for n in range(1, len(_COTH_SERIES) + 1)]
+        assert _COTH_SERIES == pytest.approx([float(c) for c in want],
+                                             rel=1e-15, abs=0.0)
+        cut = _COTH_SERIES_CUT
+        with mpmath.workdps(50):
+            for t in (0.0, 1e-8, 0.05, math.nextafter(cut, 0.0), cut, 0.5,
+                      3.0, 40.0, 1e6):
+                exact = (mpmath.mpf(1) / 3 if t == 0.0 else
+                         (t * mpmath.coth(t) - 1) / mpmath.mpf(t) ** 2)
+                assert abs(_coth_shape(t) - exact) <= 2e-14 * exact
 
     def test_tail_ratio_approaches_xi2(self, cfg_drift):
         # the split behaves like xi^k (a + b k), so successive ratios close
@@ -234,7 +292,7 @@ class TestMeanTimeToBarrier:
             half = default_truncation(m)
             total = sum(mean_time_to_barrier(m, k)
                         for k in range(-half + 1, half))
-            assert total == pytest.approx(mean_time_any(m, 0), rel=1e-6)
+            assert total == pytest.approx(mean_time_any(m, 0), rel=1e-12)
 
     @pytest.mark.parametrize("N", [10, 100, 1000])
     @pytest.mark.parametrize("y", [-2e-2, 2e-2, 1.0, -5.0])
@@ -246,7 +304,7 @@ class TestMeanTimeToBarrier:
             deriv = truncated_visit_derivatives(m)
             for k in range(-5, 6):
                 assert mean_time_to_barrier(m, k) == \
-                    pytest.approx(m.s0 * deriv[k * N], rel=1e-6)
+                    pytest.approx(m.s0 * deriv[k * N], rel=1e-12)
 
     def test_mirror_identity(self):
         # m_0k of a walk is m_0,-k of its reflection
@@ -266,7 +324,7 @@ class TestMeanTimeToBarrier:
         for k in range(-5, 6):
             value = mean_time_to_barrier(m, k)
             assert math.isfinite(value)
-            assert value == pytest.approx(m.s0 * deriv[k * m.N], rel=1e-6)
+            assert value == pytest.approx(m.s0 * deriv[k * m.N], rel=1e-12)
 
     def test_matches_numeric_generating_function_derivative(self):
         rng = np.random.default_rng(30)
@@ -275,7 +333,29 @@ class TestMeanTimeToBarrier:
             deriv = truncated_visit_derivatives(m)
             for k in range(-5, 6):
                 assert mean_time_to_barrier(m, k) == \
-                    pytest.approx(m.s0 * deriv[k * m.N], rel=1e-6)
+                    pytest.approx(m.s0 * deriv[k * m.N], rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(barrier_starts())
+    def test_matches_exact_derivative_on_query_models(self, m):
+        assume(has_barrier_split(m))
+        # the s0 = 1e-7 models would need lattices of millions of sites
+        assume(2 * default_truncation(m) * m.N + 1 <= 200_000)
+        _assert_matches_derivative(
+            m, {k: mean_time_to_barrier(m, k) for k in range(-5, 6)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(barrier_starts())
+    def test_split_sums_in_closed_form_to_total_mean_time(self, m):
+        # both geometric tails of s0 x0 xi^k (A + |k| B) summed exactly, with
+        # no lattice and no window, so the s0 = 1e-7 models count too
+        assume(has_barrier_split(m))
+        spectrum = barrier_spectrum(m)
+        _, xi1, xi2, base, slope = absorption_engine._split_constants(m)
+        left, right = xi1 / spectrum.gap1, xi2 / spectrum.gap2
+        total = (base * (left + right)
+                 + slope * (left / spectrum.gap1 + right / spectrum.gap2))
+        assert total == pytest.approx(mean_time_any(m, 0), rel=1e-12)
 
 
 class TestAbsorptionTimes:
@@ -289,10 +369,12 @@ class TestAbsorptionTimes:
         assert times.period_values == (5.0, 6.0, 5.0)
         assert times.per_barrier == {}
 
-    def test_near_balance_has_no_split(self):
-        times = absorption_times(make_model(**NEAR_BALANCE), -2, 2)
+    def test_near_balance_has_split(self):
+        m = make_model(**NEAR_BALANCE)
+        times = absorption_times(m, -2, 2)
         assert len(times.period_values) == 7
-        assert times.per_barrier == {}
+        assert sorted(times.per_barrier) == list(range(-2, 3))
+        _assert_matches_derivative(m, times.per_barrier)
 
     @settings(max_examples=200, deadline=None)
     @given(query_models())

@@ -144,11 +144,11 @@ def test_criterion_5_barrier_time_vs_exact_derivative(drift):
             shown = display_time_to_barrier(m, k)
             discrepancy_notes += abs(shown - closed) > 1e-9 * max(abs(closed), 1e-30)
     elapsed = time.perf_counter() - t0
-    # the chain-rule path must pass outright; the display-form deviation is
+    # the barrier-chain path must pass outright; the display-form deviation is
     # recorded as a formula discrepancy, which is the documented outcome
     _report(5, worst < 1e-6 and discrepancy_notes > 0 and elapsed < 30.0,
             elapsed,
-            f"chain-rule m0k vs exact derivative on 21 models, worst rel "
+            f"barrier-chain m0k vs exact derivative on 21 models, worst rel "
             f"= {worst:.2e}; display-form discrepancies recorded = "
             f"{discrepancy_notes}")
 

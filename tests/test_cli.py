@@ -20,7 +20,7 @@ SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
             "--r0", "0.25", "--s0", "0.25", "--N", "2", "--i0", "0"]
 DRIFT_ARGS = ["--p", "0.4", "--q", "0.2", "--p0", "0.2", "--q0", "0.2",
               "--s0", "0.2", "--N", "2", "--i0", "0"]
-# |p - q| = 1e-7, so N |log(q/p)| = 2e-6: below the per-barrier cut
+# |p - q| = 1e-7, so N |log(q/p)| = 2e-6
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_MODELS = ["cfg-drift", "cfg-sym"]
 NEAR_BALANCE_ARGS = ["--p", "0.30000005", "--q", "0.29999995", "--p0", ".2",
@@ -153,13 +153,18 @@ class TestBarrierTime:
         assert code == 2
         assert "i0" in err
 
-    def test_near_balance_rejected(self, capsys):
-        # the chain rule cancels here: it would give m_00 = -158.97
+    def test_near_balance_served(self, capsys):
+        # a form that divides by q - p cancels here, to m_00 = -158.97
         code, out, err = run(["barrier-time", *NEAR_BALANCE_ARGS], capsys)
-        assert code == 2
-        assert out == ""
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
+        assert code == 0
+        assert err == ""
+        rows = json.loads(out)["rows"]
+        model = validate_model(json.loads(out)["model"])
+        deriv = oracle.truncated_visit_derivatives(model)
+        assert [r["k"] for r in rows] == list(range(-3, 4))
+        for r in rows:
+            assert r["mean_time"] == \
+                pytest.approx(model.s0 * deriv[r["site"]], rel=1e-12)
 
 
 class TestSimulate:
@@ -520,16 +525,13 @@ class TestVerify:
         assert len(rows) == 11
         assert all(r["delta"] < 1e-12 for r in rows)
 
-    def test_near_balance_has_no_barrier_time_checks(self, capsys):
-        code, out, err = run(["verify", *NEAR_BALANCE_ARGS], capsys)
+    def test_near_balance_has_barrier_time_checks(self, capsys):
+        code, out, _ = run(["verify", *NEAR_BALANCE_ARGS], capsys)
         assert code == 0
-        report = json.loads(out)
-        assert report["rows"]
-        assert not [r for r in report["rows"]
-                    if r["quantity"] == "mean_time_to_barrier"]
-        assert not [n for n in report["formula_discrepancies"]
-                    if "per-barrier" in n]
-        assert "per-barrier" not in err
+        rows = [r for r in json.loads(out)["rows"]
+                if r["quantity"] == "mean_time_to_barrier"]
+        assert [r["index"] for r in rows] == list(range(-5, 6))
+        assert all(r["status"] == "pass" for r in rows)
 
     @pytest.mark.parametrize("p,q", [("0.4", "0.1"), ("0.1", "0.4")])
     @pytest.mark.parametrize("i0", ["0", "599"])
