@@ -69,16 +69,9 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _budget(rows: int, what: str) -> None:
-    """Refuse, before any row is built, a report of more than
-    ``MAX_SITES`` rows."""
-    if rows > MAX_SITES:
-        raise ValueError(f"{what} holds {rows} rows, more than {MAX_SITES}")
-
-
 def _parse_window(text: str, sites_per_step: int = 1) -> tuple[int, int]:
-    """``A..B`` as (A, B), within the row budget at ``sites_per_step``
-    rows per step of the window."""
+    """``A..B`` as (A, B); a window of more than ``MAX_SITES`` rows, at
+    ``sites_per_step`` rows per step, is refused before any row is built."""
     try:
         lo_s, hi_s = text.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -86,7 +79,10 @@ def _parse_window(text: str, sites_per_step: int = 1) -> tuple[int, int]:
         raise _UsageError(f"window must look like A..B (got {text!r})")
     if lo > hi:
         raise _UsageError(f"empty window {text!r}")
-    _budget((hi - lo) * sites_per_step + 1, f"window {text}")
+    rows = (hi - lo) * sites_per_step + 1
+    if rows > MAX_SITES:
+        raise ValueError(f"window {text} holds {rows} rows, more than "
+                         f"{MAX_SITES}")
     return lo, hi
 
 
@@ -96,59 +92,51 @@ def _defined(x: float) -> float | None:
     return None if math.isnan(x) else x
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", metavar="FILE", help="model JSON file "
-                   "{p,q,r,p0,q0,r0,s0,N,i0}; exclusive with explicit flags")
-    for name in ("p", "q", "r", "p0", "q0", "r0", "s0"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--i0", type=int, default=None)
-
-
-def _add_output_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-
-
 @cache
 def build_parser() -> _Parser:
     """The command-line parser, built once per process: ``parse_args``
     returns a fresh namespace on every call and every default is immutable,
-    so one ``main`` call leaves nothing behind for the next."""
+    so one ``main`` call leaves nothing behind for the next.  Each command
+    takes the model flags and ``--output`` from one parent parser and names
+    its handler as the ``run`` default."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", metavar="FILE", help="model JSON file "
+                        "{p,q,r,p0,q0,r0,s0,N,i0}; exclusive with explicit flags")
+    for name in ("p", "q", "r", "p0", "q0", "r0", "s0"):
+        common.add_argument(f"--{name}", type=float, default=None)
+    common.add_argument("--N", type=int, default=None)
+    common.add_argument("--i0", type=int, default=None)
+    common.add_argument("--output", choices=("json", "csv"), default="json")
+
     parser = _Parser(prog="mfbwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("visits", help="expected arrivals per site")
-    _add_model_flags(sp)
-    _add_output_flag(sp)
+    def command(name, run, summary):
+        sp = sub.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(run=run)
+        return sp
+
+    sp = command("visits", _cmd_visits, "expected arrivals per site")
     sp.add_argument("--window", default="-3..3", metavar="A..B",
                     help="barrier index range (default -3..3)")
 
-    sp = sub.add_parser("absorb-dist", help="absorption mass per barrier")
-    _add_model_flags(sp)
-    _add_output_flag(sp)
+    sp = command("absorb-dist", _cmd_absorb_dist, "absorption mass per barrier")
     sp.add_argument("--window", default="-3..3", metavar="A..B")
 
-    sp = sub.add_parser("reach", help="probability of reaching a site")
-    _add_model_flags(sp)
-    _add_output_flag(sp)
+    sp = command("reach", _cmd_reach, "probability of reaching a site")
     sp.add_argument("--from", dest="src", type=int, required=True)
     sp.add_argument("--to", dest="dst", type=int, required=True)
 
-    sp = sub.add_parser("mean-time", help="mean absorption time per start site")
-    _add_model_flags(sp)
-    _add_output_flag(sp)
+    sp = command("mean-time", _cmd_mean_time,
+                 "mean absorption time per start site")
     sp.add_argument("--i", type=int, default=None,
                     help="single start site (default: one full period)")
 
-    sp = sub.add_parser("barrier-time",
-                        help="mean time split per absorbing barrier (drift, i0=0)")
-    _add_model_flags(sp)
-    _add_output_flag(sp)
+    sp = command("barrier-time", _cmd_barrier_time,
+                 "mean time split per absorbing barrier (drift, i0=0)")
     sp.add_argument("--window", default="-3..3", metavar="A..B")
 
-    sp = sub.add_parser("simulate", help="seeded Monte-Carlo estimates")
-    _add_model_flags(sp)
-    _add_output_flag(sp)
+    sp = command("simulate", _cmd_simulate, "seeded Monte-Carlo estimates")
     sp.add_argument("--walks", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--step-cap", type=int, default=None)
@@ -157,10 +145,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--window", default=None, metavar="A..B",
                     help="site window for visit means (default -3N..3N)")
 
-    sp = sub.add_parser("verify",
-                        help="closed forms vs oracles; golden file upkeep")
-    _add_model_flags(sp)
-    _add_output_flag(sp)
+    sp = command("verify", _cmd_verify,
+                 "closed forms vs oracles; golden file upkeep")
     sp.add_argument("--window", default="-3..3", metavar="A..B")
     sp.add_argument("--walks", type=int, default=0,
                     help="Monte-Carlo walks (0 skips simulation)")
@@ -188,12 +174,14 @@ def _model_from_args(args) -> WalkModel:
     return validate_model(flags)
 
 
-def _emit(args, rows: Iterable[dict], columns: tuple[str, ...],
-          report: dict) -> int:
-    """Print ``report`` as one compact JSON line, or ``rows`` as CSV under
-    ``columns``; ``rows`` is read for CSV only.  ``json.dumps`` without
-    ``indent`` runs the C encoder; ``json.dump`` to a stream never does."""
+def _emit(args, model: WalkModel, rows: Iterable[dict],
+          columns: tuple[str, ...], report: dict) -> int:
+    """Print ``report`` under the header ``{model, quantity}`` as one
+    compact JSON line, or ``rows`` as CSV under ``columns``; ``rows`` is
+    read for CSV only.  ``json.dumps`` without ``indent`` runs the C
+    encoder; ``json.dump`` to a stream never does."""
     if args.output == "json":
+        report = {"model": model.to_dict(), "quantity": args.command, **report}
         sys.stdout.write(json.dumps(report) + "\n")
         return EXIT_OK
     writer = csv.writer(sys.stdout)
@@ -212,9 +200,8 @@ def _cmd_visits(model, args) -> int:
     rows = [{"site": site, "x": x,
              "absorption_mass": model.s0 * x if site % model.N == 0 else None}
             for site, x in profile.values.items()]
-    return _emit(args, rows, ("site", "x", "absorption_mass"),
-                 {"model": model.to_dict(), "quantity": "visits",
-                  "window": [lo, hi], "rows": rows})
+    return _emit(args, model, rows, ("site", "x", "absorption_mass"),
+                 {"window": [lo, hi], "rows": rows})
 
 
 def _cmd_absorb_dist(model, args) -> int:
@@ -222,29 +209,24 @@ def _cmd_absorb_dist(model, args) -> int:
     rows = [{"k": k, "site": k * model.N,
              "absorption_mass": ve.absorption_mass(model, k)}
             for k in range(lo, hi + 1)]
-    return _emit(args, rows, ("k", "site", "absorption_mass"),
-                 {"model": model.to_dict(), "quantity": "absorb-dist",
-                  "window": [lo, hi], "rows": rows,
+    return _emit(args, model, rows, ("k", "site", "absorption_mass"),
+                 {"window": [lo, hi], "rows": rows,
                   "total": ve.total_absorption(model)})
 
 
 def _cmd_reach(model, args) -> int:
     row = {"from": args.src, "to": args.dst,
            "probability": ve.reach_probability(model, args.src, args.dst)}
-    return _emit(args, [row], tuple(row),
-                 {"model": model.to_dict(), "quantity": "reach", **row})
+    return _emit(args, model, [row], tuple(row), row)
 
 
 def _cmd_mean_time(model, args) -> int:
     if args.i is not None:
         rows = [{"i": args.i, "mean_time": ae.mean_time_any(model, args.i)}]
     else:
-        _budget(model.N + 1, f"the period of N={model.N}")
         rows = [{"i": i, "mean_time": t}
                 for i, t in enumerate(ae.mean_time_period(model))]
-    return _emit(args, rows, ("i", "mean_time"),
-                 {"model": model.to_dict(), "quantity": "mean-time",
-                  "rows": rows})
+    return _emit(args, model, rows, ("i", "mean_time"), {"rows": rows})
 
 
 def _cmd_barrier_time(model, args) -> int:
@@ -252,9 +234,8 @@ def _cmd_barrier_time(model, args) -> int:
     rows = [{"k": k, "site": k * model.N,
              "mean_time": ae.mean_time_to_barrier(model, k)}
             for k in range(lo, hi + 1)]
-    return _emit(args, rows, ("k", "site", "mean_time"),
-                 {"model": model.to_dict(), "quantity": "barrier-time",
-                  "window": [lo, hi], "rows": rows})
+    return _emit(args, model, rows, ("k", "site", "mean_time"),
+                 {"window": [lo, hi], "rows": rows})
 
 
 def _quiet(fn, *args, **kwargs):
@@ -282,8 +263,7 @@ def _cmd_simulate(model, args) -> int:
          for k, f in stats.absorption_hist.items()),
         ({"kind": "visit_mean", "index": site, "value": m, "se": _defined(s)}
          for site, (m, s) in stats.visit_means.items()))
-    return _emit(args, rows, ("kind", "index", "value", "se"), {
-        "model": model.to_dict(), "quantity": "simulate",
+    return _emit(args, model, rows, ("kind", "index", "value", "se"), {
         "walks": stats.walks, "seed": stats.seed, "step_cap": stats.step_cap,
         "mean_steps": mean, "mean_steps_se": se,
         "absorbed": stats.absorbed, "censored": stats.censored,
@@ -334,17 +314,17 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
 
     if ae.has_barrier_split(model):
         deriv = tv.derivatives()
-        for k in range(-5, 6):
+        for k in oracle.SPLIT_BARRIERS:
             rows.append(_row("mean_time_to_barrier", k,
                              ae.mean_time_to_barrier(model, k),
-                             model.s0 * deriv[k * model.N], 1e-6, "rel"))
+                             model.s0 * deriv[k * model.N], 1e-10, "rel"))
 
     if walks > 0:
         stats = _quiet(oracle.simulate, model, walks=walks, seed=seed)
         m_start = ae.mean_time_any(model, model.i0)
         rows.append(_row("mc_mean_steps", "", m_start, stats.mean_steps,
                          4.0 * stats.mean_steps_se, "abs"))
-        for k in range(-2, 3):
+        for k in oracle.MC_BARRIERS:
             freq = stats.absorption_hist.get(k, 0.0)
             se = math.sqrt(max(freq * (1.0 - freq), 1.0 / walks) / walks)
             rows.append(_row("mc_absorption_frequency", k,
@@ -355,6 +335,8 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
 
 def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[str]:
     """Display forms against the authoritative closed forms, once per model."""
+    from . import oracle
+
     def differ(value, shown):
         return abs(shown - value) > FORMULA_TOL * max(abs(value), 1e-30)
 
@@ -366,7 +348,7 @@ def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[st
             notes.append(f"barrier visits at k={k}: boundary system "
                          f"{value!r} vs display form {shown!r}")
     if ae.has_barrier_split(model):
-        for k in range(-5, 6):
+        for k in oracle.SPLIT_BARRIERS:
             value = ae.mean_time_to_barrier(model, k)
             shown = ae.display_time_to_barrier(model, k)
             if differ(value, shown):
@@ -407,26 +389,14 @@ def _cmd_verify(model, args) -> int:
 
     failed = [r for r in rows if r["status"] == "fail"]
     ok = not failed and not golden_mismatches
-    _emit(args, rows, VERIFY_COLUMNS,
-          {"model": model.to_dict(), "quantity": "verify", "rows": rows,
-           "formula_discrepancies": discrepancies,
+    _emit(args, model, rows, VERIFY_COLUMNS,
+          {"rows": rows, "formula_discrepancies": discrepancies,
            "golden_mismatches": golden_mismatches, "ok": ok})
     if not ok:
         return EXIT_DISCREPANCY
     if args.strict_formulas and discrepancies:
         return EXIT_DISCREPANCY
     return EXIT_OK
-
-
-_DISPATCH = {
-    "visits": _cmd_visits,
-    "absorb-dist": _cmd_absorb_dist,
-    "reach": _cmd_reach,
-    "mean-time": _cmd_mean_time,
-    "barrier-time": _cmd_barrier_time,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -436,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_merge_dash_values(list(argv)))
         model = _model_from_args(args)
-        return _DISPATCH[args.command](model, args)
+        return args.run(model, args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,6 +51,11 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-12
 
+# barrier indices k of the per-barrier mean-time records and of the
+# Monte-Carlo absorption-frequency records; verify checks the same sets
+SPLIT_BARRIERS = range(-5, 6)
+MC_BARRIERS = range(-2, 3)
+
 # Monte-Carlo stream layout constants.  Walk w belongs to batch w // BATCH
 # and reads row w % BATCH of each block: block b of batch j is the
 # (rows, BLOCK) uniform draw of a Generator on Philox counter
@@ -732,7 +737,7 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
 
     if split:
         deriv = tv.derivatives()
-        for k in range(-5, 6):
+        for k in SPLIT_BARRIERS:
             record("mean_time_to_barrier", k, model.s0 * deriv[k * model.N],
                    1e-9, "truncated_derivative", {"K": tv.K})
 
@@ -740,7 +745,7 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
         stats = simulate(model, walks=walks, seed=seed)
         params = {"walks": walks, "seed": seed, "step_cap": stats.step_cap}
         record("mean_steps", 0, stats.mean_steps, 0.0, "simulate", params)
-        for k in range(-2, 3):
+        for k in MC_BARRIERS:
             record("absorption_frequency", k,
                    stats.absorption_hist.get(k, 0.0), 0.0, "simulate", params)
     return records

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import io
+import re
 import json
 import os
 import subprocess
@@ -652,9 +654,10 @@ class TestCompactJson:
         reports = []
         emit = mfbwalk.cli._emit
 
-        def spy(args, rows, columns, report):
-            reports.append(report)
-            return emit(args, rows, columns, report)
+        def spy(args, model, rows, columns, report):
+            reports.append({"model": model.to_dict(), "quantity": args.command,
+                            **report})
+            return emit(args, model, rows, columns, report)
 
         monkeypatch.setattr(mfbwalk.cli, "_emit", spy)
         code, out, _ = run([*command, "--model", drift_file], capsys)
@@ -691,3 +694,104 @@ class TestVerifyResiduals:
         for i0 in (0, 37):
             m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=0.2, N=100, i0=i0)
             self._assert_rows_equal(m, (-2, 1))
+
+
+# the command-line surface, action by action: (option strings, dest,
+# default, type, choices, required, metavar, help)
+HELP_FLAG = (("-h", "--help"), "help", argparse.SUPPRESS, None, None, False,
+             None, "show this help message and exit")
+MODEL_FLAGS = [
+    (("--model",), "model", None, None, None, False, "FILE",
+     "model JSON file {p,q,r,p0,q0,r0,s0,N,i0}; exclusive with explicit flags"),
+    (("--p",), "p", None, float, None, False, None, None),
+    (("--q",), "q", None, float, None, False, None, None),
+    (("--r",), "r", None, float, None, False, None, None),
+    (("--p0",), "p0", None, float, None, False, None, None),
+    (("--q0",), "q0", None, float, None, False, None, None),
+    (("--r0",), "r0", None, float, None, False, None, None),
+    (("--s0",), "s0", None, float, None, False, None, None),
+    (("--N",), "N", None, int, None, False, None, None),
+    (("--i0",), "i0", None, int, None, False, None, None),
+    (("--output",), "output", "json", None, ("json", "csv"), False, None, None),
+]
+BARRIER_WINDOW = (("--window",), "window", "-3..3", None, None, False, "A..B",
+                  None)
+COMMAND_FLAGS = [
+    ("visits", "expected arrivals per site", [
+        (("--window",), "window", "-3..3", None, None, False, "A..B",
+         "barrier index range (default -3..3)")]),
+    ("absorb-dist", "absorption mass per barrier", [BARRIER_WINDOW]),
+    ("reach", "probability of reaching a site", [
+        (("--from",), "src", None, int, None, True, None, None),
+        (("--to",), "dst", None, int, None, True, None, None)]),
+    ("mean-time", "mean absorption time per start site", [
+        (("--i",), "i", None, int, None, False, None,
+         "single start site (default: one full period)")]),
+    ("barrier-time", "mean time split per absorbing barrier (drift, i0=0)",
+     [BARRIER_WINDOW]),
+    ("simulate", "seeded Monte-Carlo estimates", [
+        (("--walks",), "walks", 100_000, int, None, False, None, None),
+        (("--seed",), "seed", 42, int, None, False, None, None),
+        (("--step-cap",), "step_cap", None, int, None, False, None, None),
+        (("--workers",), "workers", 1, int, None, False, None,
+         "batch threads, at most one per batch and usable CPU"),
+        (("--window",), "window", None, None, None, False, "A..B",
+         "site window for visit means (default -3N..3N)")]),
+    ("verify", "closed forms vs oracles; golden file upkeep", [
+        BARRIER_WINDOW,
+        (("--walks",), "walks", 0, int, None, False, None,
+         "Monte-Carlo walks (0 skips simulation)"),
+        (("--seed",), "seed", 42, int, None, False, None, None),
+        (("--golden",), "golden", None, None, None, False, "FILE",
+         "golden record file to diff (or write with --bless)"),
+        (("--bless",), "bless", False, None, None, False, None,
+         "regenerate the golden file from the oracles"),
+        (("--strict-formulas",), "strict_formulas", False, None, None, False,
+         None, "exit 3 if any display-form discrepancy is recorded")]),
+]
+
+
+def _subcommands() -> argparse._SubParsersAction:
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+class TestCliSurface:
+    """The commands, their flags and the report header stay as documented;
+    help text is not compared, since its layout varies across Python
+    versions."""
+
+    def test_commands_and_flags(self):
+        sub = _subcommands()
+        summaries = {a.dest: a.help for a in sub._choices_actions}
+        surface = [(name, summaries[name],
+                    [(tuple(a.option_strings), a.dest, a.default, a.type,
+                      a.choices, a.required, a.metavar, a.help)
+                     for a in sp._actions])
+                   for name, sp in sub.choices.items()]
+        assert surface == [(name, summary, [HELP_FLAG, *MODEL_FLAGS, *flags])
+                           for name, summary, flags in COMMAND_FLAGS]
+
+    @pytest.mark.parametrize("command", TestCompactJson.COMMANDS, ids=" ".join)
+    def test_report_starts_with_model_and_quantity(self, command, drift_file,
+                                                   capsys):
+        code, out, _ = run([*command, "--model", drift_file], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert list(report)[:2] == ["model", "quantity"]
+        assert report["quantity"] == command[0]
+        assert validate_model(report["model"]) == validate_model(CFG_DRIFT)
+
+    def test_module_docstring_names_the_commands(self):
+        listed = re.search(r"Subcommands:(.*?)\.", mfbwalk.cli.__doc__,
+                           re.DOTALL).group(1)
+        assert [name.strip() for name in listed.split(",")] == \
+            list(_subcommands().choices)
+
+    def test_readme_names_the_commands(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+        named = [[line.split()[1] for line in block.splitlines()
+                  if line.startswith("mfbwalk ")] for block in blocks]
+        assert list(_subcommands().choices) in named

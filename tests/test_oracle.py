@@ -13,6 +13,7 @@ from mfbwalk import (
     ExcessCensoring,
     TruncationInsufficient,
     default_truncation,
+    has_barrier_split,
     make_model,
     mean_time_any,
     periodic_mean_times,
@@ -25,6 +26,9 @@ from mfbwalk import (
 from mfbwalk.oracle import (
     _BRIDGE,
     MAX_SITES,
+    MC_BARRIERS,
+    SPLIT_BARRIERS,
+    oracle_battery,
     _lattice_rates,
     _Reduction,
 )
@@ -833,3 +837,54 @@ class TestWalkerKernel:
         for seed, model in enumerate(models):
             args = (model, seed, 2, rows, step_cap, -2 * model.N, 3 * model.N)
             _assert_batch_matches_stepwise(*args)
+
+
+def _battery_models():
+    """Drift and balanced draws with N <= 30, started on a barrier and off
+    one, the near-balance model and cfg-sym."""
+    rng = np.random.default_rng(2024)
+    models = []
+    for branch in ("DRIFT", "BALANCED"):
+        for on_barrier in (True, False):
+            n = int(rng.integers(2, 31))
+            i0 = 0 if on_barrier else int(rng.integers(1, n))
+            models.append(random_model(rng, branch, N=n, i0=i0))
+    return models + [
+        make_model(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6,
+                   i0=0),
+        make_model(**CFG_SYM)]
+
+
+class TestOracleBattery:
+    """The records the golden battery writes: the oracle restates
+    ``has_barrier_split`` without importing the engines, and this pins the
+    two together."""
+
+    @pytest.mark.parametrize("model", _battery_models(),
+                             ids=lambda m: f"{m.branch.name}-N{m.N}-i0_{m.i0}")
+    def test_record_set_at_window_1(self, model):
+        by_quantity = {}
+        for record in oracle_battery(model, window=1):
+            by_quantity.setdefault(record["quantity"], []).append(record)
+        sites = by_quantity.pop("site_visits")
+        assert [r["index"] for r in sites] == list(range(-model.N, model.N + 1))
+        assert all(r["params"] == {"K": default_truncation(model)}
+                   for r in sites)
+        assert [r["index"] for r in by_quantity.pop("mean_time_any")] == \
+            list(range(model.N + 1))
+        split = by_quantity.pop("mean_time_to_barrier", [])
+        assert [r["index"] for r in split] == \
+            (list(SPLIT_BARRIERS) if has_barrier_split(model) else [])
+        # no simulate record without walks
+        assert by_quantity == {}
+
+    def test_walks_add_mean_steps_and_one_frequency_per_barrier(self):
+        model = make_model(**CFG_DRIFT)
+        plain = oracle_battery(model, window=1)
+        records = oracle_battery(model, window=1, walks=200)
+        assert records[:len(plain)] == plain
+        added = records[len(plain):]
+        assert [(r["quantity"], r["index"]) for r in added] == \
+            [("mean_steps", 0)] + [("absorption_frequency", k)
+                                   for k in MC_BARRIERS]
+        assert all(r["oracle"] == "simulate" for r in added)
