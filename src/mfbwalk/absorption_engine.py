@@ -21,17 +21,21 @@ Two quantities live here:
   on the frame of the drift reference model); :func:`display_time_to_barrier`
   evaluates it as a diagnostic for ``verify``.
 
-:func:`has_barrier_split` says where the split serves: balanced walks and
-starts off a barrier stay refused, as perfbench documents them; ``s0 *
-mfbwalk.oracle.truncated_visit_derivatives(m)[k * N]`` gives it everywhere.
+:func:`~mfbwalk.walk_model.has_barrier_split`, defined beside the model's
+branch and read by the oracle battery too, says where the split serves:
+balanced walks and starts off a barrier stay refused, as perfbench
+documents them; ``s0 * mfbwalk.oracle.truncated_visit_derivatives(m)[k *
+N]`` gives it everywhere.
 
 The per-model constants of both (m_0, the ruin denominators and, inside
 the series cut, the ruin series folded into one polynomial in the site for
-each half of the period; the k-independent factors of the split) are
-derived once per model and held in 512-entry caches, like
-:func:`mfbwalk.walk_model.barrier_spectrum`, so that each call does only
-its per-site or per-barrier arithmetic.  A refusal is cached as None and
-raised afresh on every call.
+each half of the period; the k-independent factors of the split, read from
+the same ruin constants) are derived once per model into one record held in
+a 512-entry cache, like :func:`mfbwalk.walk_model.barrier_spectrum`, so
+that each call does only its per-site or per-barrier arithmetic.  A
+refusal of the split is held as None and raised afresh on every call.  A
+value beyond the float range raises OverflowError; none is returned as inf
+or nan.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import BalancedUnsupported, StartNotBarrier
+from .errors import BalancedUnsupported, StartNotBarrier, beyond_float_range
 from .walk_model import (BALANCE_EPS, MAX_SITES, Branch, WalkModel,
-                         barrier_spectrum)
+                         barrier_spectrum, has_barrier_split)
 
 __all__ = [
     "AbsorptionTimes",
@@ -143,12 +147,15 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
 
 
 @lru_cache(maxsize=512)
-def _mean_time_constants(model: WalkModel) -> tuple[float, tuple]:
-    """(m_0, ruin constants of :func:`_times_to_next_barrier`), derived once
-    per model; m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0 is the mean time
-    from a barrier."""
+def _mean_time_constants(model: WalkModel) -> tuple[float, tuple, tuple | None]:
+    """(m_0, ruin constants of :func:`_times_to_next_barrier`,
+    :func:`_split_terms` or None), derived once per model; m_0 = (p0 T_1 +
+    q0 T_{N-1} + 1 - s0) / s0 is the mean time from a barrier."""
     m = model
-    x = math.log1p((m.q - m.p) / m.p)
+    drift = (m.q - m.p) / m.p
+    # below q / p of about 1.1e-16 the drift rounds to -1, outside log1p's
+    # domain, and log(q / p) keeps the ratio's digits
+    x = math.log(m.q / m.p) if drift == -1.0 else math.log1p(drift)
     y = m.N * x
     in_series = abs(y) < _RUIN_SERIES_CUT
     ruin = (m.N, m.N ** 2, y,
@@ -157,7 +164,7 @@ def _mean_time_constants(model: WalkModel) -> tuple[float, tuple]:
             1.0 if x == 0.0 else x / math.expm1(x), m.p)
     t1, t_last = _times_to_next_barrier(ruin, (1, m.N - 1))
     m0 = (m.p0 * t1 + m.q0 * t_last + 1.0 - m.s0) / m.s0
-    return m0, ruin
+    return m0, ruin, _split_terms(m, ruin, display=False)
 
 
 def mean_time_any(model: WalkModel, i: int) -> float:
@@ -172,8 +179,11 @@ def mean_time_any(model: WalkModel, i: int) -> float:
     and eliminates its interior onto m_0, so at s0 = 1e-7 the two agree
     within 1e-12 relative at N = 1000 and 2e-15 at N = 10.
     """
-    m0, ruin = _mean_time_constants(model)
-    return m0 + _times_to_next_barrier(ruin, (i % model.N,))[0]
+    m0, ruin, _ = _mean_time_constants(model)
+    value = m0 + _times_to_next_barrier(ruin, (i % model.N,))[0]
+    if not math.isfinite(value):
+        raise beyond_float_range("the mean time")
+    return value
 
 
 def mean_time_period(model: WalkModel) -> tuple[float, ...]:
@@ -184,9 +194,12 @@ def mean_time_period(model: WalkModel) -> tuple[float, ...]:
     if n + 1 > MAX_SITES:
         raise ValueError(f"a period of {n + 1} mean times is more than "
                          f"{MAX_SITES}")
-    m0, ruin = _mean_time_constants(model)
+    m0, ruin, _ = _mean_time_constants(model)
     times = _times_to_next_barrier(ruin, range(1, n))
-    return (m0, *[m0 + t for t in times], m0)
+    period = (m0, *[m0 + t for t in times], m0)
+    if not all(map(math.isfinite, period)):
+        raise beyond_float_range("a mean time of the period")
+    return period
 
 
 def _split_refusal(model: WalkModel) -> ValueError:
@@ -202,12 +215,6 @@ def _split_refusal(model: WalkModel) -> ValueError:
         f"(i0 = 0); model has i0 = {model.i0}")
 
 
-def has_barrier_split(model: WalkModel) -> bool:
-    """Whether :func:`mean_time_to_barrier` serves this model: a drift walk
-    started on a barrier."""
-    return model.i0 == 0 and model.branch is Branch.DRIFT
-
-
 def _coth_shape(t: float) -> float:
     """h(t) = (t coth t - 1) / t^2 for t >= 0, within 2e-14 relative; below
     the cut the direct form cancels and :data:`_COTH_SERIES` serves."""
@@ -215,7 +222,7 @@ def _coth_shape(t: float) -> float:
             else (t / math.tanh(t) - 1.0) / (t * t))
 
 
-def _split_terms(model: WalkModel, display: bool) -> tuple | None:
+def _split_terms(model: WalkModel, ruin: tuple, display: bool) -> tuple | None:
     """The k-independent factors of m_0k = s0 x_{kN} (A + |k| B) on the
     rho <= 1 frame of :func:`barrier_spectrum` (m_0k = m'_{0,-k} if it is
     mirrored), where A = x0'/x0 and B = |xi'/xi| at z = 1.
@@ -232,8 +239,8 @@ def _split_terms(model: WalkModel, display: bool) -> tuple | None:
     i0 = 0, x_{kN} = x0 xi^k with x0 = Omega [N] = (b^2 - 4ac)^(-1/2).  The
     returning moves take b' = r0 + (p0 + rho q0)([N-1]/[N] + T_1 -
     tau rho^(N-1)/[N]) steps per visit, T_1 the ruin duration from the
-    frame's site 1; with S = |b| b' + 4ac (1 + tau), A = S x0^2 and
-    B = 1 + tau + (b' + S x0) / (|b| + 1/x0).
+    frame's site 1 (from the model's ``ruin`` constants); with S = |b| b' +
+    4ac (1 + tau), A = S x0^2 and B = 1 + tau + (b' + S x0) / (|b| + 1/x0).
 
     ``display`` adds the term by which the display form of d omega0/dz
     differs (diagnostic only): E = Omega D / (q (1 - rho)^2) to B and
@@ -256,8 +263,7 @@ def _split_terms(model: WalkModel, display: bool) -> tuple | None:
     x_per_drift = x / (-q * math.expm1(-x))  # x / (q - p)
     tau = x_per_drift * (n * n * _coth_shape(n * x / 2)
                          - _coth_shape(x / 2)) / 2
-    t1 = _times_to_next_barrier(_mean_time_constants(m)[1],
-                                (n - 1 if sp.mirrored else 1,))[0]
+    t1 = _times_to_next_barrier(ruin, (n - 1 if sp.mirrored else 1,))[0]
     coup = p0 + rho * q0
     db = m.r0 + coup * (sp.qint(n - 1) / sp.qn + t1 - tau * lift / sp.qn)
     s = b * db + 4.0 * a * c * (1.0 + tau)
@@ -272,12 +278,6 @@ def _split_terms(model: WalkModel, display: bool) -> tuple | None:
     return sp.mirrored, sp.xi1, sp.xi2, m.s0 * x0 * big_a, m.s0 * x0 * big_b
 
 
-@lru_cache(maxsize=512)
-def _split_constants(model: WalkModel) -> tuple | None:
-    """:func:`_split_terms` of the barrier chain, derived once per model."""
-    return _split_terms(model, display=False)
-
-
 def _time_to_barrier(model: WalkModel, terms: tuple | None, k: int) -> float:
     """m_0k from the model's :func:`_split_terms`, or its refusal if None."""
     if terms is None:
@@ -287,7 +287,10 @@ def _time_to_barrier(model: WalkModel, terms: tuple | None, k: int) -> float:
     if mirrored:
         k = -k
     xi = xi1 if k <= 0 else xi2
-    return xi ** k * (base + abs(k) * slope)
+    value = xi ** k * (base + abs(k) * slope)
+    if not math.isfinite(value):
+        raise beyond_float_range("the per-barrier mean time")
+    return value
 
 
 def mean_time_to_barrier(model: WalkModel, k: int) -> float:
@@ -296,13 +299,14 @@ def mean_time_to_barrier(model: WalkModel, k: int) -> float:
     Requires :func:`has_barrier_split`: raises :class:`BalancedUnsupported`
     for a balanced walk and :class:`StartNotBarrier` for i0 != 0.
     """
-    return _time_to_barrier(model, _split_constants(model), k)
+    return _time_to_barrier(model, _mean_time_constants(model)[2], k)
 
 
 def display_time_to_barrier(model: WalkModel, k: int) -> float:
     """The same per-barrier time built on the compact display form of
     d omega0/dz (diagnostic path; it deviates from the exact derivative)."""
-    return _time_to_barrier(model, _split_terms(model, display=True), k)
+    ruin = _mean_time_constants(model)[1]
+    return _time_to_barrier(model, _split_terms(model, ruin, display=True), k)
 
 
 def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> AbsorptionTimes:
@@ -315,7 +319,7 @@ def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> Absor
     if k_min > k_max:
         raise ValueError(f"empty barrier window ({k_min}, {k_max})")
     period = mean_time_period(model)
-    terms = _split_constants(model)
+    terms = _mean_time_constants(model)[2]
     per_barrier: dict[int, float] = {}
     if terms is not None:
         per_barrier = {k: _time_to_barrier(model, terms, k)

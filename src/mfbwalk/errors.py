@@ -1,6 +1,13 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the overflow
+error of the closed forms."""
 
 from __future__ import annotations
+
+
+def beyond_float_range(quantity: str) -> OverflowError:
+    """The error a closed form raises in place of returning inf or nan; an
+    ArithmeticError, which the CLI reports as "cannot compute"."""
+    return OverflowError(f"{quantity} is beyond the float range")
 
 
 class RejectedParameter(ValueError):

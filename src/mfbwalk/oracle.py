@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExcessCensoring, SingularSystem, TruncationInsufficient
-from .walk_model import (MAX_SITES, Branch, WalkModel, barrier_spectrum,
-                         validate_model)
+from .walk_model import (MAX_SITES, WalkModel, barrier_spectrum,
+                         has_barrier_split, validate_model)
 
 __all__ = [
     "TruncatedVisits",
@@ -710,9 +710,9 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
                    seed: int = 42) -> list[dict]:
     """Oracle ground-truth records for a model: site visits over barriers
     -window..window at :func:`default_truncation`, mean times, per-barrier
-    times from the truncated derivative for every drift walk started on a
-    barrier (the models that ``absorption_engine.has_barrier_split``
-    serves), and Monte-Carlo records when ``walks > 0``.  Each record is
+    times from the truncated derivative where
+    :func:`~mfbwalk.walk_model.has_barrier_split` holds, and Monte-Carlo
+    records when ``walks > 0``.  Each record is
     ``{model, quantity, index, value, error_bound, oracle, params}``;
     ``params`` holds what the oracle call was made with.
     """
@@ -724,7 +724,6 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
                         "value": value, "error_bound": error_bound,
                         "oracle": oracle, "params": params})
 
-    split = model.branch is Branch.DRIFT and model.i0 == 0
     tv = truncated_visits(model)
     for j in range(-window * model.N, window * model.N + 1):
         record("site_visits", j, tv[j], 10 * tv.tail_bound,
@@ -735,7 +734,7 @@ def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
         record("mean_time_any", i, float(period[i]), 1e-12,
                "periodic_solve", {})
 
-    if split:
+    if has_barrier_split(model):
         deriv = tv.derivatives()
         for k in SPLIT_BARRIERS:
             record("mean_time_to_barrier", k, model.s0 * deriv[k * model.N],

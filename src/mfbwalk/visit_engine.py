@@ -23,9 +23,11 @@ start interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import beyond_float_range
 from .walk_model import (MAX_SITES, BarrierSpectrum, WalkModel,
                          barrier_spectrum)
 
@@ -123,11 +125,15 @@ def total_absorption(model: WalkModel) -> float:
 
     Sums s0 * x_{kN} over all k: ratio 1/xi1 on the left tail and xi2 on
     the right, each divided by its root's gap to one.  Equals one for every
-    valid model.
+    valid model; where a term leaves the float range (a subnormal s0), it
+    raises OverflowError.
     """
     spectrum = barrier_spectrum(model)
     c1, xn = boundary_coefficients(model)
-    return model.s0 * (c1 * spectrum.xi1 / spectrum.gap1 + xn / spectrum.gap2)
+    total = model.s0 * (c1 * spectrum.xi1 / spectrum.gap1 + xn / spectrum.gap2)
+    if not math.isfinite(total):
+        raise beyond_float_range("the total absorption")
+    return total
 
 
 def _weights(sp: BarrierSpectrum, n: int, qint) -> tuple[float, float]:

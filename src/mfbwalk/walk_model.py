@@ -48,6 +48,12 @@ class Branch(enum.Enum):
     BALANCED = "BALANCED"    # rho == 1 (within BALANCE_EPS on |p - q|)
 
 
+def has_barrier_split(model: WalkModel) -> bool:
+    """Whether per-barrier mean times are served: a drift walk started on a
+    barrier.  The closed form and the oracle battery both follow this rule."""
+    return model.i0 == 0 and model.branch is Branch.DRIFT
+
+
 @dataclass(frozen=True)
 class WalkModel:
     """Validated parameter bundle.  Construct via :func:`validate_model`.

@@ -22,6 +22,16 @@ EXTREME_MODELS = EDGE_MODELS + [
     for p0, q0 in ((0.3, 0.3), (0.2, 0.35)) for i0 in (0, 3)
 ] + [dict(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6, i0=i0)
      for i0 in (0, 2)]
+# models whose mean times lie beyond the float range: p = q = 1.05e-299 at
+# s0 = 9.44e-9, and a subnormal s0, which puts the total absorption's terms
+# beyond it too; the last has q0 = p0 rho^(N-1) in its frame, so its
+# per-barrier terms overflow as well
+FLOAT_RANGE_MODELS = [
+    dict(p=1.05e-299, q=1.05e-299, p0=0.000463, q0=0.296, s0=9.44e-9, N=135,
+         i0=65),
+    dict(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=1e-310, N=10, i0=0),
+    dict(p=0.2, q=0.4, p0=0.4, q0=0.2, s0=1e-310, N=2, i0=0),
+]
 
 
 @pytest.fixture(scope="session")

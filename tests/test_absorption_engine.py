@@ -48,6 +48,19 @@ DRIFT_DISPLAY_M0K = {-5: 0.0026008068820554332, -4: 0.012047078797459258,
 
 NEAR_BALANCE = dict(p=0.30000005, q=0.29999995, p0=0.2, q0=0.3, s0=0.1, N=6, i0=0)
 
+# q / p below about 1.1e-16, where (q - p) / p rounds to -1, in both
+# orientations, at N = 2, 10 and 1000
+EXTREME_DRIFT = [
+    pytest.param(ratio, n, flip, id=f"{ratio:g}-N{n}-{'qp' if flip else 'pq'}")
+    for ratio in (1e-17, 1e-30, 1e-100, 1e-300) for n in (2, 10, 1000)
+    for flip in (False, True)]
+
+
+def extreme_drift(ratio, n, flip):
+    """A barrier-start walk with q / p = ratio, or p / q = ratio if flipped."""
+    m = make_model(p=0.5, q=0.5 * ratio, p0=0.3, q0=0.3, s0=0.2, N=n, i0=0)
+    return mirror(m) if flip else m
+
 
 def barrier_starts():
     """``query_models()`` re-anchored to a barrier start, and NEAR_BALANCE."""
@@ -188,6 +201,14 @@ class TestMeanTimeAny:
             assert max(abs(got - w) / w
                        for got, w in zip(mean_time_period(m), want)) <= 5e-15
 
+    @pytest.mark.parametrize("ratio,n,flip", EXTREME_DRIFT)
+    def test_extreme_drift_matches_the_periodic_solve(self, ratio, n, flip):
+        m = extreme_drift(ratio, n, flip)
+        want = [float(t) for t in periodic_mean_times(m)]
+        assert mean_time_period(m) == pytest.approx(want, rel=1e-10)
+        for i in (1, n // 2, n - 1):
+            assert mean_time_any(m, i) == pytest.approx(want[i], rel=1e-10)
+
     def test_branch_continuity_at_balance(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -208,10 +229,10 @@ class TestSpectralDerivatives:
         # rho q0 + p0 = 0.3.  The display form's d omega0/dz is 5.45, 0.25
         # below the exact 5.7; the gap reaches B as Omega zeta D / (1 - rho)
         # with zeta D = -0.25, and A as Omega |psi0| Omega zeta D / (1 - rho)
-        from mfbwalk.absorption_engine import _split_terms
+        from mfbwalk.absorption_engine import _mean_time_constants, _split_terms
         spectrum = barrier_spectrum(cfg_drift)
-        exact = _split_terms(cfg_drift, display=False)
-        shown = _split_terms(cfg_drift, display=True)
+        _, ruin, exact = _mean_time_constants(cfg_drift)
+        shown = _split_terms(cfg_drift, ruin, display=True)
         scale = (cfg_drift.s0 * spectrum.Omega * spectrum.qn
                  * spectrum.Omega / (1.0 - spectrum.rho))
         assert (shown[4] - exact[4]) / scale == pytest.approx(-0.25, rel=1e-12)
@@ -344,6 +365,14 @@ class TestMeanTimeToBarrier:
         _assert_matches_derivative(
             m, {k: mean_time_to_barrier(m, k) for k in range(-5, 6)})
 
+    @pytest.mark.parametrize("ratio,n,flip", EXTREME_DRIFT)
+    def test_extreme_drift_matches_exact_derivative(self, ratio, n, flip):
+        m = extreme_drift(ratio, n, flip)
+        assert 2 * default_truncation(m) * m.N + 1 <= MAX_SITES
+        _assert_matches_derivative(
+            m, {k: mean_time_to_barrier(m, k) for k in range(-3, 4)},
+            rel=1e-10)
+
     @settings(max_examples=200, deadline=None)
     @given(barrier_starts())
     def test_split_sums_in_closed_form_to_total_mean_time(self, m):
@@ -351,7 +380,7 @@ class TestMeanTimeToBarrier:
         # no lattice and no window, so the s0 = 1e-7 models count too
         assume(has_barrier_split(m))
         spectrum = barrier_spectrum(m)
-        _, xi1, xi2, base, slope = absorption_engine._split_constants(m)
+        _, xi1, xi2, base, slope = absorption_engine._mean_time_constants(m)[2]
         left, right = xi1 / spectrum.gap1, xi2 / spectrum.gap2
         total = (base * (left + right)
                  + slope * (left / spectrum.gap1 + right / spectrum.gap2))
@@ -429,7 +458,6 @@ class TestCachedConstants:
         first = [self._values(m) for m in models]
         assert [self._values(m) for m in models] == first
         absorption_engine._mean_time_constants.cache_clear()
-        absorption_engine._split_constants.cache_clear()
         assert [self._values(m) for m in models] == first
 
     @pytest.mark.parametrize("raw,wanted", [

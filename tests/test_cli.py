@@ -16,7 +16,7 @@ import mfbwalk
 from mfbwalk import (make_model, occupancy_residual, oracle, validate_model,
                      visit_engine)
 from mfbwalk.cli import build_parser, main
-from conftest import CFG_DRIFT, CFG_SYM, model_strategy
+from conftest import CFG_DRIFT, CFG_SYM, FLOAT_RANGE_MODELS, model_strategy
 
 SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
             "--r0", "0.25", "--s0", "0.25", "--N", "2", "--i0", "0"]
@@ -37,6 +37,9 @@ DEFECT_MODELS = [
     " --q0 .0010126714182545685 --s0 .49409249115434833 --N 2000 --i0 119",
     "--p .148 --q .148 --p0 .377 --q0 .386 --s0 4.33e-6 --N 1000 --i0 250",
 ]
+# q / p = 2e-17: (q - p) / p rounds to -1
+EXTREME_DRIFT_ARGS = ["--p", "0.5", "--q", "1e-17", "--p0", ".3", "--q0",
+                      ".3", "--s0", ".2", "--N", "10", "--i0", "0"]
 # reports above the MAX_SITES row budget: a visits or verify window holds
 # (B - A) N + 1 rows, an absorb-dist or barrier-time window B - A + 1 and
 # the full mean-time period N + 1
@@ -67,6 +70,11 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _model_args(raw):
+    return [arg for name, value in raw.items()
+            for arg in (f"--{name}", repr(value))]
 
 
 def _reject_constant(name):
@@ -286,6 +294,27 @@ class TestExitCodes:
         assert code == 2
         assert "Traceback" not in err
         assert err.strip() == "cannot compute: OverflowError: math range error"
+
+    @pytest.mark.parametrize("raw,command", [
+        *[(raw, command) for raw in FLOAT_RANGE_MODELS
+          for command in (["mean-time"], ["mean-time", "--i", "1"])],
+        *[(raw, ["absorb-dist"]) for raw in FLOAT_RANGE_MODELS[1:]],
+        (FLOAT_RANGE_MODELS[2], ["barrier-time"]),
+    ])
+    def test_beyond_the_float_range_is_2_in_one_line(self, raw, command,
+                                                      capsys):
+        code, out, err = run([*command, *_model_args(raw)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cannot compute: OverflowError: ")
+
+    @pytest.mark.parametrize("command", ["mean-time", "barrier-time", "verify"])
+    def test_extreme_drift_is_0(self, command, capsys):
+        code, out, _ = run([command, *EXTREME_DRIFT_ARGS], capsys)
+        assert code == 0
+        if command == "verify":
+            assert json.loads(out)["ok"]
 
     @pytest.mark.parametrize("p,q", [("0.4", "0.1"), ("0.1", "0.4")])
     def test_large_drift_absorb_dist_is_0(self, p, q, capsys):

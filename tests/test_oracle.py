@@ -856,9 +856,8 @@ def _battery_models():
 
 
 class TestOracleBattery:
-    """The records the golden battery writes: the oracle restates
-    ``has_barrier_split`` without importing the engines, and this pins the
-    two together."""
+    """The records the golden battery writes: its per-barrier records
+    follow ``has_barrier_split``, which the engine reads too."""
 
     @pytest.mark.parametrize("model", _battery_models(),
                              ids=lambda m: f"{m.branch.name}-N{m.N}-i0_{m.i0}")

@@ -2,6 +2,7 @@
 the oracle, in turn, imports no closed-form engine."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -81,8 +82,8 @@ def test_closed_form_commands_never_load_scipy():
 
 
 def test_simulate_sizes_its_step_cap_without_scipy():
-    # the default step cap comes from periodic_mean_times, solved in plain
-    # Python
+    # the default step cap comes from periodic_mean_times, solved by the
+    # numpy GTH reduction
     model = "--p .4 --q .2 --p0 .2 --q0 .2 --s0 .2 --N 2 --i0 0"
     code = ("import sys\n"
             "from mfbwalk.cli import main\n"
@@ -112,3 +113,22 @@ def test_verify_never_loads_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=PACKAGE.parent, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_per_model_caches_are_known_by_name():
+    # every lru_cache wrapper among the attributes of the package's modules:
+    # the per-model caches, of 512 entries, and the CLI's one parser.  A
+    # cache added or dropped fails here until this list, which names what a
+    # clear of the per-model caches must reach, changes with it
+    caches = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"mfbwalk.{path.stem}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_parameters", None)):
+                name = f"{value.__module__}.{value.__qualname__}"
+                caches[name.removeprefix("mfbwalk.")] = \
+                    value.cache_parameters()["maxsize"]
+    assert caches == {"walk_model.barrier_spectrum": 512,
+                      "visit_engine.boundary_coefficients": 512,
+                      "absorption_engine._mean_time_constants": 512,
+                      "cli.build_parser": None}
