@@ -23,7 +23,8 @@ from functools import cache
 
 from . import absorption_engine as ae
 from . import visit_engine as ve
-from .errors import BalancedUnsupported, RejectedParameter, StartNotBarrier
+from .errors import (BalancedUnsupported, RejectedParameter, StartNotBarrier,
+                     beyond_float_range)
 from .walk_model import MAX_SITES, WalkModel, load_model, validate_model
 
 EXIT_OK = 0
@@ -179,15 +180,25 @@ def _emit(args, model: WalkModel, rows: Iterable[dict],
     """Print ``report`` under the header ``{model, quantity}`` as one
     compact JSON line, or ``rows`` as CSV under ``columns``; ``rows`` is
     read for CSV only.  ``json.dumps`` without ``indent`` runs the C
-    encoder; ``json.dump`` to a stream never does."""
+    encoder; ``json.dump`` to a stream never does.  A report holding a NaN
+    or an infinity raises OverflowError before anything is written."""
+    what = f"a value of the {args.command} report"
     if args.output == "json":
         report = {"model": model.to_dict(), "quantity": args.command, **report}
-        sys.stdout.write(json.dumps(report) + "\n")
+        try:
+            text = json.dumps(report, allow_nan=False)
+        except ValueError:  # the encoder refuses NaN and the infinities
+            raise beyond_float_range(what) from None
+        sys.stdout.write(text + "\n")
         return EXIT_OK
+    table = [["" if row.get(c) is None else row.get(c) for c in columns]
+             for row in rows]
+    if not all(math.isfinite(v) for line in table for v in line
+               if isinstance(v, float)):
+        raise beyond_float_range(what)
     writer = csv.writer(sys.stdout)
     writer.writerow(columns)
-    writer.writerows(["" if row.get(c) is None else row.get(c)
-                      for c in columns] for row in rows)
+    writer.writerows(table)
     return EXIT_OK
 
 
@@ -286,24 +297,24 @@ def _row(quantity, index, closed, reference, tol, mode) -> dict:
             "mode": mode, "status": "pass" if delta <= tol else "fail"}
 
 
-def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
+def _verify_rows(battery, window: tuple[int, int], walks: int,
                  seed: int) -> list[dict]:
     from . import oracle
+    model = battery.model
     lo, hi = window
     rows = [_row("total_absorption", "", ve.total_absorption(model), 1.0,
                  1e-10, "abs")]
 
-    tv = oracle.truncated_visits(model)
+    tv = battery.truncated
     rows.append(_row("conservation", "", tv.absorbed_mass + tv.leak, 1.0,
                      1e-10, "abs"))
     profile = ve.visit_profile(model, lo, hi)
     for j, x in profile.values.items():
         rows.append(_row("site_visits", j, x, tv[j], 1e-8, "rel"))
 
-    periodic = oracle.periodic_mean_times(model)
     for i, t in enumerate(ae.mean_time_period(model)):
-        rows.append(_row("mean_time_any", i, t, float(periodic[i]), 1e-10,
-                         "rel"))
+        rows.append(_row("mean_time_any", i, t, float(battery.period[i]),
+                         1e-10, "rel"))
 
     for k in range(lo, hi + 1):
         rows.append(_row("barrier_recurrence_residual", k,
@@ -312,15 +323,13 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     for j, residual in ve.occupancy_residuals(profile).items():
         rows.append(_row("occupancy_residual", j, residual, 0.0, 1e-10, "abs"))
 
-    if ae.has_barrier_split(model):
-        deriv = tv.derivatives()
-        for k in oracle.SPLIT_BARRIERS:
-            rows.append(_row("mean_time_to_barrier", k,
-                             ae.mean_time_to_barrier(model, k),
-                             model.s0 * deriv[k * model.N], 1e-10, "rel"))
+    for k, reference in battery.split.items():
+        rows.append(_row("mean_time_to_barrier", k,
+                         ae.mean_time_to_barrier(model, k), reference,
+                         1e-10, "rel"))
 
     if walks > 0:
-        stats = _quiet(oracle.simulate, model, walks=walks, seed=seed)
+        stats = _quiet(battery.simulate, walks, seed)
         m_start = ae.mean_time_any(model, model.i0)
         rows.append(_row("mc_mean_steps", "", m_start, stats.mean_steps,
                          4.0 * stats.mean_steps_se, "abs"))
@@ -333,28 +342,25 @@ def _verify_rows(model: WalkModel, window: tuple[int, int], walks: int,
     return rows
 
 
-def _formula_discrepancies(model: WalkModel, window: tuple[int, int]) -> list[str]:
+def _formula_discrepancies(battery, window: tuple[int, int]) -> list[str]:
     """Display forms against the authoritative closed forms, once per model."""
-    from . import oracle
-
     def differ(value, shown):
         return abs(shown - value) > FORMULA_TOL * max(abs(value), 1e-30)
 
     notes = []
     for k in range(window[0], window[1] + 1):
-        value = ve.barrier_visits(model, k)
-        shown = ve.display_barrier_visits(model, k)
+        value = ve.barrier_visits(battery.model, k)
+        shown = ve.display_barrier_visits(battery.model, k)
         if differ(value, shown):
             notes.append(f"barrier visits at k={k}: boundary system "
                          f"{value!r} vs display form {shown!r}")
-    if ae.has_barrier_split(model):
-        for k in oracle.SPLIT_BARRIERS:
-            value = ae.mean_time_to_barrier(model, k)
-            shown = ae.display_time_to_barrier(model, k)
-            if differ(value, shown):
-                notes.append(f"per-barrier mean time at k={k}: barrier "
-                             f"chain {value!r} vs display form {shown!r}; "
-                             f"the barrier-chain value is returned")
+    for k in battery.split:
+        value = ae.mean_time_to_barrier(battery.model, k)
+        shown = ae.display_time_to_barrier(battery.model, k)
+        if differ(value, shown):
+            notes.append(f"per-barrier mean time at k={k}: barrier "
+                         f"chain {value!r} vs display form {shown!r}; "
+                         f"the barrier-chain value is returned")
     return notes
 
 
@@ -368,22 +374,21 @@ def _cmd_verify(model, args) -> int:
         raise _UsageError("--bless requires --golden FILE")
     golden = (oracle.read_golden(args.golden, model)
               if args.golden and not args.bless else [])
+    battery = _quiet(oracle.Battery, model)
 
     if args.bless:
-        records = _quiet(oracle.oracle_battery, model,
-                         window=max(abs(window[0]), abs(window[1])),
-                         walks=args.walks, seed=args.seed)
+        records = _quiet(battery.records, max(abs(window[0]), abs(window[1])),
+                         args.walks, args.seed)
         oracle.write_golden(args.golden, records)
         print(f"blessed {len(records)} golden records -> {args.golden}",
               file=sys.stderr)
 
-    rows = _verify_rows(model, window, args.walks, args.seed)
-    discrepancies = _formula_discrepancies(model, window)
+    rows = _verify_rows(battery, window, args.walks, args.seed)
+    discrepancies = _formula_discrepancies(battery, window)
     for note in discrepancies:
         print(f"FormulaDiscrepancy: {note}", file=sys.stderr)
 
-    golden_mismatches = (_quiet(oracle.golden_mismatches, model, golden)
-                         if golden else [])
+    golden_mismatches = _quiet(battery.mismatches, golden) if golden else []
     for miss in golden_mismatches:
         print(f"golden mismatch: {miss}", file=sys.stderr)
 

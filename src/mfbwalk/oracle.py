@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExcessCensoring, SingularSystem, TruncationInsufficient
+from .errors import (ExcessCensoring, SingularSystem, TruncationInsufficient,
+                     beyond_float_range)
 from .walk_model import (MAX_SITES, WalkModel, barrier_spectrum,
                          has_barrier_split, validate_model)
 
@@ -43,10 +44,9 @@ __all__ = [
     "truncated_visit_derivatives",
     "periodic_mean_times",
     "simulate",
+    "Battery",
     "write_golden",
     "read_golden",
-    "oracle_battery",
-    "golden_mismatches",
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -89,8 +89,15 @@ def _log_decay_rate(model: WalkModel) -> float:
 
 
 def default_truncation(model: WalkModel) -> int:
-    """Smallest barrier count K with tail bound below ``DEFAULT_TAIL_TOL``."""
-    return max(5, math.ceil(math.log(DEFAULT_TAIL_TOL) / _log_decay_rate(model))) + 5
+    """Smallest barrier count K with tail bound below ``DEFAULT_TAIL_TOL``;
+    ``TruncationInsufficient`` where the tail decays too slowly for any."""
+    rate = _log_decay_rate(model)
+    barriers = math.log(DEFAULT_TAIL_TOL) / rate
+    if not math.isfinite(barriers):
+        raise TruncationInsufficient(
+            f"the tail decays by {rate:.3e} in log per barrier: no truncation "
+            f"K reaches the tolerance {DEFAULT_TAIL_TOL:.3e}")
+    return max(5, math.ceil(barriers)) + 5
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +635,8 @@ def simulate(model: WalkModel, walks: int, seed: int,
     walks still alive at the cap are reported as censored, keep their
     truncated visit counts, and are excluded from the absorption histogram
     and the step mean.  A cap of 0 censors every walk.  A negative cap, or a
-    window of more than ``MAX_SITES`` sites, raises ValueError.
+    window of more than ``MAX_SITES`` sites, raises ValueError; a default
+    cap beyond the float range raises OverflowError.
     """
     if walks < 1:
         raise ValueError(f"walks must be >= 1 (got {walks})")
@@ -648,7 +656,7 @@ def simulate(model: WalkModel, walks: int, seed: int,
         raise ValueError(f"site window {lo}..{hi} holds {hi - lo + 1} sites, "
                          f"more than {MAX_SITES}")
     if step_cap is None:
-        step_cap = max(1000, math.ceil(50.0 * periodic_mean_times(model)[model.i0]))
+        step_cap = _default_step_cap(model, periodic_mean_times(model))
 
     batches = [(j, min(_BATCH, walks - j * _BATCH))
                for j in range((walks + _BATCH - 1) // _BATCH)]
@@ -682,6 +690,14 @@ def simulate(model: WalkModel, walks: int, seed: int,
     return stats
 
 
+def _default_step_cap(model: WalkModel, period: np.ndarray) -> int:
+    """50x the mean absorption time from the start, at least 1000."""
+    cap = 50.0 * period[model.i0]
+    if not math.isfinite(cap):
+        raise beyond_float_range("the default step cap")
+    return max(1000, math.ceil(cap))
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on, where the platform tells."""
     affinity = getattr(os, "sched_getaffinity", None)
@@ -706,79 +722,81 @@ _RECORD_FIELDS = {"model": dict, "quantity": str, "index": int,
                   "value": (int, float), "oracle": str}
 
 
-def oracle_battery(model: WalkModel, window: int = 3, walks: int = 0,
-                   seed: int = 42) -> list[dict]:
-    """Oracle ground-truth records for a model: site visits over barriers
-    -window..window at :func:`default_truncation`, mean times, per-barrier
-    times from the truncated derivative where
-    :func:`~mfbwalk.walk_model.has_barrier_split` holds, and Monte-Carlo
-    records when ``walks > 0``.  Each record is
-    ``{model, quantity, index, value, error_bound, oracle, params}``;
-    ``params`` holds what the oracle call was made with.
-    """
-    records = []
-    mdl = model.to_dict()
+class Battery:
+    """The oracles of one model, each run once: ``truncated``, ``period``,
+    ``split`` (``{k: s0 x'_{kN}}`` over ``SPLIT_BARRIERS``, empty unless
+    :func:`~mfbwalk.walk_model.has_barrier_split`) and, on first use, one
+    walker run per (walks, seed)."""
 
-    def record(quantity, index, value, error_bound, oracle, params):
-        records.append({"model": mdl, "quantity": quantity, "index": index,
-                        "value": value, "error_bound": error_bound,
-                        "oracle": oracle, "params": params})
+    def __init__(self, model: WalkModel):
+        self.model, self._runs = model, {}
+        self.truncated = tv = truncated_visits(model)
+        self.period = periodic_mean_times(model)
+        deriv = tv.derivatives() if has_barrier_split(model) else {}
+        self.split = {k: model.s0 * deriv[k * model.N]
+                      for k in SPLIT_BARRIERS if deriv}
 
-    tv = truncated_visits(model)
-    for j in range(-window * model.N, window * model.N + 1):
-        record("site_visits", j, tv[j], 10 * tv.tail_bound,
-               "truncated_solver", {"K": tv.K})
+    def simulate(self, walks: int, seed: int) -> EmpiricalStats:
+        """:func:`simulate` at the default step cap, read from ``period``."""
+        if (walks, seed) not in self._runs:
+            cap = _default_step_cap(self.model, self.period)
+            self._runs[walks, seed] = simulate(self.model, walks, seed, cap)
+        return self._runs[walks, seed]
 
-    period = periodic_mean_times(model)
-    for i in range(model.N + 1):
-        record("mean_time_any", i, float(period[i]), 1e-12,
-               "periodic_solve", {})
+    def records(self, window: int = 3, walks: int = 0,
+                seed: int = 42) -> list[dict]:
+        """Golden records: site visits over barriers -window..window, mean
+        times, per-barrier times and, when ``walks > 0``, Monte-Carlo
+        records, each ``{model, quantity, index, value, error_bound, oracle,
+        params}``; ``params`` holds what the oracle call was made with."""
+        records, tv, N, mdl = [], self.truncated, self.model.N, self.model.to_dict()
 
-    if has_barrier_split(model):
-        deriv = tv.derivatives()
-        for k in SPLIT_BARRIERS:
-            record("mean_time_to_barrier", k, model.s0 * deriv[k * model.N],
-                   1e-9, "truncated_derivative", {"K": tv.K})
+        def record(quantity, index, value, error_bound, oracle, params):
+            records.append({"model": mdl, "quantity": quantity, "index": index,
+                            "value": value, "error_bound": error_bound,
+                            "oracle": oracle, "params": params})
 
-    if walks > 0:
-        stats = simulate(model, walks=walks, seed=seed)
-        params = {"walks": walks, "seed": seed, "step_cap": stats.step_cap}
-        record("mean_steps", 0, stats.mean_steps, 0.0, "simulate", params)
-        for k in MC_BARRIERS:
-            record("absorption_frequency", k,
-                   stats.absorption_hist.get(k, 0.0), 0.0, "simulate", params)
-    return records
+        for j in range(-window * N, window * N + 1):
+            record("site_visits", j, tv[j], 10 * tv.tail_bound,
+                   "truncated_solver", {"K": tv.K})
+        for i, t in enumerate(self.period.tolist()):
+            record("mean_time_any", i, t, 1e-12, "periodic_solve", {})
+        for k, value in self.split.items():
+            record("mean_time_to_barrier", k, value, 1e-9,
+                   "truncated_derivative", {"K": tv.K})
+        if walks > 0:
+            stats = self.simulate(walks, seed)
+            params = {"walks": walks, "seed": seed, "step_cap": stats.step_cap}
+            record("mean_steps", 0, stats.mean_steps, 0.0, "simulate", params)
+            for k in MC_BARRIERS:
+                record("absorption_frequency", k,
+                       stats.absorption_hist.get(k, 0.0), 0.0, "simulate", params)
+        return records
 
-
-def golden_mismatches(model: WalkModel, records: list[dict]) -> list[dict]:
-    """Stored records of ``model`` that :func:`oracle_battery` would not
-    write again.
-
-    The battery runs once, over the window of the widest
-    ``truncated_solver`` record and with the walks and seed of the
-    ``simulate`` records.  A stored record matches the fresh record of its
-    (quantity, index) with the same oracle and params and a value within
-    ``max(error_bound, 1e-12)``.  Mismatches come in file order as
-    ``{quantity, index, stored, fresh, error_bound}``, ``fresh`` None where
-    the battery writes no such record.
-    """
-    sites = [abs(r["index"]) for r in records if r["oracle"] == "truncated_solver"]
-    sim = [r["params"] for r in records if r["oracle"] == "simulate"]
-    sim = sim[-1] if sim else {"walks": 0, "seed": 42}
-    fresh = {(r["quantity"], r["index"]): r
-             for r in oracle_battery(model, max(sites, default=0) // model.N,
-                                     sim["walks"], sim["seed"])}
-    misses = []
-    for rec in records:
-        new = fresh.get((rec["quantity"], rec["index"]), {})
-        bound = max(rec.get("error_bound", 0.0), 1e-12)
-        if ((new.get("oracle"), new.get("params"))
-                != (rec["oracle"], rec.get("params", {}))
-                or abs(new["value"] - rec["value"]) > bound):
-            misses.append({"quantity": rec["quantity"], "index": rec["index"],
-                           "stored": rec["value"], "fresh": new.get("value"),
-                           "error_bound": bound})
-    return misses
+    def mismatches(self, stored: list[dict]) -> list[dict]:
+        """Stored records that :meth:`records`, with the file's window (its
+        widest ``truncated_solver`` record) and the walks and seed of its
+        ``simulate`` records, would not write again: no record of the same
+        (quantity, index), oracle and params has a value within
+        ``max(error_bound, 1e-12)``.  In file order, as ``{quantity, index,
+        stored, fresh, error_bound}``, ``fresh`` None where none is written."""
+        sites = [abs(r["index"]) for r in stored if r["oracle"] == "truncated_solver"]
+        sim = [r["params"] for r in stored if r["oracle"] == "simulate"]
+        sim = sim[-1] if sim else {"walks": 0, "seed": 42}
+        fresh = {(r["quantity"], r["index"]): r
+                 for r in self.records(max(sites, default=0) // self.model.N,
+                                       sim["walks"], sim["seed"])}
+        misses = []
+        for rec in stored:
+            new = fresh.get((rec["quantity"], rec["index"]), {})
+            bound = max(rec.get("error_bound", 0.0), 1e-12)
+            if ((new.get("oracle"), new.get("params"))
+                    != (rec["oracle"], rec.get("params", {}))
+                    or abs(new["value"] - rec["value"]) > bound):
+                misses.append({"quantity": rec["quantity"], "index": rec["index"],
+                               "stored": rec["value"], "fresh": new.get("value"),
+                               "error_bound": bound})
+        return misses
 
 
 def write_golden(path, records: list[dict]) -> None:
@@ -789,7 +807,7 @@ def write_golden(path, records: list[dict]) -> None:
 
 def read_golden(path, model: WalkModel) -> list[dict]:
     """The golden records of ``model`` in ``path``; ``ValueError`` unless it
-    is a list of records that :func:`golden_mismatches` can read, all of
+    is a list of records that :meth:`Battery.mismatches` can read, all of
     them made for ``model``."""
     with open(path, "r", encoding="utf-8") as fh:
         records = json.load(fh)

@@ -3,6 +3,7 @@ import csv
 import io
 import re
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 
 import mfbwalk
-from mfbwalk import (make_model, occupancy_residual, oracle, validate_model,
-                     visit_engine)
+from mfbwalk import (has_barrier_split, load_model, make_model,
+                     occupancy_residual, oracle, validate_model, visit_engine)
 from mfbwalk.cli import build_parser, main
 from conftest import CFG_DRIFT, CFG_SYM, FLOAT_RANGE_MODELS, model_strategy
 
@@ -40,6 +41,10 @@ DEFECT_MODELS = [
 # q / p = 2e-17: (q - p) / p rounds to -1
 EXTREME_DRIFT_ARGS = ["--p", "0.5", "--q", "1e-17", "--p0", ".3", "--q0",
                       ".3", "--s0", ".2", "--N", "10", "--i0", "0"]
+# p0 / p overflows to inf while rho ** n underflows to 0: the library's
+# arrivals and reach probabilities of this model are nan or inf
+SUBNORMAL_P_ARGS = ["--p", "1e-310", "--q", ".5", "--p0", ".3", "--q0", ".3",
+                    "--s0", ".2", "--N", "10", "--i0", "0"]
 # reports above the MAX_SITES row budget: a visits or verify window holds
 # (B - A) N + 1 rows, an absorb-dist or barrier-time window B - A + 1 and
 # the full mean-time period N + 1
@@ -308,6 +313,48 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("cannot compute: OverflowError: ")
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("command", [["visits"],
+                                         ["reach", "--from", "0", "--to", "3"]],
+                             ids=lambda command: command[0])
+    def test_non_finite_report_is_2_with_empty_stdout(self, command, output,
+                                                      capsys):
+        code, out, err = run([*command, *SUBNORMAL_P_ARGS, "--output", output],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"cannot compute: OverflowError: a value of the "
+                       f"{command[0]} report is beyond the float range\n")
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_no_report_prints_a_non_finite_value(self, value, output,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr(visit_engine, "reach_probability",
+                            lambda *args: value)
+        code, out, err = run(["reach", *DRIFT_ARGS, "--from", "0", "--to", "3",
+                              "--output", output], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot compute: OverflowError: ")
+
+    def test_subnormal_s0_refuses_the_default_step_cap(self, capsys):
+        # the mean time from the start, 1/s0 in scale, is beyond the float
+        # range, and 50 times it is no step count
+        code, out, err = run(["simulate", "--walks", "10",
+                              *_model_args(FLOAT_RANGE_MODELS[1])], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("cannot compute: OverflowError: the default step cap "
+                       "is beyond the float range\n")
+
+    def test_subnormal_s0_bless_refuses_the_truncation(self, tmp_path, capsys):
+        golden = tmp_path / "golden.json"
+        code, out, err = run(["verify", *_model_args(FLOAT_RANGE_MODELS[1]),
+                              "--golden", str(golden), "--bless"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid request: the tail decays by ")
+        assert "no truncation K reaches the tolerance" in err
+        assert len(err.splitlines()) == 1
+        assert not golden.exists()
 
     @pytest.mark.parametrize("command", ["mean-time", "barrier-time", "verify"])
     def test_extreme_drift_is_0(self, command, capsys):
@@ -586,6 +633,109 @@ class TestVerify:
                    capsys)[0] == 64
 
 
+# the (quantity, index, tolerance, mode) of each row of ``verify --walks
+# 300``, in order; the Monte-Carlo tolerances are four standard errors of
+# the seeded run
+VERIFY_ROWS_AT_300_WALKS = {
+    "cfg-drift": [
+        ("total_absorption", "", 1e-10, "abs"),
+        ("conservation", "", 1e-10, "abs"),
+        *[("site_visits", j, 1e-8, "rel") for j in range(-6, 7)],
+        *[("mean_time_any", i, 1e-10, "rel") for i in range(3)],
+        *[("barrier_recurrence_residual", k, 1e-10, "abs") for k in range(-3, 4)],
+        *[("occupancy_residual", j, 1e-10, "abs") for j in range(-5, 6)],
+        *[("mean_time_to_barrier", k, 1e-10, "rel") for k in range(-5, 6)],
+        ("mc_mean_steps", "", 1.875484825216467, "abs"),
+        ("mc_absorption_frequency", -2, 0.03486269363384602, "abs"),
+        ("mc_absorption_frequency", -1, 0.06928203230275509, "abs"),
+        ("mc_absorption_frequency", 0, 0.11398245479020006, "abs"),
+        ("mc_absorption_frequency", 1, 0.09406380813043877, "abs"),
+        ("mc_absorption_frequency", 2, 0.05189162495760506, "abs"),
+    ],
+    "cfg-sym": [
+        ("total_absorption", "", 1e-10, "abs"),
+        ("conservation", "", 1e-10, "abs"),
+        *[("site_visits", j, 1e-8, "rel") for j in range(-6, 7)],
+        *[("mean_time_any", i, 1e-10, "rel") for i in range(3)],
+        *[("barrier_recurrence_residual", k, 1e-10, "abs") for k in range(-3, 4)],
+        *[("occupancy_residual", j, 1e-10, "abs") for j in range(-5, 6)],
+        ("mc_mean_steps", "", 1.3515093342224922, "abs"),
+        ("mc_absorption_frequency", -2, 0.04525483399593904, "abs"),
+        ("mc_absorption_frequency", -1, 0.0801332224070225, "abs"),
+        ("mc_absorption_frequency", 0, 0.11433284742365162, "abs"),
+        ("mc_absorption_frequency", 1, 0.088077407032846, "abs"),
+        ("mc_absorption_frequency", 2, 0.050332229568471665, "abs"),
+    ],
+}
+
+
+class TestVerifyBattery:
+    """One ``verify`` process runs each oracle once: its rows, the records
+    ``--bless`` writes and the golden diff read one battery, which draws a
+    second walker run only for a golden made with other walks or seed."""
+
+    @staticmethod
+    def _count_oracle_calls(monkeypatch) -> dict:
+        calls = dict.fromkeys(("truncated_visits", "derivatives",
+                               "periodic_mean_times", "simulate"), 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("truncated_visits", "periodic_mean_times", "simulate"):
+            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        monkeypatch.setattr(oracle.TruncatedVisits, "derivatives",
+                            counting("derivatives",
+                                     oracle.TruncatedVisits.derivatives))
+        return calls
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_each_oracle_runs_once_per_process(self, name, monkeypatch,
+                                               tmp_path, capsys):
+        model = str(REPO / "models" / f"{name}.json")
+        split = int(has_barrier_split(load_model(model)))
+        golden = str(tmp_path / "golden.json")
+        committed = str(REPO / "goldens" / f"{name}.json")
+        calls = self._count_oracle_calls(monkeypatch)
+        for flags, simulations in [
+                (["--golden", golden, "--bless", "--walks", "300", "--seed", "7"], 1),
+                (["--golden", golden, "--walks", "300", "--seed", "7"], 1),
+                (["--golden", golden, "--walks", "400", "--seed", "7"], 2),
+                (["--golden", golden, "--walks", "300", "--seed", "8"], 2),
+                (["--golden", golden], 1),
+                (["--walks", "300"], 1),
+                (["--golden", committed, "--walks", "100000"], 1)]:
+            calls.update(dict.fromkeys(calls, 0))
+            code, out, _ = run(["verify", "--model", model, *flags], capsys)
+            assert json.loads(out)["golden_mismatches"] == [], flags
+            assert calls == {"truncated_visits": 1, "derivatives": split,
+                             "periodic_mean_times": 1,
+                             "simulate": simulations}, flags
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_bless_writes_the_battery_records(self, name, tmp_path, capsys):
+        model = REPO / "models" / f"{name}.json"
+        golden = tmp_path / "golden.json"
+        run(["verify", "--model", str(model), "--golden", str(golden),
+             "--bless", "--window=-2..1", "--walks", "300", "--seed", "7"],
+            capsys)
+        assert json.loads(golden.read_text()) == \
+            oracle.Battery(load_model(model)).records(2, 300, 7)
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_row_sequence_at_300_walks(self, name, capsys):
+        code, out, _ = run(["verify", "--model",
+                            str(REPO / "models" / f"{name}.json"),
+                            "--walks", "300"], capsys)
+        assert code == 0
+        assert [(r["quantity"], r["index"], r["tolerance"], r["mode"])
+                for r in json.loads(out)["rows"]] == \
+            VERIFY_ROWS_AT_300_WALKS[name]
+
+
 class TestParserReuse:
     """One parser serves every ``main`` call of a process; nothing a call
     parses reaches the next one."""
@@ -704,7 +854,8 @@ class TestVerifyResiduals:
 
     @staticmethod
     def _assert_rows_equal(m, window):
-        rows = [r for r in mfbwalk.cli._verify_rows(m, window, 0, 42)
+        battery = oracle.Battery(m)
+        rows = [r for r in mfbwalk.cli._verify_rows(battery, window, 0, 42)
                 if r["quantity"] == "occupancy_residual"]
         lo, hi = window
         assert [r["index"] for r in rows] == \

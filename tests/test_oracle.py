@@ -28,7 +28,7 @@ from mfbwalk.oracle import (
     MAX_SITES,
     MC_BARRIERS,
     SPLIT_BARRIERS,
-    oracle_battery,
+    Battery,
     _lattice_rates,
     _Reduction,
 )
@@ -292,6 +292,16 @@ class TestTruncatedVisits:
     def test_default_truncation_of_the_reference_models(self, cfg_drift, cfg_sym):
         assert default_truncation(cfg_drift) == 32
         assert default_truncation(cfg_sym) == 26
+
+    @pytest.mark.parametrize("s0", [1e-310, 5e-324])
+    def test_no_default_truncation_at_a_subnormal_s0(self, s0):
+        # the tail decays by about 2 s0 in log per barrier, so log(1e-12)
+        # over it is beyond the float range
+        m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=s0, N=10, i0=0)
+        with pytest.raises(TruncationInsufficient, match="no truncation K"):
+            default_truncation(m)
+        with pytest.raises(TruncationInsufficient, match="no truncation K"):
+            Battery(m)
 
     @pytest.mark.parametrize("p,q", [(0.4, 0.1), (0.1, 0.4)])
     def test_truncation_at_large_drift(self, p, q):
@@ -583,6 +593,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="site window"):
             simulate(cfg_sym, walks=10, seed=1, window=(0, MAX_SITES))
 
+    @pytest.mark.parametrize("s0", [1e-310, 5e-324])
+    def test_default_step_cap_beyond_the_float_range(self, s0):
+        m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=s0, N=10, i0=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # m_0 overflows
+            with pytest.raises(OverflowError, match="the default step cap"):
+                simulate(m, walks=10, seed=1)
+
     def test_step_cap_zero_censors_every_walk(self, cfg_sym):
         with pytest.warns(ExcessCensoring):
             stats = simulate(cfg_sym, walks=10, seed=1, step_cap=0)
@@ -863,7 +881,7 @@ class TestOracleBattery:
                              ids=lambda m: f"{m.branch.name}-N{m.N}-i0_{m.i0}")
     def test_record_set_at_window_1(self, model):
         by_quantity = {}
-        for record in oracle_battery(model, window=1):
+        for record in Battery(model).records(window=1):
             by_quantity.setdefault(record["quantity"], []).append(record)
         sites = by_quantity.pop("site_visits")
         assert [r["index"] for r in sites] == list(range(-model.N, model.N + 1))
@@ -879,8 +897,8 @@ class TestOracleBattery:
 
     def test_walks_add_mean_steps_and_one_frequency_per_barrier(self):
         model = make_model(**CFG_DRIFT)
-        plain = oracle_battery(model, window=1)
-        records = oracle_battery(model, window=1, walks=200)
+        plain = Battery(model).records(window=1)
+        records = Battery(model).records(window=1, walks=200)
         assert records[:len(plain)] == plain
         added = records[len(plain):]
         assert [(r["quantity"], r["index"]) for r in added] == \

@@ -53,6 +53,20 @@ def test_golden_record_format_lives_in_the_oracle():
         assert name not in text
 
 
+def test_verify_reaches_the_oracles_through_the_battery():
+    # cli.py names no oracle solve and calls the walker itself only for the
+    # simulate command: verify runs every oracle through one Battery
+    text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    for name in ("truncated_visits", "periodic_mean_times", "derivatives"):
+        assert name not in text
+    tree = ast.parse(text)
+    callers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "simulate"
+               and isinstance(node.value, ast.Name) and node.value.id == "oracle"]
+    assert callers == ["_cmd_simulate"]
+
+
 def test_no_module_imports_scipy():
     # the oracles solve in numpy and plain Python; scipy is a test reference
     for path in sorted(PACKAGE.glob("*.py")):
