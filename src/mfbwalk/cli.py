@@ -12,7 +12,9 @@ error, 66 model or golden file not found.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -48,8 +50,52 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # command name -> (default namespace, {option string: action},
+    # required actions), compiled by build_parser from the parser's actions
+    commands: dict
+
     def error(self, message):
         raise _UsageError(message)
+
+    def parse_exact(self, argv: list[str]) -> argparse.Namespace | None:
+        """``parse_args(argv)`` read from the compiled table, or None where
+        argparse must judge: an unknown command, a token that is not one of
+        the command's exact option strings (abbreviations, help, ``--``), a
+        missing value or a separate one starting with "-", a value given to
+        a switch, a value its type or choices refuse, or a required flag
+        left out."""
+        command = self.commands.get(argv[0]) if argv else None
+        if command is None:
+            return None
+        defaults, actions, required = command
+        values = dict(defaults)
+        given = set()
+        tokens = iter(argv[1:])
+        for token in tokens:
+            option, eq, text = token.partition("=")
+            action = actions.get(option)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                if eq:
+                    return None
+                value = action.const
+            else:
+                if not eq:
+                    text = next(tokens, None)
+                    if text is None or text.startswith("-"):
+                        return None
+                try:
+                    value = text if action.type is None else action.type(text)
+                except (TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            values[action.dest] = value
+            given.add(action)
+        if not required <= given:
+            return None
+        return argparse.Namespace(**values)
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
@@ -99,7 +145,9 @@ def build_parser() -> _Parser:
     returns a fresh namespace on every call and every default is immutable,
     so one ``main`` call leaves nothing behind for the next.  Each command
     takes the model flags and ``--output`` from one parent parser and names
-    its handler as the ``run`` default."""
+    its handler as the ``run`` default.  The same call compiles, from each
+    command's own actions, the table that ``_Parser.parse_exact`` reads:
+    the default namespace and the action of each exact option string."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", metavar="FILE", help="model JSON file "
                         "{p,q,r,p0,q0,r0,s0,N,i0}; exclusive with explicit flags")
@@ -158,6 +206,17 @@ def build_parser() -> _Parser:
                     help="regenerate the golden file from the oracles")
     sp.add_argument("--strict-formulas", action="store_true",
                     help="exit 3 if any display-form discrepancy is recorded")
+
+    parser.commands = {}
+    for name, sp in sub.choices.items():
+        actions = [a for a in sp._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        defaults = {"command": name, **sp._defaults,
+                    **{a.dest: a.default for a in actions
+                       if a.default is not argparse.SUPPRESS}}
+        parser.commands[name] = (
+            defaults, {opt: a for a in actions for opt in a.option_strings},
+            {a for a in actions if a.required})
     return parser
 
 
@@ -249,15 +308,22 @@ def _cmd_barrier_time(model, args) -> int:
                  {"window": [lo, hi], "rows": rows})
 
 
-def _quiet(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with each warning it raises, such as
-    ExcessCensoring, printed as one stderr line that carries no install
-    path or line number."""
+def _caught(fn, *args, **kwargs) -> tuple[object, list[str]]:
+    """``fn(*args, **kwargs)`` and each warning it raises, such as
+    ExcessCensoring, as one line that carries no install path or line
+    number."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = fn(*args, **kwargs)
-    for w in caught:
-        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    return result, [f"warning: {w.category.__name__}: {w.message}"
+                    for w in caught]
+
+
+def _quiet(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with its warning lines printed to stderr."""
+    result, lines = _caught(fn, *args, **kwargs)
+    for line in lines:
+        print(line, file=sys.stderr)
     return result
 
 
@@ -375,28 +441,33 @@ def _cmd_verify(model, args) -> int:
     golden = (oracle.read_golden(args.golden, model)
               if args.golden and not args.bless else [])
     battery = _quiet(oracle.Battery, model)
-
     if args.bless:
         records = _quiet(battery.records, max(abs(window[0]), abs(window[1])),
                          args.walks, args.seed)
+    rows = _verify_rows(battery, window, args.walks, args.seed)
+    discrepancies = _formula_discrepancies(battery, window)
+    golden_mismatches, mismatch_warnings = (
+        _caught(battery.mismatches, golden) if golden else ([], []))
+    failed = [r for r in rows if r["status"] == "fail"]
+    ok = not failed and not golden_mismatches
+    # the report is rendered before a golden is written, so a run refused
+    # on the way leaves none; stderr keeps the order of the steps
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        _emit(args, model, rows, VERIFY_COLUMNS,
+              {"rows": rows, "formula_discrepancies": discrepancies,
+               "golden_mismatches": golden_mismatches, "ok": ok})
+    if args.bless:
         oracle.write_golden(args.golden, records)
         print(f"blessed {len(records)} golden records -> {args.golden}",
               file=sys.stderr)
-
-    rows = _verify_rows(battery, window, args.walks, args.seed)
-    discrepancies = _formula_discrepancies(battery, window)
     for note in discrepancies:
         print(f"FormulaDiscrepancy: {note}", file=sys.stderr)
-
-    golden_mismatches = _quiet(battery.mismatches, golden) if golden else []
+    for line in mismatch_warnings:
+        print(line, file=sys.stderr)
     for miss in golden_mismatches:
         print(f"golden mismatch: {miss}", file=sys.stderr)
-
-    failed = [r for r in rows if r["status"] == "fail"]
-    ok = not failed and not golden_mismatches
-    _emit(args, model, rows, VERIFY_COLUMNS,
-          {"rows": rows, "formula_discrepancies": discrepancies,
-           "golden_mismatches": golden_mismatches, "ok": ok})
+    sys.stdout.write(report.getvalue())
     if not ok:
         return EXIT_DISCREPANCY
     if args.strict_formulas and discrepancies:
@@ -405,11 +476,16 @@ def _cmd_verify(model, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.  The compiled table
+    parses ``argv`` where every token is exact; anything else, help and
+    every usage error included, goes to argparse, so its messages and
+    abbreviations are argparse's own."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(_merge_dash_values(list(argv)))
+        argv = _merge_dash_values(list(argv))
+        args = parser.parse_exact(argv) or parser.parse_args(argv)
         model = _model_from_args(args)
         return args.run(model, args)
     except _UsageError as exc:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import re
@@ -9,14 +10,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfbwalk
 from mfbwalk import (has_barrier_split, load_model, make_model,
                      occupancy_residual, oracle, validate_model, visit_engine)
-from mfbwalk.cli import build_parser, main
+from mfbwalk.cli import _merge_dash_values, _UsageError, build_parser, main
 from conftest import CFG_DRIFT, CFG_SYM, FLOAT_RANGE_MODELS, model_strategy
 
 SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
@@ -354,6 +357,29 @@ class TestExitCodes:
         assert err.startswith("invalid request: the tail decays by ")
         assert "no truncation K reaches the tolerance" in err
         assert len(err.splitlines()) == 1
+        assert not golden.exists()
+
+    def test_refused_bless_leaves_no_golden(self, tmp_path, capsys):
+        # the period's mean times are beyond the float range: the rows are
+        # refused after the golden records were computed
+        golden = tmp_path / "golden.json"
+        code, out, err = run(["verify", *SUBNORMAL_P_ARGS,
+                              "--golden", str(golden), "--bless"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("cannot compute: OverflowError: a mean time of the "
+                       "period is beyond the float range\n")
+        assert not golden.exists()
+
+    def test_bless_of_a_non_finite_report_leaves_no_golden(
+            self, drift_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(visit_engine, "total_absorption",
+                            lambda model: math.nan)
+        golden = tmp_path / "golden.json"
+        code, out, err = run(["verify", "--model", drift_file,
+                              "--golden", str(golden), "--bless"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("cannot compute: OverflowError: a value of the verify "
+                       "report is beyond the float range\n")
         assert not golden.exists()
 
     @pytest.mark.parametrize("command", ["mean-time", "barrier-time", "verify"])
@@ -783,6 +809,196 @@ class TestParserReuse:
                             "--golden", str(golden)], capsys)
         assert code == 3 and "blessed" not in err
         assert json.loads(golden.read_text()) == records
+
+
+def _command_actions(name: str) -> list[argparse.Action]:
+    """The actions of command ``name`` that take a flag, help aside."""
+    return [a for a in _subcommands().choices[name]._actions
+            if not isinstance(a, argparse._HelpAction)]
+
+
+def _value_text(action: argparse.Action):
+    """A strategy of valid value texts for ``action``."""
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if action.type is float:
+        return st.floats().map(repr)
+    if action.metavar == "A..B":
+        return st.sampled_from(["-3..3", "0..2", "-1..1"])
+    return st.sampled_from(["models/cfg-sym.json", "g.json"])
+
+
+@st.composite
+def _flag_argv(draw) -> list[str]:
+    """One command line drawn from the parser's own actions: a command and
+    some of its flags, each as '--flag value' or '--flag=value', then
+    mutated the ways a user gets a command line wrong."""
+    name = draw(st.sampled_from([*_subcommands().choices, "nope"]))
+    actions = _command_actions(name) if name != "nope" else []
+    argv = [name]
+    for action in draw(st.lists(st.sampled_from(actions), max_size=6)
+                       if actions else st.just([])):
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(_value_text(action))}")
+        else:
+            argv += [flag, draw(_value_text(action))]
+    mutation = draw(st.sampled_from([
+        "none", "abbreviate", "duplicate", "help", "dashes", "unknown",
+        "missing value", "malformed", "bless=x", "positional"]))
+    if mutation == "abbreviate" and len(argv) > 1:
+        i = draw(st.integers(1, len(argv) - 1))
+        if argv[i].startswith("--"):
+            argv[i] = argv[i][:draw(st.integers(2, max(2, len(argv[i]) - 1)))]
+    elif mutation == "duplicate" and len(argv) > 1:
+        argv += argv[1:]
+    elif mutation in ("help", "dashes", "unknown", "positional"):
+        token = {"help": draw(st.sampled_from(["-h", "--help"])),
+                 "dashes": "--", "unknown": "--bogus",
+                 "positional": "visits"}[mutation]
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    elif mutation == "missing value" and actions:
+        argv.append(draw(st.sampled_from(
+            [a.option_strings[0] for a in actions if a.nargs != 0])))
+    elif mutation == "malformed" and actions:
+        action = draw(st.sampled_from([a for a in actions if a.nargs != 0]))
+        argv += [action.option_strings[0], draw(st.sampled_from(
+            ["abc", "1e3", "1.5", "0x10", " 7", "", "xml", "-x", "--", "a=b"]))]
+    elif mutation == "bless=x":
+        argv.append(draw(st.sampled_from(["--bless=x", "--bless=",
+                                          "--strict-formulas=1"])))
+    return argv
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as (result, stdout, stderr), a usage error or a
+    SystemExit (help) standing in for the result."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = fn(*args)
+        except (_UsageError, SystemExit) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestFlagTable:
+    """The flag table compiled with the parser parses every exact command
+    line as argparse does, and hands every other one to argparse."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_flag_argv())
+    def test_table_agrees_with_argparse(self, argv):
+        argv = _merge_dash_values(argv)
+        table = build_parser().parse_exact(argv)
+        reference, _, _ = _outcome(build_parser().parse_args, argv)
+        # compared by repr, so that a nan value equals itself
+        assert table is None or isinstance(reference, argparse.Namespace) \
+            and repr(sorted(vars(table).items())) == \
+            repr(sorted(vars(reference).items()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_flag_argv())
+    def test_main_is_unchanged_without_the_table(self, argv):
+        # the parsed namespace stands in for the command's run, so that
+        # every draw costs a parse, not a computation
+        def stop(args):
+            raise _UsageError(f"parsed {sorted(vars(args).items())}")
+
+        with mock.patch.object(mfbwalk.cli, "_model_from_args", stop):
+            fast = _outcome(main, argv)
+            with mock.patch.object(type(build_parser()), "parse_exact",
+                                   lambda self, argv: None):
+                slow = _outcome(main, argv)
+        assert fast == slow
+
+    @pytest.mark.parametrize("argv,message", [
+        (["reach", "--model", "m.json", "--from", "0"],
+         "the following arguments are required: --to"),
+        (["visits", "--output", "xml"],
+         "argument --output: invalid choice: 'xml' (choose from 'json', 'csv')"),
+        (["verify", "--bless=x"],
+         "argument --bless: ignored explicit argument 'x'"),
+        (["simulate", "--walks", "1e3"],
+         "argument --walks: invalid int value: '1e3'"),
+        (["mean-time", "--golden", "g.json"],
+         "unrecognized arguments: --golden g.json"),
+        (["visits", "--model"], "argument --model: expected one argument"),
+    ])
+    def test_usage_errors_are_argparse_texts(self, argv, message, capsys):
+        assert build_parser().parse_exact(argv) is None
+        assert run(argv, capsys) == (64, "", f"usage error: {message}\n")
+
+    def test_abbreviations_still_parse(self, capsys):
+        argv = ["reach", *DRIFT_ARGS, "--fr", "0", "--t", "3"]
+        assert build_parser().parse_exact(argv) is None
+        assert run(argv, capsys) == \
+            run(["reach", *DRIFT_ARGS, "--from", "0", "--to", "3"], capsys)
+
+    @staticmethod
+    def _spy_main(argvs, monkeypatch) -> list:
+        """Run ``main`` on each of ``argvs`` up to the model step; the
+        argv of each call that reached ``ArgumentParser.parse_args``."""
+        slow = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, args=None, namespace=None):
+            slow.append(args)
+            return parse_args(self, args, namespace)
+
+        def stop(args):
+            raise _UsageError("parsed")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        monkeypatch.setattr(mfbwalk.cli, "_model_from_args", stop)
+        for argv in argvs:
+            _outcome(main, argv)
+        return slow
+
+    def test_readme_command_lines_take_the_table(self, monkeypatch):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        lines = [line.partition("#")[0].split()[1:]
+                 for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+                 for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("mfbwalk ")]
+        assert {line[0] for line in lines} == set(_subcommands().choices)
+        assert self._spy_main(lines, monkeypatch) == []
+
+    def test_every_flag_takes_the_table(self, monkeypatch):
+        def value(action):
+            if action.choices is not None:
+                return [f"{action.option_strings[0]}={action.choices[-1]}"]
+            text = {int: "2", float: ".3", None: "x.json"}[action.type]
+            if action.metavar == "A..B":
+                text = "-1..1"
+            return [action.option_strings[0], text]
+
+        argvs = [[name, *(token for a in _command_actions(name)
+                          for token in (a.option_strings if a.nargs == 0
+                                        else value(a)))]
+                 for name in _subcommands().choices]
+        assert all(build_parser().parse_exact(_merge_dash_values(argv))
+                   for argv in argvs)
+        assert self._spy_main(argvs, monkeypatch) == []
+
+    def test_every_action_is_of_a_kind_the_table_reads(self):
+        # a flag of another kind (append, count, nargs, a typed string
+        # default...) fails here, before it silently takes argparse's path
+        top = build_parser()._actions
+        assert [type(a) for a in top] == [argparse._HelpAction,
+                                         argparse._SubParsersAction]
+        for name in _subcommands().choices:
+            for a in _command_actions(name):
+                assert a.option_strings and a.nargs in (None, 0)
+                if type(a) is argparse._StoreAction:
+                    assert a.type in (None, int, float)
+                    assert a.type is None or not isinstance(a.default, str)
+                else:
+                    assert type(a) is argparse._StoreTrueAction
 
 
 class TestModuleEntry:
