@@ -112,8 +112,8 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
     0 <= i <= N of ``sites``.
 
     This is the gambler's-ruin expected duration (Feller, Vol. 1, Ch. XIV)
-    with holding, T_i = N^2 F(i/N, N x) x / (p expm1(x)) with
-    x = log(q / p); p expm1(x) = q - p, and x / expm1(x) is 1 at x = 0.
+    with holding, T_i = N^2 F(i/N, N x) x / (q - p) with x = log(q / p)
+    (x / (q - p) is 1 / p at p = q).
     The ruin shape is F(u, y) = (u - expm1(u y) / expm1(y)) / y with its
     y -> 0 limit.  F(u, y) = F(1 - u, -y), so u is reflected into
     [0, 1/2], as (N - i) / N, which rounds once, and there the direct form
@@ -124,9 +124,10 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
     the reflected half) serve instead, one Horner per site.
 
     ``ruin`` holds the model's (N, N^2, N x, expm1(-N |x|) or None, the two
-    folded series or None, x / expm1(x), p).
+    folded series or None, x / (q - p)), x and x / (q - p) read from
+    :func:`barrier_spectrum`.
     """
-    n, n2, y_model, denom, series, scale, p = ruin
+    n, n2, y_model, denom, series, x_per_drift = ruin
     times = []
     for i in sites:
         u, y = i / n, y_model
@@ -142,7 +143,7 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
             shape = (u - ratio) / y
         else:
             shape = (u - math.expm1(u * y) / denom) / y
-        times.append(n2 * shape * scale / p)
+        times.append(n2 * shape * x_per_drift)
     return times
 
 
@@ -152,16 +153,13 @@ def _mean_time_constants(model: WalkModel) -> tuple[float, tuple, tuple | None]:
     :func:`_split_terms` or None), derived once per model; m_0 = (p0 T_1 +
     q0 T_{N-1} + 1 - s0) / s0 is the mean time from a barrier."""
     m = model
-    drift = (m.q - m.p) / m.p
-    # below q / p of about 1.1e-16 the drift rounds to -1, outside log1p's
-    # domain, and log(q / p) keeps the ratio's digits
-    x = math.log(m.q / m.p) if drift == -1.0 else math.log1p(drift)
-    y = m.N * x
+    sp = barrier_spectrum(m)
+    y = m.N * (sp.log_rho if sp.mirrored else -sp.log_rho)  # N log(q / p)
     in_series = abs(y) < _RUIN_SERIES_CUT
     ruin = (m.N, m.N ** 2, y,
             None if in_series else math.expm1(-abs(y)),
             (_folded_series(y), _folded_series(-y)) if in_series else None,
-            1.0 if x == 0.0 else x / math.expm1(x), m.p)
+            sp.x_per_drift)
     t1, t_last = _times_to_next_barrier(ruin, (1, m.N - 1))
     m0 = (m.p0 * t1 + m.q0 * t_last + 1.0 - m.s0) / m.s0
     return m0, ruin, _split_terms(m, ruin, display=False)
@@ -256,13 +254,12 @@ def _split_terms(model: WalkModel, ruin: tuple, display: bool) -> tuple | None:
     sp = barrier_spectrum(m)
     n, rho, p0, q0, q = m.N, sp.rho, sp.p0, sp.q0, sp.q
     x = -sp.log_rho
-    lift = rho ** (n - 1)
+    lift = sp.pow(n - 1)
     a, c = q0 / sp.qn, p0 * lift / sp.qn
     b = m.s0 + a + c
     x0 = sp.Omega * sp.qn
-    x_per_drift = x / (-q * math.expm1(-x))  # x / (q - p)
-    tau = x_per_drift * (n * n * _coth_shape(n * x / 2)
-                         - _coth_shape(x / 2)) / 2
+    tau = sp.x_per_drift * (n * n * _coth_shape(n * x / 2)
+                            - _coth_shape(x / 2)) / 2
     t1 = _times_to_next_barrier(ruin, (n - 1 if sp.mirrored else 1,))[0]
     coup = p0 + rho * q0
     db = m.r0 + coup * (sp.qint(n - 1) / sp.qn + t1 - tau * lift / sp.qn)
@@ -270,7 +267,7 @@ def _split_terms(model: WalkModel, ruin: tuple, display: bool) -> tuple | None:
     big_a = s * x0 * x0
     big_b = 1.0 + tau + (db + s * x0) / (b + 1.0 / x0)
     if display:
-        d = (n * m.r0 * (1.0 + rho ** n) - (1.0 + lift)
+        d = (n * m.r0 * (1.0 + sp.pow(n)) - (1.0 + lift)
              + (n - 1) * coup * (1.0 + lift))
         e = sp.Omega * d / (q * (1.0 - rho) ** 2)
         big_a += sp.Omega * abs(sp.psi0) * e

@@ -18,7 +18,8 @@ indicates a numerical pathology).
 
 Interior sites interpolate between their bracketing barriers with weights
 ``rho^n [N-n] / [N]`` and ``[n] / [N]``, plus a source term inside the
-start interval.
+start interval.  Arrivals beyond the float range (both p and q subnormal)
+raise OverflowError; none is returned as inf or nan.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _coefficients(sp: BarrierSpectrum, i0: int) -> tuple[float, float]:
     """(C1, x_N) of :func:`boundary_coefficients` for the frame start i0."""
     n = sp.model.N
     r1 = -sp.qint(n - i0) / sp.q0
-    r2 = -(sp.qint(i0) * sp.rho ** (n - i0) / (sp.q0 * sp.xi1))
+    r2 = -(sp.qint(i0) * sp.pow(n - i0) / (sp.q0 * sp.xi1))
     gap = sp.gap1 + sp.gap2
     return -(r1 + r2) / gap, -(r1 * sp.xi2 + r2 * sp.xi1) / gap
 
@@ -104,7 +105,7 @@ def display_barrier_visits(model: WalkModel, k: int) -> float:
     n, i0 = model.N, spectrum.i0
     xi = spectrum.xi1 if k <= 0 else spectrum.xi2
     bracket = (spectrum.qint(n - i0) * xi
-               + spectrum.rho ** (n - i0) * spectrum.qint(i0))
+               + spectrum.pow(n - i0) * spectrum.qint(i0))
     return bracket * spectrum.Omega * xi ** (k - 1)
 
 
@@ -124,24 +125,26 @@ def total_absorption(model: WalkModel) -> float:
     """Total absorption probability via the two closed geometric sums.
 
     Sums s0 * x_{kN} over all k: ratio 1/xi1 on the left tail and xi2 on
-    the right, each divided by its root's gap to one.  Equals one for every
-    valid model; where a term leaves the float range (a subnormal s0), it
-    raises OverflowError.
+    the right, each divided by its root's gap to one, which divides s0
+    first so that no factor overflows at a subnormal s0.  Equals one for
+    every valid model; where a term leaves the float range, it raises
+    OverflowError.
     """
-    spectrum = barrier_spectrum(model)
+    sp, s0 = barrier_spectrum(model), model.s0
     c1, xn = boundary_coefficients(model)
-    total = model.s0 * (c1 * spectrum.xi1 / spectrum.gap1 + xn / spectrum.gap2)
+    total = c1 * sp.xi1 * (s0 / sp.gap1) + xn * (s0 / sp.gap2)
     if not math.isfinite(total):
         raise beyond_float_range("the total absorption")
     return total
 
 
 def _weights(sp: BarrierSpectrum, n: int, qint) -> tuple[float, float]:
-    """The weights ``(p0/p) rho^n [N - n]`` and ``(q0/q) [n]`` of barriers kN
-    and (k + 1)N at the frame's interior offset n, before dividing by [N];
-    ``qint`` gives the frame's q-integers (:meth:`BarrierSpectrum.qint`, or
-    a lookup in a table of them)."""
-    return ((sp.p0 / sp.p) * sp.rho ** n * qint(sp.model.N - n),
+    """The weights ``(p0/q) rho^(n-1) [N - n]`` (no p0/p to overflow at a
+    subnormal p) and ``(q0/q) [n]`` of barriers kN and (k + 1)N at the
+    frame's interior offset n, before dividing by [N]; ``qint`` gives the
+    frame's q-integers (:meth:`BarrierSpectrum.qint`, or a lookup in a
+    table of them)."""
+    return ((sp.p0 / sp.q) * sp.pow(n - 1) * qint(sp.model.N - n),
             (sp.q0 / sp.q) * qint(n))
 
 
@@ -150,7 +153,7 @@ def _source(sp: BarrierSpectrum, i0: int, n: int, qint) -> float:
     ``lo, hi = sorted((n, i0))`` at offset n of the interval that holds the
     frame start i0, before dividing by [N]; ``qint`` as in :func:`_weights`."""
     lo, hi = sorted((n, i0))
-    return sp.rho ** (hi - i0) * qint(lo) * qint(sp.model.N - hi) / sp.q
+    return sp.pow(hi - i0) * qint(lo) * qint(sp.model.N - hi) / sp.q
 
 
 def _visits(sp: BarrierSpectrum, i0: int, coeffs: tuple[float, float],
@@ -167,7 +170,10 @@ def _visits(sp: BarrierSpectrum, i0: int, coeffs: tuple[float, float],
     value = left * xk + right * _frame_barrier(sp, coeffs, k + 1)
     if k == 0:
         value += _source(sp, i0, n, sp.qint)
-    return value / sp.qn
+    value /= sp.qn
+    if not math.isfinite(value):
+        raise beyond_float_range("an expected number of arrivals")
+    return value
 
 
 def site_visits(model: WalkModel, j: int) -> float:
@@ -241,6 +247,9 @@ def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitPro
         else:
             frame += [(a * xk + b * xk1) / qn for a, b in weights]
         frame.append(xk1)
+    # a finite sum, the common case, says that every value is finite
+    if not math.isfinite(sum(frame)) and not all(map(math.isfinite, frame)):
+        raise beyond_float_range("an expected number of arrivals")
     sites = range(k_min * n, k_max * n + 1)
     values = dict(zip(sites, reversed(frame) if sp.mirrored else frame))
     return VisitProfile(model=model, barrier_coeff_left=coeffs[0],
@@ -270,7 +279,7 @@ def barrier_recurrence_residual(model: WalkModel, k: int) -> float:
     if k == 0:
         rhs = -spectrum.qint(n - i0)
     elif k == 1:
-        rhs = -spectrum.rho ** (n - i0) * spectrum.qint(i0)
+        rhs = -spectrum.pow(n - i0) * spectrum.qint(i0)
     return a * xp + b * x0 + c * xm - rhs
 
 

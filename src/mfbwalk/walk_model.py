@@ -35,6 +35,10 @@ BALANCE_EPS = 1e-9
 # is folded into the hold probability, outside it the input is rejected
 SUM_TOL = 1e-12
 
+# below this |log rho| rho^n is exp(n log rho), since p / q rounds away the
+# digits of 1 - rho; above it rho ** n (chosen by a 50-digit sweep)
+POWER_CUT = 0.05
+
 # the most sites any one request may hold: a truncated lattice (2KN + 1
 # sites), a simulation's window or the rows of a CLI report; at s0 = 1e-7
 # the default truncation would ask for about 1e8 sites
@@ -200,10 +204,14 @@ class BarrierSpectrum:
     walk ``(q, p, q0, p0, (-i0) mod N)``; a walk with p <= q is its own
     frame.  ``mirrored`` says which, :meth:`frame_site` carries a site into
     the frame, and ``p, q, p0, q0, i0, rho = p / q`` are the frame's.  The
-    closed forms use the q-integers ``[n] = (1 - rho^n) / (1 - rho)``
-    (:meth:`qint`, over the stored denominator ``qden = expm1(log_rho)``;
-    ``[n] = n`` at rho = 1, and ``qn = [N]``), so they hold no power above
-    one and no division by ``1 - rho``.
+    drift enters the closed forms only from here: ``log_rho =
+    -log1p((q - p) / p)``, ``q - p`` exact near balance (``log p - log q``
+    where ``(q - p) / p`` overflows), ``x_per_drift = -log_rho / (q - p)``
+    (1 / p at rho = 1) and :meth:`pow`.  The closed forms use the
+    q-integers ``[n] = (1 - rho^n) / (1 - rho)`` (:meth:`qint`, over the
+    stored denominator ``qden = expm1(log_rho)``; ``[n] = n`` at rho = 1,
+    and ``qn = [N]``), so they hold no power above one and no division by
+    ``1 - rho``.
 
     Away from the start the barrier visits obey
     ``q0 x_{k+1} + psi0 x_k + p0 rho^(N-1) x_{k-1} = 0`` with
@@ -224,6 +232,7 @@ class BarrierSpectrum:
     i0: int
     rho: float
     log_rho: float
+    x_per_drift: float
     qden: float
     qn: float
     psi0: float
@@ -235,12 +244,15 @@ class BarrierSpectrum:
 
     def qint(self, n: int) -> float:
         """The q-integer [n] = expm1(n log rho) / expm1(log rho) of the
-        frame, n at rho = 1: within 4e-16 relative of a 50-digit value of
-        the rounded rho = p / q for |log rho| from 1e-15 to 5 and n up to
-        2000.  The rounding of p / q itself carries into log rho: against
-        the model's p and q, [1999] is 3.7e-14 off at |p - q| = 3e-12."""
+        frame, n at rho = 1: within 3.2e-16 relative of a 50-digit value of
+        the model's own p and q for |log rho| from 1e-15 to 5 and n up to
+        2000."""
         log_rho = self.log_rho
         return float(n) if log_rho == 0.0 else math.expm1(n * log_rho) / self.qden
+
+    def pow(self, n: int) -> float:
+        """rho^n, by the one power rule of the closed forms."""
+        return _power(self.rho, self.log_rho, n)
 
     def frame_site(self, j: int) -> int:
         """The site of the frame that holds site j of the model."""
@@ -248,7 +260,12 @@ class BarrierSpectrum:
 
     def quadratic_coeffs(self) -> tuple[float, float, float]:
         """(a, b, c) of the recurrence quadratic a xi^2 + b xi + c = 0."""
-        return self.q0, self.psi0, self.p0 * self.rho ** (self.model.N - 1)
+        return self.q0, self.psi0, self.p0 * self.pow(self.model.N - 1)
+
+
+def _power(rho: float, log_rho: float, n: int) -> float:
+    """rho^n of a frame, by the rule of :data:`POWER_CUT`."""
+    return math.exp(n * log_rho) if log_rho > -POWER_CUT else rho ** n
 
 
 @lru_cache(maxsize=512)
@@ -261,9 +278,11 @@ def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
     else:
         p, q, p0, q0, i0 = m.p, m.q, m.p0, m.q0, m.i0
     rho = p / q
-    log_rho = math.log(rho)
+    drift = (q - p) / p
+    log_rho = -(math.log1p(drift) if drift < math.inf
+                else math.log(q) - math.log(p))
     qden = math.expm1(log_rho)
-    c = p0 * rho ** (m.N - 1)
+    c = p0 * _power(rho, log_rho, m.N - 1)
     qn = float(m.N) if log_rho == 0.0 else math.expm1(m.N * log_rho) / qden
     s = m.s0 * qn
     # q0 t^2 + b t - s = 0 has a root of each sign and a discriminant free of
@@ -280,5 +299,6 @@ def barrier_spectrum(model: WalkModel) -> BarrierSpectrum:
     xi1 = 1.0 + gap1
     return BarrierSpectrum(
         model=m, mirrored=mirrored, p=p, q=q, p0=p0, q0=q0, i0=i0, rho=rho,
-        log_rho=log_rho, qden=qden, qn=qn, psi0=-(q0 + c + s),
+        log_rho=log_rho, x_per_drift=1.0 / p if p == q else -log_rho / (q - p),
+        qden=qden, qn=qn, psi0=-(q0 + c + s),
         xi1=xi1, xi2=c / (q0 * xi1), gap1=gap1, gap2=gap2, Omega=1.0 / root)

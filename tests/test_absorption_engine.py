@@ -209,6 +209,18 @@ class TestMeanTimeAny:
         for i in (1, n // 2, n - 1):
             assert mean_time_any(m, i) == pytest.approx(want[i], rel=1e-10)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("p", [1e-300, 1e-310, 5e-324])
+    def test_subnormal_p_matches_the_periodic_solve(self, p, flip):
+        # (q - p) / p overflows from p = 1e-310 on, where log q - log p
+        # serves, and x / (q - p) is never formed from p alone
+        m = make_model(p=p, q=0.5, p0=0.3, q0=0.3, s0=0.2, N=10, i0=0)
+        m = mirror(m) if flip else m
+        want = [float(t) for t in periodic_mean_times(m)]
+        assert mean_time_period(m) == pytest.approx(want, rel=1e-12)
+        for i in range(m.N):
+            assert mean_time_any(m, i) == pytest.approx(want[i], rel=1e-12)
+
     def test_branch_continuity_at_balance(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

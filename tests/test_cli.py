@@ -44,10 +44,13 @@ DEFECT_MODELS = [
 # q / p = 2e-17: (q - p) / p rounds to -1
 EXTREME_DRIFT_ARGS = ["--p", "0.5", "--q", "1e-17", "--p0", ".3", "--q0",
                       ".3", "--s0", ".2", "--N", "10", "--i0", "0"]
-# p0 / p overflows to inf while rho ** n underflows to 0: the library's
-# arrivals and reach probabilities of this model are nan or inf
-SUBNORMAL_P_ARGS = ["--p", "1e-310", "--q", ".5", "--p0", ".3", "--q0", ".3",
-                    "--s0", ".2", "--N", "10", "--i0", "0"]
+# a subnormal p: (q - p) / p and p0 / p overflow, though every arrival,
+# reach probability and mean time of the walk is finite
+SUBNORMAL_P = dict(p=1e-310, q=0.5, p0=0.3, q0=0.3, s0=0.2, N=10, i0=0)
+# p = q = 1e-305 at s0 = 1e-3: the oracles give their records, but the mean
+# times, about 1e309, are beyond the float range
+BEYOND_RANGE_TIMES = dict(p=1e-305, q=1e-305, p0=0.3, q0=0.3, s0=1e-3, N=10,
+                          i0=0)
 # reports above the MAX_SITES row budget: a visits or verify window holds
 # (B - A) N + 1 rows, an absorb-dist or barrier-time window B - A + 1 and
 # the full mean-time period N + 1
@@ -306,7 +309,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("raw,command", [
         *[(raw, command) for raw in FLOAT_RANGE_MODELS
           for command in (["mean-time"], ["mean-time", "--i", "1"])],
-        *[(raw, ["absorb-dist"]) for raw in FLOAT_RANGE_MODELS[1:]],
         (FLOAT_RANGE_MODELS[2], ["barrier-time"]),
     ])
     def test_beyond_the_float_range_is_2_in_one_line(self, raw, command,
@@ -318,16 +320,36 @@ class TestExitCodes:
         assert err.startswith("cannot compute: OverflowError: ")
 
     @pytest.mark.parametrize("output", ["json", "csv"])
-    @pytest.mark.parametrize("command", [["visits"],
-                                         ["reach", "--from", "0", "--to", "3"]],
-                             ids=lambda command: command[0])
-    def test_non_finite_report_is_2_with_empty_stdout(self, command, output,
+    @pytest.mark.parametrize("command", ["visits", "reach", "mean-time"])
+    def test_subnormal_p_report_is_the_library_values(self, command, output,
                                                       capsys):
-        code, out, err = run([*command, *SUBNORMAL_P_ARGS, "--output", output],
-                             capsys)
-        assert (code, out) == (2, "")
-        assert err == (f"cannot compute: OverflowError: a value of the "
-                       f"{command[0]} report is beyond the float range\n")
+        m = make_model(**SUBNORMAL_P)
+        argv, key, want = {
+            "visits": ([], "site", visit_engine.visit_profile(m).values),
+            "reach": (["--from", "0", "--to", "3"], "from",
+                      {0: visit_engine.reach_probability(m, 0, 3)}),
+            "mean-time": ([], "i", dict(enumerate(
+                mfbwalk.mean_time_period(m)))),
+        }[command]
+        code, out, err = run([command, *argv, *_model_args(SUBNORMAL_P),
+                              "--output", output], capsys)
+        assert (code, err) == (0, "")
+        if output == "csv":
+            rows = list(csv.DictReader(io.StringIO(out)))
+        else:
+            report = json.loads(out)
+            rows = report.get("rows", [report])
+        value = {"site": "x", "from": "probability", "i": "mean_time"}[key]
+        got = {int(r[key]): float(r[value]) for r in rows}
+        assert got == want
+        assert all(map(math.isfinite, got.values()))
+
+    def test_subnormal_s0_total_absorption_is_one(self, capsys):
+        # s0 is divided by each root's gap before the product
+        code, out, err = run(["absorb-dist",
+                              *_model_args(FLOAT_RANGE_MODELS[1])], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("output", ["json", "csv"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -361,13 +383,15 @@ class TestExitCodes:
 
     def test_refused_bless_leaves_no_golden(self, tmp_path, capsys):
         # the period's mean times are beyond the float range: the rows are
-        # refused after the golden records were computed
+        # refused after the golden records were computed (the oracles warn
+        # of their own overflow on the way)
         golden = tmp_path / "golden.json"
-        code, out, err = run(["verify", *SUBNORMAL_P_ARGS,
+        code, out, err = run(["verify", *_model_args(BEYOND_RANGE_TIMES),
                               "--golden", str(golden), "--bless"], capsys)
         assert (code, out) == (2, "")
-        assert err == ("cannot compute: OverflowError: a mean time of the "
-                       "period is beyond the float range\n")
+        assert "blessed" not in err
+        assert err.endswith("cannot compute: OverflowError: a mean time of "
+                            "the period is beyond the float range\n")
         assert not golden.exists()
 
     def test_bless_of_a_non_finite_report_leaves_no_golden(

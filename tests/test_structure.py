@@ -146,3 +146,19 @@ def test_per_model_caches_are_known_by_name():
                       "visit_engine.boundary_coefficients": 512,
                       "absorption_engine._mean_time_constants": 512,
                       "cli.build_parser": None}
+
+
+@pytest.mark.parametrize("module", ["visit_engine", "absorption_engine"])
+def test_the_drift_enters_the_engines_through_the_spectrum(module):
+    # the log ratio of the drift and every power of rho are derived in
+    # walk_model.barrier_spectrum alone; an engine takes no log and forms
+    # no rho ** n of its own
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    logs = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("log")
+            and isinstance(node.value, ast.Name) and node.value.id == "math"]
+    powers = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and getattr(node.left, "id", getattr(node.left, "attr", None))
+              == "rho"]
+    assert (logs, powers) == ([], [])

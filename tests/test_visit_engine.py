@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,16 @@ class TestMirrorFrame:
         assert 0.0 <= reach_probability(m, 3, -5) <= 1.0
         assert total_absorption(m) == pytest.approx(1.0, abs=1e-12)
 
+    def test_arrivals_beyond_the_float_range_raise(self):
+        # with p and q subnormal an interior site is visited about
+        # 1 / (p + q) times, past the float range; a barrier is not
+        m = make_model(p=1e-310, q=1e-310, p0=0.3, q0=0.3, s0=0.2, N=10, i0=0)
+        assert math.isfinite(site_visits(m, 10))
+        for call in (lambda: site_visits(m, 3), lambda: visit_profile(m),
+                     lambda: reach_probability(m, 0, 3)):
+            with pytest.raises(OverflowError, match="beyond the float range"):
+                call()
+
     @pytest.mark.parametrize("p0,q0", [(0.3, 0.3), (0.2, 0.35)])
     def test_total_absorption_at_tiny_s0(self, p0, q0):
         # a root lies within 4e-6 of one, so the sums divide by the gaps
@@ -220,6 +231,72 @@ class TestMirrorFrame:
         m = make_model(p=0.3, q=0.25, p0=p0, q0=q0, s0=1e-7, N=10, i0=0)
         for model in (m, mirror(m)):
             assert total_absorption(model) == pytest.approx(1.0, abs=1e-12)
+
+
+def _site_visits_mp(m, sites):
+    """x_j of the closed form at 50 digits, from the model's own p and q,
+    rounded.  xi2 is c / (q0 xi1): the quadratic formula cancels it to 0
+    even at 60 digits where it is about 1e-116."""
+    mp = mpmath.mpf
+    with mpmath.workdps(50):
+        p, q, p0, q0, s0 = (mp(v) for v in (m.p, m.q, m.p0, m.q0, m.s0))
+        n, i0, mirrored = m.N, m.i0, m.p > m.q
+        if mirrored:
+            p, q, p0, q0, i0 = q, p, q0, p0, -i0 % n
+        rho = p / q
+
+        def qint(k):
+            return mp(k) if p == q else (1 - rho ** k) / (1 - rho)
+
+        c, s = p0 * rho ** (n - 1), s0 * qint(n)
+        b = q0 - c - s
+        root = mpmath.sqrt(b * b + 4 * q0 * s)
+        gap1 = (root - b) / (2 * q0) if b < 0 else 2 * s / (root + b)
+        gap2 = s / (q0 * gap1)
+        xi1, xi2 = 1 + gap1, c / (q0 * (1 + gap1))
+        r1 = -qint(n - i0) / q0
+        r2 = -qint(i0) * rho ** (n - i0) / (q0 * xi1)
+        c1 = -(r1 + r2) / (gap1 + gap2)
+        xn = -(r1 * xi2 + r2 * xi1) / (gap1 + gap2)
+
+        def barrier(k):
+            return c1 * xi1 ** k if k <= 0 else xn * xi2 ** (k - 1)
+
+        values = []
+        for j in sites:
+            k, off = divmod((n if m.i0 else 0) - j if mirrored else j, n)
+            x = barrier(k)
+            if off:
+                x = (p0 / p * rho ** off * qint(n - off) * x
+                     + q0 / q * qint(off) * barrier(k + 1))
+                if k == 0:
+                    lo, hi = sorted((off, i0))
+                    x += rho ** (hi - i0) * qint(lo) * qint(n - hi) / q
+                x /= qint(n)
+            values.append(float(x))
+        return values
+
+
+class TestNearBalanceAccuracy:
+    def test_site_visits_match_50_digits(self):
+        # |p - q| / p from 1e-15 to 1e-4: log rho is taken from q - p, exact
+        # here, and every power of rho from it, so the rounding of p / q
+        # does not carry into the q-integers
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for _ in range(60):
+            p = rng.uniform(0.02, 0.49)
+            q = p * (1.0 + rng.choice((-1.0, 1.0))
+                     * math.exp(rng.uniform(math.log(1e-15), math.log(1e-4))))
+            s0 = math.exp(rng.uniform(math.log(1e-6), math.log(0.3)))
+            p0, q0 = rng.uniform(0.01, (1.0 - s0) / 2, size=2)
+            n = round(math.exp(rng.uniform(math.log(2), math.log(2000))))
+            m = make_model(p=p, q=q, p0=p0, q0=q0, s0=s0, N=n,
+                           i0=int(rng.integers(0, n)))
+            sites = [int(j) for j in rng.integers(-3 * n, 3 * n + 1, size=6)]
+            for j, want in zip(sites, _site_visits_mp(m, sites)):
+                worst = max(worst, abs(site_visits(m, j) - want) / want)
+        assert worst <= 2e-15
 
 
 class TestAbsorption:
