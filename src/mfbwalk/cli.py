@@ -12,15 +12,12 @@ error, 66 model or golden file not found.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import io
 import itertools
 import json
 import math
+import operator
 import sys
 import warnings
-from collections.abc import Iterable
 from functools import cache
 
 from . import absorption_engine as ae
@@ -37,9 +34,6 @@ EXIT_NOFILE = 66
 
 # relative deviation of a display form beyond which verify records a note
 FORMULA_TOL = 1e-9
-
-VERIFY_COLUMNS = ("quantity", "index", "closed_form", "oracle", "delta",
-                  "tolerance", "mode", "status")
 
 # flags whose values may start with "-" (negative numbers, k-ranges)
 _DASH_VALUE_FLAGS = {"--window", "--from", "--to", "--i"}
@@ -234,30 +228,123 @@ def _model_from_args(args) -> WalkModel:
     return validate_model(flags)
 
 
-def _emit(args, model: WalkModel, rows: Iterable[dict],
-          columns: tuple[str, ...], report: dict) -> int:
-    """Print ``report`` under the header ``{model, quantity}`` as one
-    compact JSON line, or ``rows`` as CSV under ``columns``; ``rows`` is
-    read for CSV only.  ``json.dumps`` without ``indent`` runs the C
-    encoder; ``json.dump`` to a stream never does.  A report holding a NaN
-    or an infinity raises OverflowError before anything is written."""
+# how a row prints a value of each form, as (JSON, CSV) text: a form is
+# the class of a column's values (identifiers for str), or its one null or
+# empty value, which "%.0s" takes and prints nothing of
+_FORMS = {int: ("%d", "%d"), float: ("%r", "%r"), str: ('"%s"', "%s"),
+          None: ("null%.0s", "%.0s"), "": ('""%.0s', "%.0s")}
+
+
+class _Layout:
+    """The columns of a report's rows, each given as its name and the forms
+    of ``_FORMS`` its values take, compiled once into row templates: JSON
+    objects with the keys as literal text, and CSV lines.  A column of more
+    than one form has a template per form, keyed by the class of the row's
+    value there (by a tuple of classes where several columns vary), so a
+    row, a tuple in column order, prints with one ``%`` and no choice per
+    value.  The text is what ``json.dumps`` of the row as a dict and
+    ``csv.writer`` print, given Python floats (``%r`` of a numpy float
+    names its type) and identifier strings (printed as they are)."""
+
+    def __init__(self, *columns: tuple):
+        self.columns = tuple(name for name, *_ in columns)
+        self.csv_header = ",".join(self.columns) + "\r\n"
+        self.forms = [forms for _, *forms in columns]
+        # the columns of more than one form, whose classes key a row's template
+        self.varying = [i for i, forms in enumerate(self.forms)
+                        if len(forms) > 1]
+        self._floats = [operator.itemgetter(i)
+                        for i, forms in enumerate(self.forms) if float in forms]
+        keys = [json.dumps(name).replace("%", "%%") for name in self.columns]
+        self.templates = {"json": {}, "csv": {}}
+        for forms in itertools.product(*self.forms):
+            shape = tuple(f if isinstance(f, type) else type(f)
+                          for f in map(forms.__getitem__, self.varying))
+            if len(shape) == 1:
+                [shape] = shape
+            pieces = [_FORMS[form] for form in forms]
+            self.templates["json"][shape] = "{%s}" % ", ".join(
+                f"{key}: {text}" for key, (text, _) in zip(keys, pieces))
+            self.templates["csv"][shape] = ",".join(
+                text for _, text in pieces) + "\r\n"
+
+    def lines(self, output: str, rows: list[tuple]) -> list[str]:
+        """Each row's text in ``output`` ("json" or "csv")."""
+        templates = self.templates[output]
+        if not self.varying:
+            template = templates[()]
+            return [template % row for row in rows]
+        if len(self.varying) == 1:
+            [i] = self.varying
+            return [templates[row[i].__class__] % row for row in rows]
+        return [templates[tuple([row[i].__class__ for i in self.varying])] % row
+                for row in rows]
+
+    def finite(self, rows: list[tuple]) -> bool:
+        """Whether every float of ``rows`` is finite.  A column whose sum
+        is finite holds no NaN or infinity; only one whose sum is not is
+        read value by value.  Null and empty values are skipped."""
+        for get in self._floats:
+            if (not math.isfinite(sum(filter(None, map(get, rows)), 0.0))
+                    and not all(map(math.isfinite,
+                                    filter(None, map(get, rows))))):
+                return False
+        return True
+
+
+# the columns of each command's report rows: each column's name and the
+# forms of ``_FORMS`` its values take
+ROW_COLUMNS = {
+    "visits": (("site", int), ("x", float), ("absorption_mass", float, None)),
+    "absorb-dist": (("k", int), ("site", int), ("absorption_mass", float)),
+    "reach": (("from", int), ("to", int), ("probability", float)),
+    "mean-time": (("i", int), ("mean_time", float)),
+    "barrier-time": (("k", int), ("site", int), ("mean_time", float)),
+    "simulate": (("kind", str), ("index", int, ""), ("value", float, None),
+                 ("se", float, None, "")),
+    "verify": (("quantity", str), ("index", int, ""), ("closed_form", float),
+               ("oracle", float), ("delta", float), ("tolerance", float),
+               ("mode", str), ("status", str)),
+}
+
+
+@cache
+def row_layout(command: str) -> _Layout:
+    """The row layout of ``command``'s report, compiled on its first use
+    and kept for the process."""
+    return _Layout(*ROW_COLUMNS[command])
+
+
+def _render(args, model: WalkModel, rows: list[tuple], report: dict) -> str:
+    """The text of ``report`` under the header ``{model, quantity}`` as one
+    compact JSON line, or of ``rows`` as CSV; the command's layout renders
+    the rows in both.  ``json.dumps`` without ``indent`` (the C encoder)
+    renders the header alone, with an empty list as its ``rows`` entry, and
+    the rows' text takes that list's place: every quote inside a JSON
+    string is escaped, so the first ``"rows": []`` of the text is that
+    entry.  A report holding a NaN or an infinity raises OverflowError."""
+    layout = row_layout(args.command)
     what = f"a value of the {args.command} report"
-    if args.output == "json":
-        report = {"model": model.to_dict(), "quantity": args.command, **report}
-        try:
-            text = json.dumps(report, allow_nan=False)
-        except ValueError:  # the encoder refuses NaN and the infinities
-            raise beyond_float_range(what) from None
-        sys.stdout.write(text + "\n")
-        return EXIT_OK
-    table = [["" if row.get(c) is None else row.get(c) for c in columns]
-             for row in rows]
-    if not all(math.isfinite(v) for line in table for v in line
-               if isinstance(v, float)):
+    if not layout.finite(rows):
         raise beyond_float_range(what)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(columns)
-    writer.writerows(table)
+    if args.output == "csv":
+        return layout.csv_header + "".join(layout.lines("csv", rows))
+    header = {"model": model.to_dict(), "quantity": args.command, **report}
+    if "rows" in header:
+        header["rows"] = []
+    try:
+        text = json.dumps(header, allow_nan=False)
+    except ValueError:  # the encoder refuses NaN and the infinities
+        raise beyond_float_range(what) from None
+    if "rows" in header:
+        head, _, tail = text.partition('"rows": []')
+        text = f'{head}"rows": [{", ".join(layout.lines("json", rows))}]{tail}'
+    return text + "\n"
+
+
+def _emit(args, model: WalkModel, rows: list[tuple], report: dict) -> int:
+    """Print the :func:`_render` text of the report."""
+    sys.stdout.write(_render(args, model, rows, report))
     return EXIT_OK
 
 
@@ -267,45 +354,41 @@ def _emit(args, model: WalkModel, rows: Iterable[dict],
 def _cmd_visits(model, args) -> int:
     lo, hi = _parse_window(args.window, model.N)
     profile = ve.visit_profile(model, lo, hi)
-    rows = [{"site": site, "x": x,
-             "absorption_mass": model.s0 * x if site % model.N == 0 else None}
+    s0, n = model.s0, model.N
+    rows = [(site, x, s0 * x if site % n == 0 else None)
             for site, x in profile.values.items()]
-    return _emit(args, model, rows, ("site", "x", "absorption_mass"),
-                 {"window": [lo, hi], "rows": rows})
+    return _emit(args, model, rows, {"window": [lo, hi], "rows": rows})
 
 
 def _cmd_absorb_dist(model, args) -> int:
     lo, hi = _parse_window(args.window)
-    rows = [{"k": k, "site": k * model.N,
-             "absorption_mass": ve.absorption_mass(model, k)}
+    rows = [(k, k * model.N, ve.absorption_mass(model, k))
             for k in range(lo, hi + 1)]
-    return _emit(args, model, rows, ("k", "site", "absorption_mass"),
+    return _emit(args, model, rows,
                  {"window": [lo, hi], "rows": rows,
                   "total": ve.total_absorption(model)})
 
 
 def _cmd_reach(model, args) -> int:
-    row = {"from": args.src, "to": args.dst,
-           "probability": ve.reach_probability(model, args.src, args.dst)}
-    return _emit(args, model, [row], tuple(row), row)
+    row = (args.src, args.dst,
+           ve.reach_probability(model, args.src, args.dst))
+    return _emit(args, model, [row],
+                 dict(zip(row_layout("reach").columns, row)))
 
 
 def _cmd_mean_time(model, args) -> int:
     if args.i is not None:
-        rows = [{"i": args.i, "mean_time": ae.mean_time_any(model, args.i)}]
+        rows = [(args.i, ae.mean_time_any(model, args.i))]
     else:
-        rows = [{"i": i, "mean_time": t}
-                for i, t in enumerate(ae.mean_time_period(model))]
-    return _emit(args, model, rows, ("i", "mean_time"), {"rows": rows})
+        rows = list(enumerate(ae.mean_time_period(model)))
+    return _emit(args, model, rows, {"rows": rows})
 
 
 def _cmd_barrier_time(model, args) -> int:
     lo, hi = _parse_window(args.window)
-    rows = [{"k": k, "site": k * model.N,
-             "mean_time": ae.mean_time_to_barrier(model, k)}
+    rows = [(k, k * model.N, ae.mean_time_to_barrier(model, k))
             for k in range(lo, hi + 1)]
-    return _emit(args, model, rows, ("k", "site", "mean_time"),
-                 {"window": [lo, hi], "rows": rows})
+    return _emit(args, model, rows, {"window": [lo, hi], "rows": rows})
 
 
 def _caught(fn, *args, **kwargs) -> tuple[object, list[str]]:
@@ -334,13 +417,12 @@ def _cmd_simulate(model, args) -> int:
                    step_cap=args.step_cap, workers=args.workers,
                    window=window)
     mean, se = _defined(stats.mean_steps), _defined(stats.mean_steps_se)
-    rows = itertools.chain(
-        [{"kind": "mean_steps", "index": "", "value": mean, "se": se}],
-        ({"kind": "absorption_frequency", "index": k, "value": f, "se": ""}
-         for k, f in stats.absorption_hist.items()),
-        ({"kind": "visit_mean", "index": site, "value": m, "se": _defined(s)}
-         for site, (m, s) in stats.visit_means.items()))
-    return _emit(args, model, rows, ("kind", "index", "value", "se"), {
+    rows = [("mean_steps", "", mean, se),
+            *[("absorption_frequency", k, f, "")
+              for k, f in stats.absorption_hist.items()],
+            *[("visit_mean", site, m, _defined(s))
+              for site, (m, s) in stats.visit_means.items()]]
+    return _emit(args, model, rows, {
         "walks": stats.walks, "seed": stats.seed, "step_cap": stats.step_cap,
         "mean_steps": mean, "mean_steps_se": se,
         "absorbed": stats.absorbed, "censored": stats.censored,
@@ -353,18 +435,18 @@ def _cmd_simulate(model, args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _row(quantity, index, closed, reference, tol, mode) -> dict:
+def _row(quantity, index, closed, reference, tol, mode) -> tuple:
+    """One verify row, in the columns of its layout."""
     if mode == "rel":
         delta = abs(closed - reference) / max(abs(reference), 1e-30)
     else:
         delta = abs(closed - reference)
-    return {"quantity": quantity, "index": index, "closed_form": closed,
-            "oracle": reference, "delta": delta, "tolerance": tol,
-            "mode": mode, "status": "pass" if delta <= tol else "fail"}
+    return (quantity, index, closed, reference, delta, tol, mode,
+            "pass" if delta <= tol else "fail")
 
 
 def _verify_rows(battery, window: tuple[int, int], walks: int,
-                 seed: int) -> list[dict]:
+                 seed: int) -> list[tuple]:
     from . import oracle
     model = battery.model
     lo, hi = window
@@ -448,15 +530,13 @@ def _cmd_verify(model, args) -> int:
     discrepancies = _formula_discrepancies(battery, window)
     golden_mismatches, mismatch_warnings = (
         _caught(battery.mismatches, golden) if golden else ([], []))
-    failed = [r for r in rows if r["status"] == "fail"]
+    failed = [row for row in rows if row[-1] == "fail"]
     ok = not failed and not golden_mismatches
     # the report is rendered before a golden is written, so a run refused
     # on the way leaves none; stderr keeps the order of the steps
-    report = io.StringIO()
-    with contextlib.redirect_stdout(report):
-        _emit(args, model, rows, VERIFY_COLUMNS,
-              {"rows": rows, "formula_discrepancies": discrepancies,
-               "golden_mismatches": golden_mismatches, "ok": ok})
+    report = _render(args, model, rows,
+                     {"rows": rows, "formula_discrepancies": discrepancies,
+                      "golden_mismatches": golden_mismatches, "ok": ok})
     if args.bless:
         oracle.write_golden(args.golden, records)
         print(f"blessed {len(records)} golden records -> {args.golden}",
@@ -467,7 +547,7 @@ def _cmd_verify(model, args) -> int:
         print(line, file=sys.stderr)
     for miss in golden_mismatches:
         print(f"golden mismatch: {miss}", file=sys.stderr)
-    sys.stdout.write(report.getvalue())
+    sys.stdout.write(report)
     if not ok:
         return EXIT_DISCREPANCY
     if args.strict_formulas and discrepancies:

@@ -329,15 +329,20 @@ def periodic_mean_times(model: WalkModel) -> np.ndarray:
     difference.  The barrier row gives
     ``m_0 = (p0 T_1 + q0 T_{N-1} + 1 - s0) / s0``: the 1/s0 conditioning
     costs one division of a sum of positive terms.  Returns an array of
-    length N + 1 with ``m[N] == m[0]``.
+    length N + 1 with ``m[N] == m[0]``; mean times beyond the float range
+    raise OverflowError, with no numpy warning on the way.
     """
     m = model
     n = m.N - 1
     T = np.zeros(m.N + 1)
-    T[1:-1] = _Reduction(np.full(n, m.p), np.full(n, m.q),
-                         np.zeros(n)).solve(np.ones(n))
-    m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
-    return m0 + T
+    with np.errstate(all="ignore"):  # a non-finite time is refused below
+        T[1:-1] = _Reduction(np.full(n, m.p), np.full(n, m.q),
+                             np.zeros(n)).solve(np.ones(n))
+        m0 = (m.p0 * T[1] + m.q0 * T[-2] + 1.0 - m.s0) / m.s0
+        times = m0 + T
+    if not np.isfinite(times).all():
+        raise beyond_float_range("a mean time of the period")
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +661,11 @@ def simulate(model: WalkModel, walks: int, seed: int,
         raise ValueError(f"site window {lo}..{hi} holds {hi - lo + 1} sites, "
                          f"more than {MAX_SITES}")
     if step_cap is None:
-        step_cap = _default_step_cap(model, periodic_mean_times(model))
+        try:
+            period = periodic_mean_times(model)
+        except OverflowError:  # so is 50 times the mean time from the start
+            raise beyond_float_range("the default step cap") from None
+        step_cap = _default_step_cap(model, period)
 
     batches = [(j, min(_BATCH, walks - j * _BATCH))
                for j in range((walks + _BATCH - 1) // _BATCH)]

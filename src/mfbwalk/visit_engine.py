@@ -138,22 +138,20 @@ def total_absorption(model: WalkModel) -> float:
     return total
 
 
-def _weights(sp: BarrierSpectrum, n: int, qint) -> tuple[float, float]:
+def _weights(sp: BarrierSpectrum, n: int) -> tuple[float, float]:
     """The weights ``(p0/q) rho^(n-1) [N - n]`` (no p0/p to overflow at a
     subnormal p) and ``(q0/q) [n]`` of barriers kN and (k + 1)N at the
-    frame's interior offset n, before dividing by [N]; ``qint`` gives the
-    frame's q-integers (:meth:`BarrierSpectrum.qint`, or a lookup in a
-    table of them)."""
-    return ((sp.p0 / sp.q) * sp.pow(n - 1) * qint(sp.model.N - n),
-            (sp.q0 / sp.q) * qint(n))
+    frame's interior offset n, before dividing by [N]."""
+    return ((sp.p0 / sp.q) * sp.pow(n - 1) * sp.qint(sp.model.N - n),
+            (sp.q0 / sp.q) * sp.qint(n))
 
 
-def _source(sp: BarrierSpectrum, i0: int, n: int, qint) -> float:
+def _source(sp: BarrierSpectrum, i0: int, n: int) -> float:
     """The source term ``rho^(hi - i0) [lo] [N - hi] / q`` with
     ``lo, hi = sorted((n, i0))`` at offset n of the interval that holds the
-    frame start i0, before dividing by [N]; ``qint`` as in :func:`_weights`."""
+    frame start i0, before dividing by [N]."""
     lo, hi = sorted((n, i0))
-    return sp.pow(hi - i0) * qint(lo) * qint(sp.model.N - hi) / sp.q
+    return sp.pow(hi - i0) * sp.qint(lo) * sp.qint(sp.model.N - hi) / sp.q
 
 
 def _visits(sp: BarrierSpectrum, i0: int, coeffs: tuple[float, float],
@@ -166,10 +164,10 @@ def _visits(sp: BarrierSpectrum, i0: int, coeffs: tuple[float, float],
     xk = _frame_barrier(sp, coeffs, k)
     if n == 0:
         return xk
-    left, right = _weights(sp, n, sp.qint)
+    left, right = _weights(sp, n)
     value = left * xk + right * _frame_barrier(sp, coeffs, k + 1)
     if k == 0:
-        value += _source(sp, i0, n, sp.qint)
+        value += _source(sp, i0, n)
     value /= sp.qn
     if not math.isfinite(value):
         raise beyond_float_range("an expected number of arrivals")
@@ -216,10 +214,12 @@ def reach_probability(model: WalkModel, i: int, j: int) -> float:
 def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitProfile:
     """Materialize x_j for every site between barriers k_min and k_max.
 
-    The frame's q-integers [0..N] and each offset's :func:`_weights` are
-    tabled once, and every barrier interval of the frame is filled from its
-    two barriers in one pass, the start interval with its source term.  A
-    window of more than ``MAX_SITES`` sites raises ValueError.
+    The frame's q-integers [0..N], its powers rho^0..rho^N and each
+    offset's :func:`_weights` are tabled once, and every barrier interval
+    of the frame is filled from its two barriers in one pass, the start
+    interval with its :func:`_source` term, read from the tables on each
+    side of the start.  A window of more than ``MAX_SITES`` sites raises
+    ValueError.
     """
     if k_min > k_max:
         raise ValueError(f"empty barrier window ({k_min}, {k_max})")
@@ -234,16 +234,24 @@ def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitPro
     # sites against the model's
     first, last = sorted((sp.frame_site(k_min * n) // n,
                           sp.frame_site(k_max * n) // n))
-    qint = [sp.qint(i) for i in range(n + 1)].__getitem__
-    weights = [_weights(sp, i, qint) for i in range(1, n)]
+    qint = [sp.qint(i) for i in range(n + 1)]
+    pw = [sp.pow(i) for i in range(n + 1)]
+    left, right = sp.p0 / sp.q, sp.q0 / sp.q
+    weights = [(left * pw[i - 1] * qint[n - i], right * qint[i])
+               for i in range(1, n)]
+    # the source at offsets up to the start, where rho^0 = 1, and past it
+    i0 = sp.i0
+    source = [*[qint[i] * qint[n - i0] / sp.q for i in range(1, i0 + 1)],
+              *[pw[i - i0] * qint[i0] * qint[n - i] / sp.q
+                for i in range(i0 + 1, n)]]
     qn = sp.qn
     xk1 = _frame_barrier(sp, coeffs, first)
     frame = [xk1]
     for k in range(first, last):
         xk, xk1 = xk1, _frame_barrier(sp, coeffs, k + 1)
         if k == 0:
-            frame += [(a * xk + b * xk1 + _source(sp, sp.i0, i, qint)) / qn
-                      for i, (a, b) in enumerate(weights, 1)]
+            frame += [(a * xk + b * xk1 + s) / qn
+                      for (a, b), s in zip(weights, source)]
         else:
             frame += [(a * xk + b * xk1) / qn for a, b in weights]
         frame.append(xk1)

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
+import hashlib
 import io
 import re
 import json
@@ -17,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfbwalk
-from mfbwalk import (has_barrier_split, load_model, make_model,
-                     occupancy_residual, oracle, validate_model, visit_engine)
-from mfbwalk.cli import _merge_dash_values, _UsageError, build_parser, main
+from mfbwalk import (absorption_engine, has_barrier_split, load_model,
+                     make_model, occupancy_residual, oracle, validate_model,
+                     visit_engine)
+from mfbwalk.cli import (ROW_COLUMNS, _merge_dash_values, _UsageError,
+                         build_parser, main, row_layout)
 from conftest import CFG_DRIFT, CFG_SYM, FLOAT_RANGE_MODELS, model_strategy
 
 SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
@@ -353,11 +357,41 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("output", ["json", "csv"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_no_report_prints_a_non_finite_value(self, value, output,
+    @pytest.mark.parametrize("command", [
+        "visits", "absorb-dist", "reach", "mean-time", "mean-time --i",
+        "barrier-time", "simulate", "verify"])
+    def test_no_report_prints_a_non_finite_value(self, command, value, output,
                                                  monkeypatch, capsys):
-        monkeypatch.setattr(visit_engine, "reach_probability",
-                            lambda *args: value)
-        code, out, err = run(["reach", *DRIFT_ARGS, "--from", "0", "--to", "3",
+        # one float of the report's rows is replaced by the value
+        def one_site(profile):
+            profile.values[1] = value
+            return profile
+
+        def one_frequency(stats):
+            return dataclasses.replace(
+                stats, absorption_hist={**stats.absorption_hist, 0: value})
+
+        argv, module, name, put = {
+            "visits": ([], visit_engine, "visit_profile", one_site),
+            "absorb-dist": ([], visit_engine, "absorption_mass",
+                            lambda mass: value),
+            "reach": (["--from", "0", "--to", "3"], visit_engine,
+                      "reach_probability", lambda probability: value),
+            "mean-time": ([], absorption_engine, "mean_time_period",
+                          lambda times: (*times[:-1], value)),
+            "mean-time --i": (["--i", "1"], absorption_engine,
+                              "mean_time_any", lambda time: value),
+            "barrier-time": ([], absorption_engine, "mean_time_to_barrier",
+                             lambda time: value),
+            "simulate": (["--walks", "300"], oracle, "simulate",
+                         one_frequency),
+            "verify": ([], visit_engine, "total_absorption",
+                       lambda total: value),
+        }[command]
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kwargs: put(real(*args, **kwargs)))
+        code, out, err = run([command.split()[0], *argv, *DRIFT_ARGS,
                               "--output", output], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("cannot compute: OverflowError: ")
@@ -382,16 +416,14 @@ class TestExitCodes:
         assert not golden.exists()
 
     def test_refused_bless_leaves_no_golden(self, tmp_path, capsys):
-        # the period's mean times are beyond the float range: the rows are
-        # refused after the golden records were computed (the oracles warn
-        # of their own overflow on the way)
+        # the period's mean times are beyond the float range: the periodic
+        # solve refuses them by name, with no numpy warning on the way
         golden = tmp_path / "golden.json"
         code, out, err = run(["verify", *_model_args(BEYOND_RANGE_TIMES),
                               "--golden", str(golden), "--bless"], capsys)
         assert (code, out) == (2, "")
-        assert "blessed" not in err
-        assert err.endswith("cannot compute: OverflowError: a mean time of "
-                            "the period is beyond the float range\n")
+        assert err == ("cannot compute: OverflowError: a mean time of "
+                       "the period is beyond the float range\n")
         assert not golden.exists()
 
     def test_bless_of_a_non_finite_report_leaves_no_golden(
@@ -1054,7 +1086,8 @@ class TestModuleEntry:
 
 
 class TestCompactJson:
-    """Each JSON report is one ``json.dumps`` line of the report dict."""
+    """Each JSON report is one ``json.dumps`` line of the report dict, its
+    rows as dicts of the layout's columns."""
 
     COMMANDS = [
         ["visits", "--window", "-2..2"],
@@ -1071,14 +1104,17 @@ class TestCompactJson:
     def test_one_line_of_the_report(self, command, drift_file, monkeypatch,
                                     capsys):
         reports = []
-        emit = mfbwalk.cli._emit
+        render = mfbwalk.cli._render
 
-        def spy(args, model, rows, columns, report):
+        def spy(args, model, rows, report):
+            columns = row_layout(args.command).columns
             reports.append({"model": model.to_dict(), "quantity": args.command,
                             **report})
-            return emit(args, model, rows, columns, report)
+            if "rows" in report:
+                reports[-1]["rows"] = [dict(zip(columns, row)) for row in rows]
+            return render(args, model, rows, report)
 
-        monkeypatch.setattr(mfbwalk.cli, "_emit", spy)
+        monkeypatch.setattr(mfbwalk.cli, "_render", spy)
         code, out, _ = run([*command, "--model", drift_file], capsys)
         assert code == 0
         [report] = reports
@@ -1088,6 +1124,96 @@ class TestCompactJson:
         assert json.loads(out) == json.loads(json.dumps(report, indent=1))
 
 
+# (exit code, sha256 of stdout) of each command on the reference models
+STDOUT_PINS = {
+    ("cfg-drift", "visits", "json"): (0, "fd29e26a26a4228585bc67d55d082ff384ddc3cd801a8da6d400bc580e1c134d"),
+    ("cfg-drift", "visits", "csv"): (0, "a26fc3ec722815bf13c0bb0c7fef243e3785039428617cac06217c2f9c9f10e0"),
+    ("cfg-drift", "absorb-dist", "json"): (0, "3c0ba19daf9c75bf421215b1ec88020e90c29fc4c3270b6479f7066646269afa"),
+    ("cfg-drift", "absorb-dist", "csv"): (0, "382b563ff40f90dceb5c61eb815b8c700fd9b2f1353cac5b9f9187af5cd85771"),
+    ("cfg-drift", "reach", "json"): (0, "5d9841ef96afa9e15042d50c2e04f8aa78fd839a506e9d70f0d508259cac4d65"),
+    ("cfg-drift", "reach", "csv"): (0, "239706eb2b03f58f5b10e2f6c6af7cfaaae6815966b60d23f506e3c52ed146ac"),
+    ("cfg-drift", "mean-time", "json"): (0, "7e4ca8f6c4ee7823d3fc14e4f093c128f8060621acee698c617c634eb909451b"),
+    ("cfg-drift", "mean-time", "csv"): (0, "08fb40df6c9995f6decdc92e212d226a63749e605eda5a965ec7ec3e982327ca"),
+    ("cfg-drift", "mean-time --i", "json"): (0, "5d9d8343e2b8ca588abac6b1bd486f51925a09a5bb56cc769a849caefa6a6c77"),
+    ("cfg-drift", "mean-time --i", "csv"): (0, "336da97175870a5ead30ea024c86a5f8885813a7411918fcfa2eb3b3049739a5"),
+    ("cfg-drift", "barrier-time", "json"): (0, "e9c4545be6d4babc6757d81b7d04b25f58b4263447159a1faf13ff1e724cc11d"),
+    ("cfg-drift", "barrier-time", "csv"): (0, "1ca20cde04aba7dc7bb29a0013dcc90d31e2c0d83460c6e155042f96dc03ada3"),
+    ("cfg-drift", "simulate", "json"): (0, "005f283c8a37c098fff27d2ce261dcac92f38f28b457fa9f356b5183c077821b"),
+    ("cfg-drift", "simulate", "csv"): (0, "60acbc7dfeb39416f1e6851e9165cb9f64b9b7a46de7ed4c67583f44d5ca1fa5"),
+    ("cfg-drift", "verify", "json"): (0, "5cd235781ed2e9c4dd84f5d7e01519e0c2dd09b4c5bc41e2c7c5e4eed0df4fba"),
+    ("cfg-drift", "verify", "csv"): (0, "9f68c51ff16a3b0d7f56617367c74ff5c063f29219202978c2205e928a19ec18"),
+    ("cfg-sym", "visits", "json"): (0, "62eeb7f97c98075044e2c41c65d36b5ae24ea4615be30d30911c06c0455307d4"),
+    ("cfg-sym", "visits", "csv"): (0, "9d245bbc6ae9f9ad956c1a0642bf42edbb09cec84062601f412d86e39214f789"),
+    ("cfg-sym", "absorb-dist", "json"): (0, "3c81ed7dba77d8fc72de948fcc49cc6098273d869609787669670479e3f3285b"),
+    ("cfg-sym", "absorb-dist", "csv"): (0, "bc6a1fd97f33c26e4609f1e561c975b4d7503d7986a0259ebcdfb9baa4912980"),
+    ("cfg-sym", "reach", "json"): (0, "51b139ec9e9bdd84252705329d95433e58724bfd9fd02e8d3bc9036ae2e2af44"),
+    ("cfg-sym", "reach", "csv"): (0, "181d42d4e254fb8f22dc0b5373bebd563a041b975db15def154382846d76006b"),
+    ("cfg-sym", "mean-time", "json"): (0, "d7c8f183814656eed312e11eec0eb034c4e68db34332162771762f1d321a85f6"),
+    ("cfg-sym", "mean-time", "csv"): (0, "a63b3dc054f2a899984af05ca34eb7985b05286ec8b4956f68f037d27b1d623d"),
+    ("cfg-sym", "mean-time --i", "json"): (0, "6d028732783fda03706b5d5b4ecaf01775997666d11b961bd81c2e66fb178487"),
+    ("cfg-sym", "mean-time --i", "csv"): (0, "2ddda5bd82178a26bbba1add0be8068261a97ff352e8f0d506d15e50c5a310a2"),
+    # balanced: the per-barrier split is refused and nothing is printed
+    ("cfg-sym", "barrier-time", "json"): (2, hashlib.sha256(b"").hexdigest()),
+    ("cfg-sym", "barrier-time", "csv"): (2, hashlib.sha256(b"").hexdigest()),
+    ("cfg-sym", "simulate", "json"): (0, "64180eab07db0dd06b6d09e0b6045f6b0217bb7b5416056dc494c6decaf8f602"),
+    ("cfg-sym", "simulate", "csv"): (0, "fd9005ece112b8d2b0f7dc744f6d3537e891cc31c3c48a19bfe5a5a747f82de4"),
+    ("cfg-sym", "verify", "json"): (0, "d8c3986a2f40779e234c4a063d1046c612e402d2fd1f8e2f9a583d70e96dfdac"),
+    ("cfg-sym", "verify", "csv"): (0, "5e738d2ecb46ee8206bf5c7df2a8833ba105b61f4cd5af3d31f7a9c4e83e9b10"),
+}
+PINNED_ARGS = {
+    "visits": [], "absorb-dist": [], "reach": ["--from", "1", "--to", "-3"],
+    "mean-time": [], "mean-time --i": ["--i", "1"], "barrier-time": [],
+    "simulate": ["--walks", "300", "--seed", "5"], "verify": ["--walks", "300"],
+}
+# values of each form of a layout column; the floats span the whole range
+FORM_VALUES = {
+    int: st.integers(),
+    float: st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308,
+                                      -0.0, 0.0, 1e16, -1e16, 1e22, 1.5e300,
+                                      1.7976931348623157e308])),
+    str: st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+    None: st.none(),
+    "": st.just(""),
+}
+
+
+class TestRowLayouts:
+    """The rows of every report print from compiled layouts, byte for byte
+    what ``json.dumps`` and ``csv.writer`` printed."""
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("command", sorted(PINNED_ARGS))
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_stdout_is_pinned(self, name, command, output, capsys):
+        argv = [command.split()[0], *PINNED_ARGS[command], "--model",
+                str(REPO / "models" / f"{name}.json"), "--output", output]
+        code, out, _ = run(argv, capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+            STDOUT_PINS[name, command, output]
+
+    @pytest.mark.parametrize("command", sorted(ROW_COLUMNS))
+    def test_rows_print_as_json_dumps_and_csv_writer(self, command):
+        layout = row_layout(command)
+        row = st.tuples(*[st.one_of(*[FORM_VALUES[form] for form in forms])
+                          for forms in layout.forms])
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.lists(row, min_size=1, max_size=6))
+        def check(rows):
+            assert layout.finite(rows)
+            assert layout.lines("json", rows) == \
+                [json.dumps(dict(zip(layout.columns, r))) for r in rows]
+            table = io.StringIO()
+            writer = csv.writer(table)
+            writer.writerow(layout.columns)
+            writer.writerows([["" if v is None else v for v in r] for r in rows])
+            assert layout.csv_header + "".join(layout.lines("csv", rows)) == \
+                table.getvalue()
+
+        check()
+
+
 class TestVerifyResiduals:
     """verify's occupancy rows, read from the window's visit profile, equal
     the per-site residual bit for bit."""
@@ -1095,8 +1221,10 @@ class TestVerifyResiduals:
     @staticmethod
     def _assert_rows_equal(m, window):
         battery = oracle.Battery(m)
-        rows = [r for r in mfbwalk.cli._verify_rows(battery, window, 0, 42)
-                if r["quantity"] == "occupancy_residual"]
+        columns = row_layout("verify").columns
+        rows = [dict(zip(columns, row))
+                for row in mfbwalk.cli._verify_rows(battery, window, 0, 42)
+                if row[columns.index("quantity")] == "occupancy_residual"]
         lo, hi = window
         assert [r["index"] for r in rows] == \
             list(range(lo * m.N + 1, hi * m.N))

@@ -557,6 +557,19 @@ class TestMeanTimes:
             for i in range(m.N + 1):
                 assert solved[i] == pytest.approx(mean_time_any(m, i), rel=rel)
 
+    @pytest.mark.parametrize("p,q,s0", [(1e-305, 1e-305, 1e-3),
+                                        (0.3, 0.25, 1e-310),
+                                        (0.3, 0.25, 5e-324)])
+    def test_periodic_solve_beyond_the_float_range_raises(self, p, q, s0):
+        # the mean times, about 1/s0 (or 1/p) in scale, overflow a double:
+        # refused by name, with no numpy warning first
+        m = make_model(p=p, q=q, p0=0.3, q0=0.3, s0=s0, N=10, i0=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^a mean time of the "
+                               "period is beyond the float range$"):
+                periodic_mean_times(m)
+
     @pytest.mark.parametrize("N", [2, 3, 100, 1000])
     def test_periodic_solve_entrywise_accurate(self, N):
         # every m_i within 1e-14 relative of the same elimination onto m_0
@@ -597,7 +610,7 @@ class TestSimulate:
     def test_default_step_cap_beyond_the_float_range(self, s0):
         m = make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=s0, N=10, i0=0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # m_0 overflows
+            warnings.simplefilter("error")  # m_0 overflows with no warning
             with pytest.raises(OverflowError, match="the default step cap"):
                 simulate(m, walks=10, seed=1)
 
