@@ -33,16 +33,21 @@ each half of the period; the k-independent factors of the split, read from
 the same ruin constants) are derived once per model into one record held in
 a 512-entry cache, like :func:`mfbwalk.walk_model.barrier_spectrum`, so
 that each call does only its per-site or per-barrier arithmetic.  A
-refusal of the split is held as None and raised afresh on every call.  A
-value beyond the float range raises OverflowError; none is returned as inf
-or nan.
+refusal of the split is held as its error type bound to its message,
+formatted once, and raised as a fresh instance on every call.  The period
+m_0..m_N of :func:`mean_time_period` and :func:`absorption_times` is held
+in a memo of the 512 models used last, which also evicts so that it holds
+at most ``MAX_SITES`` values in all.  A value beyond the float range
+raises OverflowError; none is returned as inf or nan.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, update_wrapper
 from itertools import zip_longest
 
 from .errors import BalancedUnsupported, StartNotBarrier, beyond_float_range
@@ -148,9 +153,10 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
 
 
 @lru_cache(maxsize=512)
-def _mean_time_constants(model: WalkModel) -> tuple[float, tuple, tuple | None]:
+def _mean_time_constants(model: WalkModel) -> tuple[float, tuple, tuple | partial]:
     """(m_0, ruin constants of :func:`_times_to_next_barrier`,
-    :func:`_split_terms` or None), derived once per model; m_0 = (p0 T_1 +
+    :func:`_split_terms` or, where :func:`has_barrier_split` is false, its
+    :func:`_split_refusal`), derived once per model; m_0 = (p0 T_1 +
     q0 T_{N-1} + 1 - s0) / s0 is the mean time from a barrier."""
     m = model
     sp = barrier_spectrum(m)
@@ -162,7 +168,8 @@ def _mean_time_constants(model: WalkModel) -> tuple[float, tuple, tuple | None]:
             sp.x_per_drift)
     t1, t_last = _times_to_next_barrier(ruin, (1, m.N - 1))
     m0 = (m.p0 * t1 + m.q0 * t_last + 1.0 - m.s0) / m.s0
-    return m0, ruin, _split_terms(m, ruin, display=False)
+    return m0, ruin, (_split_terms(m, ruin, display=False)
+                      if has_barrier_split(m) else _split_refusal(m))
 
 
 def mean_time_any(model: WalkModel, i: int) -> float:
@@ -184,6 +191,55 @@ def mean_time_any(model: WalkModel, i: int) -> float:
     return value
 
 
+def _period_memo(period):
+    """Memoize ``period`` per model like a 512-entry lru_cache that also
+    evicts, least recently used first, until the periods it holds have at
+    most ``MAX_SITES`` values together: 512 periods of up to ``MAX_SITES``
+    values each would hold about 1e9 floats.  The memo is read and written
+    under a lock; a period is computed outside it."""
+    periods = OrderedDict()
+    lock = threading.Lock()
+    held = 0
+
+    def memo(model: WalkModel) -> tuple[float, ...]:
+        nonlocal held
+        with lock:
+            values = periods.get(model)
+            if values is not None:
+                periods.move_to_end(model)
+                return values
+        values = period(model)
+        with lock:
+            if model not in periods:
+                periods[model] = values
+                held += len(values)
+                while len(periods) > 512 or held > MAX_SITES:
+                    held -= len(periods.popitem(last=False)[1])
+        return values
+
+    def cache_clear() -> None:
+        nonlocal held
+        with lock:
+            periods.clear()
+            held = 0
+
+    memo.cache_clear = cache_clear
+    memo.cache_info = lambda: (len(periods), held)  # (models, values)
+    memo.cache_parameters = lambda: {"maxsize": 512, "maxvalues": MAX_SITES}
+    return update_wrapper(memo, period)
+
+
+@_period_memo
+def _period(model: WalkModel) -> tuple[float, ...]:
+    """m_0..m_N of :func:`mean_time_period`, held in the period memo."""
+    m0, ruin, _ = _mean_time_constants(model)
+    times = _times_to_next_barrier(ruin, range(1, model.N))
+    period = (m0, *[m0 + t for t in times], m0)
+    if not all(map(math.isfinite, period)):
+        raise beyond_float_range("a mean time of the period")
+    return period
+
+
 def mean_time_period(model: WalkModel) -> tuple[float, ...]:
     """m_i for i = 0..N (m_0 at both ends), equal to :func:`mean_time_any`
     at each i.  A period of more than ``MAX_SITES`` values raises
@@ -192,25 +248,22 @@ def mean_time_period(model: WalkModel) -> tuple[float, ...]:
     if n + 1 > MAX_SITES:
         raise ValueError(f"a period of {n + 1} mean times is more than "
                          f"{MAX_SITES}")
-    m0, ruin, _ = _mean_time_constants(model)
-    times = _times_to_next_barrier(ruin, range(1, n))
-    period = (m0, *[m0 + t for t in times], m0)
-    if not all(map(math.isfinite, period)):
-        raise beyond_float_range("a mean time of the period")
-    return period
+    return _period(model)
 
 
-def _split_refusal(model: WalkModel) -> ValueError:
+def _split_refusal(model: WalkModel) -> partial:
     """The error that refuses the per-barrier times where
-    :func:`has_barrier_split` is false."""
+    :func:`has_barrier_split` is false, as its type bound to its message,
+    formatted once; each call of it is a fresh instance."""
     if model.branch is Branch.BALANCED:
-        return BalancedUnsupported(
+        return partial(
+            BalancedUnsupported,
             f"per-barrier mean times are not served for a balanced walk "
             f"(|p - q| < {BALANCE_EPS:g}); use s0 * "
             f"oracle.truncated_visit_derivatives(model)[k * N] instead")
-    return StartNotBarrier(
-        f"per-barrier mean times are derived for a barrier start "
-        f"(i0 = 0); model has i0 = {model.i0}")
+    return partial(StartNotBarrier,
+                   f"per-barrier mean times are derived for a barrier start "
+                   f"(i0 = 0); model has i0 = {model.i0}")
 
 
 def _coth_shape(t: float) -> float:
@@ -220,7 +273,7 @@ def _coth_shape(t: float) -> float:
             else (t / math.tanh(t) - 1.0) / (t * t))
 
 
-def _split_terms(model: WalkModel, ruin: tuple, display: bool) -> tuple | None:
+def _split_terms(model: WalkModel, ruin: tuple, display: bool) -> tuple:
     """The k-independent factors of m_0k = s0 x_{kN} (A + |k| B) on the
     rho <= 1 frame of :func:`barrier_spectrum` (m_0k = m'_{0,-k} if it is
     mirrored), where A = x0'/x0 and B = |xi'/xi| at z = 1.
@@ -245,11 +298,9 @@ def _split_terms(model: WalkModel, ruin: tuple, display: bool) -> tuple | None:
     Omega |psi0| E to A, where D = N r0 (1 + rho^N) - (1 + rho^(N-1))
     + (N - 1)(rho q0 + p0)(1 + rho^(N-1)).
 
-    Returns (mirrored, xi1, xi2, s0 x0 A, s0 x0 B), or None where
-    :func:`has_barrier_split` is false.
+    Returns (mirrored, xi1, xi2, s0 x0 A, s0 x0 B); the caller checks
+    :func:`has_barrier_split`.
     """
-    if not has_barrier_split(model):
-        return None
     m = model
     sp = barrier_spectrum(m)
     n, rho, p0, q0, q = m.N, sp.rho, sp.p0, sp.q0, sp.q
@@ -275,10 +326,11 @@ def _split_terms(model: WalkModel, ruin: tuple, display: bool) -> tuple | None:
     return sp.mirrored, sp.xi1, sp.xi2, m.s0 * x0 * big_a, m.s0 * x0 * big_b
 
 
-def _time_to_barrier(model: WalkModel, terms: tuple | None, k: int) -> float:
-    """m_0k from the model's :func:`_split_terms`, or its refusal if None."""
-    if terms is None:
-        raise _split_refusal(model)
+def _time_to_barrier(terms: tuple | partial, k: int) -> float:
+    """m_0k from a model's :func:`_split_terms`, or a fresh instance of its
+    :func:`_split_refusal`."""
+    if not isinstance(terms, tuple):
+        raise terms()
     mirrored, xi1, xi2, base, slope = terms
     # the split serves i0 = 0 only, where the reflection maps kN to -kN
     if mirrored:
@@ -296,14 +348,16 @@ def mean_time_to_barrier(model: WalkModel, k: int) -> float:
     Requires :func:`has_barrier_split`: raises :class:`BalancedUnsupported`
     for a balanced walk and :class:`StartNotBarrier` for i0 != 0.
     """
-    return _time_to_barrier(model, _mean_time_constants(model)[2], k)
+    return _time_to_barrier(_mean_time_constants(model)[2], k)
 
 
 def display_time_to_barrier(model: WalkModel, k: int) -> float:
     """The same per-barrier time built on the compact display form of
     d omega0/dz (diagnostic path; it deviates from the exact derivative)."""
-    ruin = _mean_time_constants(model)[1]
-    return _time_to_barrier(model, _split_terms(model, ruin, display=True), k)
+    _, ruin, terms = _mean_time_constants(model)
+    if isinstance(terms, tuple):
+        terms = _split_terms(model, ruin, display=True)
+    return _time_to_barrier(terms, k)
 
 
 def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> AbsorptionTimes:
@@ -311,15 +365,19 @@ def absorption_times(model: WalkModel, k_min: int = -3, k_max: int = 3) -> Absor
 
     The split is included only where :func:`has_barrier_split` holds;
     otherwise ``per_barrier`` is empty.  An empty window (k_min > k_max)
-    raises ValueError.
+    and a window of more than ``MAX_SITES`` barriers raise ValueError.
     """
     if k_min > k_max:
         raise ValueError(f"empty barrier window ({k_min}, {k_max})")
+    if k_max - k_min + 1 > MAX_SITES:
+        raise ValueError(f"window ({k_min}, {k_max}) holds "
+                         f"{k_max - k_min + 1} barriers, more than "
+                         f"{MAX_SITES}")
     period = mean_time_period(model)
     terms = _mean_time_constants(model)[2]
     per_barrier: dict[int, float] = {}
-    if terms is not None:
-        per_barrier = {k: _time_to_barrier(model, terms, k)
+    if isinstance(terms, tuple):
+        per_barrier = {k: _time_to_barrier(terms, k)
                        for k in range(k_min, k_max + 1)}
     return AbsorptionTimes(model=model, period_values=period,
                            per_barrier=per_barrier)

@@ -76,15 +76,22 @@ def boundary_coefficients(model: WalkModel) -> tuple[float, float]:
     ``R1 = -[N - i0] / q0`` and ``R2 = -[i0] rho^(N - i0) / (q0 xi1)``.
     Both constants are sums of positive terms.
     """
-    spectrum = barrier_spectrum(model)
-    return _coefficients(spectrum, spectrum.i0)
+    sp = barrier_spectrum(model)
+    return _coefficients(sp, _offset(sp, sp.i0))
 
 
-def _coefficients(sp: BarrierSpectrum, i0: int) -> tuple[float, float]:
-    """(C1, x_N) of :func:`boundary_coefficients` for the frame start i0."""
-    n = sp.model.N
-    r1 = -sp.qint(n - i0) / sp.q0
-    r2 = -(sp.qint(i0) * sp.pow(n - i0) / (sp.q0 * sp.xi1))
+def _offset(sp: BarrierSpectrum, n: int) -> tuple[int, float, float]:
+    """(n, [n], [N - n]) at the frame's offset 0 <= n < N, the q-integers
+    that a start or a target there reads, each evaluated once."""
+    return n, sp.qint(n), sp.qint(sp.model.N - n)
+
+
+def _coefficients(sp: BarrierSpectrum, start: tuple) -> tuple[float, float]:
+    """(C1, x_N) of :func:`boundary_coefficients` for a walk started at the
+    frame offset ``start`` of :func:`_offset`."""
+    i0, q_i0, q_rest = start
+    r1 = -q_rest / sp.q0
+    r2 = -(q_i0 * sp.pow(sp.model.N - i0) / (sp.q0 * sp.xi1))
     gap = sp.gap1 + sp.gap2
     return -(r1 + r2) / gap, -(r1 * sp.xi2 + r2 * sp.xi1) / gap
 
@@ -138,36 +145,42 @@ def total_absorption(model: WalkModel) -> float:
     return total
 
 
-def _weights(sp: BarrierSpectrum, n: int) -> tuple[float, float]:
+def _weights(sp: BarrierSpectrum, target: tuple) -> tuple[float, float]:
     """The weights ``(p0/q) rho^(n-1) [N - n]`` (no p0/p to overflow at a
     subnormal p) and ``(q0/q) [n]`` of barriers kN and (k + 1)N at the
-    frame's interior offset n, before dividing by [N]."""
-    return ((sp.p0 / sp.q) * sp.pow(n - 1) * sp.qint(sp.model.N - n),
-            (sp.q0 / sp.q) * sp.qint(n))
+    frame's interior offset ``target`` of :func:`_offset`, before dividing
+    by [N]."""
+    n, q_n, q_rest = target
+    return (sp.p0 / sp.q) * sp.pow(n - 1) * q_rest, (sp.q0 / sp.q) * q_n
 
 
-def _source(sp: BarrierSpectrum, i0: int, n: int) -> float:
+def _source(sp: BarrierSpectrum, start: tuple, target: tuple) -> float:
     """The source term ``rho^(hi - i0) [lo] [N - hi] / q`` with
-    ``lo, hi = sorted((n, i0))`` at offset n of the interval that holds the
-    frame start i0, before dividing by [N]."""
-    lo, hi = sorted((n, i0))
-    return sp.pow(hi - i0) * sp.qint(lo) * sp.qint(sp.model.N - hi) / sp.q
+    ``lo, hi = sorted((n, i0))`` at the offset ``target`` of the interval
+    that holds the frame start ``start``, both of :func:`_offset`, before
+    dividing by [N]; rho^0 = 1 is not formed."""
+    (i0, q_i0, q_rest_i0), (n, q_n, q_rest_n) = start, target
+    if n <= i0:
+        return q_n * q_rest_i0 / sp.q
+    return sp.pow(n - i0) * q_i0 * q_rest_n / sp.q
 
 
-def _visits(sp: BarrierSpectrum, i0: int, coeffs: tuple[float, float],
-            j: int) -> float:
-    """x at the frame's site j of a walk started at the frame site
-    0 <= i0 < N, whose recurrence constants are ``coeffs``: an interior
-    site interpolates between its bracketing barriers with the offset's
-    :func:`_weights`, plus the :func:`_source` term in the start interval."""
-    k, n = divmod(j, sp.model.N)
+def _visits(sp: BarrierSpectrum, coeffs: tuple[float, float], k: int,
+            weights: tuple[float, float] | None, start: tuple | None,
+            target: tuple) -> float:
+    """x at site kN + n of the frame, n the offset ``target`` of
+    :func:`_offset`, for a walk from the frame offset ``start`` (read at
+    k = 0 only) whose recurrence constants are ``coeffs``: an interior site
+    (``weights``, the offset's :func:`_weights`, not None) interpolates
+    between its bracketing barriers, plus the :func:`_source` term in the
+    start interval."""
     xk = _frame_barrier(sp, coeffs, k)
-    if n == 0:
+    if weights is None:
         return xk
-    left, right = _weights(sp, n)
+    left, right = weights
     value = left * xk + right * _frame_barrier(sp, coeffs, k + 1)
     if k == 0:
-        value += _source(sp, i0, n)
+        value += _source(sp, start, target)
     value /= sp.qn
     if not math.isfinite(value):
         raise beyond_float_range("an expected number of arrivals")
@@ -183,7 +196,13 @@ def site_visits(model: WalkModel, j: int) -> float:
     ``lo, hi = sorted((n, i0))``.
     """
     sp = barrier_spectrum(model)
-    return _visits(sp, sp.i0, boundary_coefficients(model), sp.frame_site(j))
+    k, n = divmod(sp.frame_site(j), model.N)
+    coeffs = boundary_coefficients(model)
+    if n == 0:
+        return _frame_barrier(sp, coeffs, k)
+    target = _offset(sp, n)
+    start = _offset(sp, sp.i0) if k == 0 else None
+    return _visits(sp, coeffs, k, _weights(sp, target), start, target)
 
 
 def reach_probability(model: WalkModel, i: int, j: int) -> float:
@@ -200,15 +219,17 @@ def reach_probability(model: WalkModel, i: int, j: int) -> float:
     sp = barrier_spectrum(model)
     if sp.mirrored:
         i, j = -i, -j
-
-    def arrivals(start: int, target: int) -> float:
-        shift = (start // model.N) * model.N
-        i0 = start - shift
-        return _visits(sp, i0, _coefficients(sp, i0), target - shift)
-
+    n = model.N
+    # the target's offset is the start offset of x_jj too; its q-integers
+    # and weights serve both arrival counts
+    target = _offset(sp, j % n)
+    weights = _weights(sp, target) if target[0] else None
+    back = _visits(sp, _coefficients(sp, target), 0, weights, target, target)
     if i == j:
-        return 1.0 - 1.0 / arrivals(i, i)
-    return arrivals(i, j) / arrivals(j, j)
+        return 1.0 - 1.0 / back
+    start = target if i % n == target[0] else _offset(sp, i % n)
+    return _visits(sp, _coefficients(sp, start), j // n - i // n, weights,
+                   start, target) / back
 
 
 def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitProfile:

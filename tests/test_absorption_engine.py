@@ -1,7 +1,9 @@
 import math
+import sys
 import tracemalloc
 import traceback
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -28,7 +30,8 @@ from mfbwalk import (
     truncated_visit_derivatives,
 )
 from mfbwalk.walk_model import MAX_SITES
-from conftest import CFG_SYM, mirror, query_models, random_model
+from conftest import (CFG_SYM, FLOAT_RANGE_MODELS, mirror, query_models,
+                      random_model)
 
 # frozen oracle values: exact derivative of the truncated system, K = 60
 DRIFT_M0K = {-5: 0.003173683020058709, -4: 0.014754108991322663,
@@ -441,6 +444,19 @@ class TestAbsorptionTimes:
             tracemalloc.stop()
         assert mean_time_any(m, 7) > 0.0
 
+    def test_window_above_the_budget_refused_before_allocating(self, cfg_drift,
+                                                              cfg_sym):
+        # MAX_SITES + 1 barriers, refused before the period or the split
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"holds {MAX_SITES + 1} "
+                               f"barriers, more than {MAX_SITES}"):
+                absorption_times(cfg_drift, 0, MAX_SITES)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert absorption_times(cfg_sym, 1, MAX_SITES).per_barrier == {}
+
     @settings(max_examples=200, deadline=None)
     @given(query_models())
     def test_split_equals_mean_time_to_barrier(self, m):
@@ -470,6 +486,7 @@ class TestCachedConstants:
         first = [self._values(m) for m in models]
         assert [self._values(m) for m in models] == first
         absorption_engine._mean_time_constants.cache_clear()
+        absorption_engine._period.cache_clear()
         assert [self._values(m) for m in models] == first
 
     @pytest.mark.parametrize("raw,wanted", [
@@ -491,3 +508,103 @@ class TestCachedConstants:
         for _ in range(200):
             last = refusal()
         assert len(traceback.extract_tb(last.__traceback__)) == depth
+
+
+class TestPeriodMemo:
+    memo = absorption_engine._period
+
+    @staticmethod
+    def _barrier_start(s0, n):
+        return make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=s0, N=n, i0=0)
+
+    def test_holds_at_most_512_models(self):
+        self.memo.cache_clear()
+        models = [self._barrier_start(0.01 + i * 1e-4, 2) for i in range(600)]
+        periods = [mean_time_period(m) for m in models]
+        assert self.memo.cache_info() == (512, 512 * 3)
+        # a held period is served as the stored tuple itself
+        assert all(mean_time_period(m) is period
+                   for m, period in zip(models[88:], periods[88:]))
+        assert mean_time_period(models[0]) is not periods[0]
+        assert self.memo.cache_parameters() == {"maxsize": 512,
+                                                "maxvalues": MAX_SITES}
+
+    def test_holds_at_most_max_sites_values(self, monkeypatch):
+        budget = 40
+        monkeypatch.setattr(absorption_engine, "MAX_SITES", budget)
+        self.memo.cache_clear()
+        rng = np.random.default_rng(30)
+        sizes = []
+        for i, size in enumerate(rng.integers(2, budget, 60)):
+            sizes.append(int(size) + 1)
+            m = self._barrier_start(0.1 + i * 1e-3, int(size))
+            period = mean_time_period(m)
+            assert mean_time_period(m) is period
+            # the most recent periods that fit the budget together
+            held, values = 0, 0
+            for n_values in reversed(sizes):
+                if values + n_values > budget:
+                    break
+                held, values = held + 1, values + n_values
+            assert self.memo.cache_info() == (held, values)
+        mean_time_period(self._barrier_start(0.2, budget - 1))
+        assert self.memo.cache_info() == (1, budget)
+        with pytest.raises(ValueError, match=f"more than {budget}"):
+            mean_time_period(self._barrier_start(0.2, budget))
+        assert self.memo.cache_info() == (1, budget)
+
+    def test_warm_value_is_the_cold_one_bit_for_bit(self, cfg_drift):
+        rng = np.random.default_rng(31)
+        models = [cfg_drift, mirror(cfg_drift), make_model(**NEAR_BALANCE)]
+        models += [random_model(rng, branch, N=int(n))
+                   for branch in ("DRIFT", "BALANCED")
+                   for n in (2, 3, 10, 100, 1000)]
+        self.memo.cache_clear()
+        absorption_engine._mean_time_constants.cache_clear()
+        cold = [list(map(float.hex, mean_time_period(m))) for m in models]
+        unmemoized = [list(map(float.hex, self.memo.__wrapped__(m)))
+                      for m in models]
+        warm = [list(map(float.hex, absorption_times(m).period_values))
+                for m in models]
+        assert cold == unmemoized == warm
+
+    def test_cache_clear_empties_the_memo(self, cfg_drift, cfg_sym):
+        for m in (cfg_drift, cfg_sym):
+            mean_time_period(m)
+        assert self.memo.cache_info()[0] >= 2
+        self.memo.cache_clear()
+        assert self.memo.cache_info() == (0, 0)
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores, with a short switch interval, read the
+        # same models in the same order, more than the memo holds: they miss
+        # and store the same model at once and evict what others read.
+        # Every thread gets the serial values and the count stays exact
+        models = [self._barrier_start(0.01 + i * 1e-4, 2 + i % 7)
+                  for i in range(700)]
+        want = [self.memo.__wrapped__(m) for m in models]
+        self.memo.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                # read in a cycle longer than the memo, each read misses
+                got = list(pool.map(
+                    lambda _: [mean_time_period(m) for m in models * 5],
+                    range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want * 5] * 4
+        # the count of held values stays exact: once the last 512 models
+        # are read again, the memo holds them alone
+        for m in models[-512:]:
+            mean_time_period(m)
+        assert self.memo.cache_info() == (512, sum(map(len, want[-512:])))
+
+    @pytest.mark.parametrize("raw", FLOAT_RANGE_MODELS[:2])
+    def test_refused_period_is_not_held(self, raw):
+        m = make_model(**raw)
+        self.memo.cache_clear()
+        with pytest.raises(OverflowError):
+            mean_time_period(m)
+        assert self.memo.cache_info() == (0, 0)

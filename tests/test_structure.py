@@ -130,9 +130,9 @@ def test_verify_never_loads_scipy():
 
 
 def test_per_model_caches_are_known_by_name():
-    # every lru_cache wrapper among the attributes of the package's modules:
-    # the per-model caches, of 512 entries, the CLI's one parser and its
-    # row layouts, one per command.  A cache added or dropped fails here
+    # every lru_cache wrapper among the attributes of the package's modules,
+    # and the period memo that mimics one: the per-model caches, of 512
+    # entries, the CLI's one parser and its row layouts, one per command.  A cache added or dropped fails here
     # until this list, which names what a clear of the per-model caches
     # must reach, changes with it
     caches = {}
@@ -146,6 +146,7 @@ def test_per_model_caches_are_known_by_name():
     assert caches == {"walk_model.barrier_spectrum": 512,
                       "visit_engine.boundary_coefficients": 512,
                       "absorption_engine._mean_time_constants": 512,
+                      "absorption_engine._period": 512,
                       "cli.build_parser": None,
                       "cli.row_layout": None}
 
