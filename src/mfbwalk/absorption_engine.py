@@ -34,20 +34,18 @@ the same ruin constants) are derived once per model into one record held in
 a 512-entry cache, like :func:`mfbwalk.walk_model.barrier_spectrum`, so
 that each call does only its per-site or per-barrier arithmetic.  A
 refusal of the split is held as its error type bound to its message,
-formatted once, and raised as a fresh instance on every call.  The period
-m_0..m_N of :func:`mean_time_period` and :func:`absorption_times` is held
-in a memo of the 512 models used last, which also evicts so that it holds
-at most ``MAX_SITES`` values in all.  A value beyond the float range
-raises OverflowError; none is returned as inf or nan.
+formatted once, and raised as a fresh instance on every call.  The record
+also holds the period m_0..m_N of :func:`mean_time_period` and
+:func:`absorption_times` where it has at most ``_HELD_PERIOD`` values, so
+that the 512 records hold at most ``MAX_SITES`` values together.  A value
+beyond the float range raises OverflowError; none is returned as inf or nan.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial, update_wrapper
+from functools import lru_cache, partial
 from itertools import zip_longest
 
 from .errors import BalancedUnsupported, StartNotBarrier, beyond_float_range
@@ -153,11 +151,12 @@ def _times_to_next_barrier(ruin: tuple, sites) -> list[float]:
 
 
 @lru_cache(maxsize=512)
-def _mean_time_constants(model: WalkModel) -> tuple[float, tuple, tuple | partial]:
-    """(m_0, ruin constants of :func:`_times_to_next_barrier`,
+def _mean_time_constants(model: WalkModel) -> list:
+    """[m_0, ruin constants of :func:`_times_to_next_barrier`,
     :func:`_split_terms` or, where :func:`has_barrier_split` is false, its
-    :func:`_split_refusal`), derived once per model; m_0 = (p0 T_1 +
-    q0 T_{N-1} + 1 - s0) / s0 is the mean time from a barrier."""
+    :func:`_split_refusal`, None until :func:`mean_time_period` holds the
+    period there], derived once per model; m_0 = (p0 T_1 + q0 T_{N-1} +
+    1 - s0) / s0 is the mean time from a barrier."""
     m = model
     sp = barrier_spectrum(m)
     y = m.N * (sp.log_rho if sp.mirrored else -sp.log_rho)  # N log(q / p)
@@ -168,8 +167,12 @@ def _mean_time_constants(model: WalkModel) -> tuple[float, tuple, tuple | partia
             sp.x_per_drift)
     t1, t_last = _times_to_next_barrier(ruin, (1, m.N - 1))
     m0 = (m.p0 * t1 + m.q0 * t_last + 1.0 - m.s0) / m.s0
-    return m0, ruin, (_split_terms(m, ruin, display=False)
-                      if has_barrier_split(m) else _split_refusal(m))
+    return [m0, ruin, (_split_terms(m, ruin, display=False)
+                       if has_barrier_split(m) else _split_refusal(m)), None]
+
+
+# the longest period held: the 512 records hold at most MAX_SITES values
+_HELD_PERIOD = MAX_SITES // _mean_time_constants.cache_parameters()["maxsize"]
 
 
 def mean_time_any(model: WalkModel, i: int) -> float:
@@ -184,71 +187,33 @@ def mean_time_any(model: WalkModel, i: int) -> float:
     and eliminates its interior onto m_0, so at s0 = 1e-7 the two agree
     within 1e-12 relative at N = 1000 and 2e-15 at N = 10.
     """
-    m0, ruin, _ = _mean_time_constants(model)
+    m0, ruin, _, _ = _mean_time_constants(model)
     value = m0 + _times_to_next_barrier(ruin, (i % model.N,))[0]
     if not math.isfinite(value):
         raise beyond_float_range("the mean time")
     return value
 
 
-def _period_memo(period):
-    """Memoize ``period`` per model like a 512-entry lru_cache that also
-    evicts, least recently used first, until the periods it holds have at
-    most ``MAX_SITES`` values together: 512 periods of up to ``MAX_SITES``
-    values each would hold about 1e9 floats.  The memo is read and written
-    under a lock; a period is computed outside it."""
-    periods = OrderedDict()
-    lock = threading.Lock()
-    held = 0
-
-    def memo(model: WalkModel) -> tuple[float, ...]:
-        nonlocal held
-        with lock:
-            values = periods.get(model)
-            if values is not None:
-                periods.move_to_end(model)
-                return values
-        values = period(model)
-        with lock:
-            if model not in periods:
-                periods[model] = values
-                held += len(values)
-                while len(periods) > 512 or held > MAX_SITES:
-                    held -= len(periods.popitem(last=False)[1])
-        return values
-
-    def cache_clear() -> None:
-        nonlocal held
-        with lock:
-            periods.clear()
-            held = 0
-
-    memo.cache_clear = cache_clear
-    memo.cache_info = lambda: (len(periods), held)  # (models, values)
-    memo.cache_parameters = lambda: {"maxsize": 512, "maxvalues": MAX_SITES}
-    return update_wrapper(memo, period)
-
-
-@_period_memo
-def _period(model: WalkModel) -> tuple[float, ...]:
-    """m_0..m_N of :func:`mean_time_period`, held in the period memo."""
-    m0, ruin, _ = _mean_time_constants(model)
-    times = _times_to_next_barrier(ruin, range(1, model.N))
-    period = (m0, *[m0 + t for t in times], m0)
-    if not all(map(math.isfinite, period)):
-        raise beyond_float_range("a mean time of the period")
-    return period
-
-
 def mean_time_period(model: WalkModel) -> tuple[float, ...]:
     """m_i for i = 0..N (m_0 at both ends), equal to :func:`mean_time_any`
     at each i.  A period of more than ``MAX_SITES`` values raises
-    ValueError."""
+    ValueError.  One of at most ``_HELD_PERIOD`` values is held in the
+    model's mean-time record; a longer one is computed on each call."""
     n = model.N
     if n + 1 > MAX_SITES:
         raise ValueError(f"a period of {n + 1} mean times is more than "
                          f"{MAX_SITES}")
-    return _period(model)
+    record = _mean_time_constants(model)
+    period = record[3]
+    if period is None:
+        m0, ruin, _, _ = record
+        times = _times_to_next_barrier(ruin, range(1, n))
+        period = (m0, *[m0 + t for t in times], m0)
+        if not all(map(math.isfinite, period)):
+            raise beyond_float_range("a mean time of the period")
+        if n + 1 <= _HELD_PERIOD:
+            record[3] = period
+    return period
 
 
 def _split_refusal(model: WalkModel) -> partial:
@@ -354,7 +319,7 @@ def mean_time_to_barrier(model: WalkModel, k: int) -> float:
 def display_time_to_barrier(model: WalkModel, k: int) -> float:
     """The same per-barrier time built on the compact display form of
     d omega0/dz (diagnostic path; it deviates from the exact derivative)."""
-    _, ruin, terms = _mean_time_constants(model)
+    _, ruin, terms, _ = _mean_time_constants(model)
     if isinstance(terms, tuple):
         terms = _split_terms(model, ruin, display=True)
     return _time_to_barrier(terms, k)

@@ -136,12 +136,13 @@ def _defined(x: float) -> float | None:
 @cache
 def build_parser() -> _Parser:
     """The command-line parser, built once per process: ``parse_args``
-    returns a fresh namespace on every call and every default is immutable,
+    returns a fresh namespace on every call and no call changes a default,
     so one ``main`` call leaves nothing behind for the next.  Each command
-    takes the model flags and ``--output`` from one parent parser and names
-    its handler as the ``run`` default.  The same call compiles, from each
-    command's own actions, the table that ``_Parser.parse_exact`` reads:
-    the default namespace and the action of each exact option string."""
+    takes the model flags and ``--output`` from one parent parser, names its
+    handler as the ``run`` default and compiles its report's columns (name
+    and ``_FORMS``) into the ``layout`` default.  The same call compiles,
+    from each command's own actions, the table that ``_Parser.parse_exact``
+    reads: the default namespace and the action of each exact option."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", metavar="FILE", help="model JSON file "
                         "{p,q,r,p0,q0,r0,s0,N,i0}; exclusive with explicit flags")
@@ -154,32 +155,40 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mfbwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary):
+    def command(name, run, summary, *columns):
         sp = sub.add_parser(name, parents=[common], help=summary)
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, layout=_Layout(*columns))
         return sp
 
-    sp = command("visits", _cmd_visits, "expected arrivals per site")
+    sp = command("visits", _cmd_visits, "expected arrivals per site",
+                 ("site", int), ("x", float), ("absorption_mass", float, None))
     sp.add_argument("--window", default="-3..3", metavar="A..B",
                     help="barrier index range (default -3..3)")
 
-    sp = command("absorb-dist", _cmd_absorb_dist, "absorption mass per barrier")
+    sp = command("absorb-dist", _cmd_absorb_dist,
+                 "absorption mass per barrier",
+                 ("k", int), ("site", int), ("absorption_mass", float))
     sp.add_argument("--window", default="-3..3", metavar="A..B")
 
-    sp = command("reach", _cmd_reach, "probability of reaching a site")
+    sp = command("reach", _cmd_reach, "probability of reaching a site",
+                 ("from", int), ("to", int), ("probability", float))
     sp.add_argument("--from", dest="src", type=int, required=True)
     sp.add_argument("--to", dest="dst", type=int, required=True)
 
     sp = command("mean-time", _cmd_mean_time,
-                 "mean absorption time per start site")
+                 "mean absorption time per start site",
+                 ("i", int), ("mean_time", float))
     sp.add_argument("--i", type=int, default=None,
                     help="single start site (default: one full period)")
 
     sp = command("barrier-time", _cmd_barrier_time,
-                 "mean time split per absorbing barrier (drift, i0=0)")
+                 "mean time split per absorbing barrier (drift, i0=0)",
+                 ("k", int), ("site", int), ("mean_time", float))
     sp.add_argument("--window", default="-3..3", metavar="A..B")
 
-    sp = command("simulate", _cmd_simulate, "seeded Monte-Carlo estimates")
+    sp = command("simulate", _cmd_simulate, "seeded Monte-Carlo estimates",
+                 ("kind", str), ("index", int, ""), ("value", float, None),
+                 ("se", float, None, ""))
     sp.add_argument("--walks", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--step-cap", type=int, default=None)
@@ -189,7 +198,10 @@ def build_parser() -> _Parser:
                     help="site window for visit means (default -3N..3N)")
 
     sp = command("verify", _cmd_verify,
-                 "closed forms vs oracles; golden file upkeep")
+                 "closed forms vs oracles; golden file upkeep",
+                 ("quantity", str), ("index", int, ""), ("closed_form", float),
+                 ("oracle", float), ("delta", float), ("tolerance", float),
+                 ("mode", str), ("status", str))
     sp.add_argument("--window", default="-3..3", metavar="A..B")
     sp.add_argument("--walks", type=int, default=0,
                     help="Monte-Carlo walks (0 skips simulation)")
@@ -292,29 +304,6 @@ class _Layout:
         return True
 
 
-# the columns of each command's report rows: each column's name and the
-# forms of ``_FORMS`` its values take
-ROW_COLUMNS = {
-    "visits": (("site", int), ("x", float), ("absorption_mass", float, None)),
-    "absorb-dist": (("k", int), ("site", int), ("absorption_mass", float)),
-    "reach": (("from", int), ("to", int), ("probability", float)),
-    "mean-time": (("i", int), ("mean_time", float)),
-    "barrier-time": (("k", int), ("site", int), ("mean_time", float)),
-    "simulate": (("kind", str), ("index", int, ""), ("value", float, None),
-                 ("se", float, None, "")),
-    "verify": (("quantity", str), ("index", int, ""), ("closed_form", float),
-               ("oracle", float), ("delta", float), ("tolerance", float),
-               ("mode", str), ("status", str)),
-}
-
-
-@cache
-def row_layout(command: str) -> _Layout:
-    """The row layout of ``command``'s report, compiled on its first use
-    and kept for the process."""
-    return _Layout(*ROW_COLUMNS[command])
-
-
 def _render(args, model: WalkModel, rows: list[tuple], report: dict) -> str:
     """The text of ``report`` under the header ``{model, quantity}`` as one
     compact JSON line, or of ``rows`` as CSV; the command's layout renders
@@ -323,7 +312,7 @@ def _render(args, model: WalkModel, rows: list[tuple], report: dict) -> str:
     the rows' text takes that list's place: every quote inside a JSON
     string is escaped, so the first ``"rows": []`` of the text is that
     entry.  A report holding a NaN or an infinity raises OverflowError."""
-    layout = row_layout(args.command)
+    layout = args.layout
     what = f"a value of the {args.command} report"
     if not layout.finite(rows):
         raise beyond_float_range(what)
@@ -373,7 +362,7 @@ def _cmd_reach(model, args) -> int:
     row = (args.src, args.dst,
            ve.reach_probability(model, args.src, args.dst))
     return _emit(args, model, [row],
-                 dict(zip(row_layout("reach").columns, row)))
+                 dict(zip(args.layout.columns, row)))
 
 
 def _cmd_mean_time(model, args) -> int:
@@ -515,6 +504,8 @@ def _formula_discrepancies(battery, window: tuple[int, int]) -> list[str]:
 def _cmd_verify(model, args) -> int:
     from . import oracle
     window = _parse_window(args.window, model.N)
+    if args.walks < 0:
+        raise ValueError(f"walks must be >= 0 (got {args.walks})")
     if args.walks == 1:
         raise ValueError("verify needs --walks 0 or at least 2: one walk "
                          "has no standard error")

@@ -246,7 +246,7 @@ class TestSpectralDerivatives:
         # with zeta D = -0.25, and A as Omega |psi0| Omega zeta D / (1 - rho)
         from mfbwalk.absorption_engine import _mean_time_constants, _split_terms
         spectrum = barrier_spectrum(cfg_drift)
-        _, ruin, exact = _mean_time_constants(cfg_drift)
+        _, ruin, exact, _ = _mean_time_constants(cfg_drift)
         shown = _split_terms(cfg_drift, ruin, display=True)
         scale = (cfg_drift.s0 * spectrum.Omega * spectrum.qn
                  * spectrum.Omega / (1.0 - spectrum.rho))
@@ -486,7 +486,6 @@ class TestCachedConstants:
         first = [self._values(m) for m in models]
         assert [self._values(m) for m in models] == first
         absorption_engine._mean_time_constants.cache_clear()
-        absorption_engine._period.cache_clear()
         assert [self._values(m) for m in models] == first
 
     @pytest.mark.parametrize("raw,wanted", [
@@ -510,101 +509,90 @@ class TestCachedConstants:
         assert len(traceback.extract_tb(last.__traceback__)) == depth
 
 
-class TestPeriodMemo:
-    memo = absorption_engine._period
+class TestHeldPeriod:
+    """The period m_0..m_N held in the model's mean-time record."""
+
+    records = staticmethod(absorption_engine._mean_time_constants)
+    longest = absorption_engine._HELD_PERIOD
 
     @staticmethod
     def _barrier_start(s0, n):
         return make_model(p=0.3, q=0.25, p0=0.3, q0=0.3, s0=s0, N=n, i0=0)
 
-    def test_holds_at_most_512_models(self):
-        self.memo.cache_clear()
-        models = [self._barrier_start(0.01 + i * 1e-4, 2) for i in range(600)]
-        periods = [mean_time_period(m) for m in models]
-        assert self.memo.cache_info() == (512, 512 * 3)
-        # a held period is served as the stored tuple itself
-        assert all(mean_time_period(m) is period
-                   for m, period in zip(models[88:], periods[88:]))
-        assert mean_time_period(models[0]) is not periods[0]
-        assert self.memo.cache_parameters() == {"maxsize": 512,
-                                                "maxvalues": MAX_SITES}
+    @staticmethod
+    def _bits(period):
+        return list(map(float.hex, period))
 
-    def test_holds_at_most_max_sites_values(self, monkeypatch):
-        budget = 40
-        monkeypatch.setattr(absorption_engine, "MAX_SITES", budget)
-        self.memo.cache_clear()
-        rng = np.random.default_rng(30)
-        sizes = []
-        for i, size in enumerate(rng.integers(2, budget, 60)):
-            sizes.append(int(size) + 1)
-            m = self._barrier_start(0.1 + i * 1e-3, int(size))
-            period = mean_time_period(m)
-            assert mean_time_period(m) is period
-            # the most recent periods that fit the budget together
-            held, values = 0, 0
-            for n_values in reversed(sizes):
-                if values + n_values > budget:
-                    break
-                held, values = held + 1, values + n_values
-            assert self.memo.cache_info() == (held, values)
-        mean_time_period(self._barrier_start(0.2, budget - 1))
-        assert self.memo.cache_info() == (1, budget)
-        with pytest.raises(ValueError, match=f"more than {budget}"):
-            mean_time_period(self._barrier_start(0.2, budget))
-        assert self.memo.cache_info() == (1, budget)
+    def test_held_periods_total_at_most_max_sites_values(self):
+        assert self.longest == 3906
+        assert self.longest * self.records.cache_parameters()["maxsize"] \
+            <= MAX_SITES
+
+    def test_held_up_to_the_longest_and_computed_afresh_beyond(self):
+        held = self._barrier_start(0.2, self.longest - 1)
+        period = mean_time_period(held)
+        assert len(period) == self.longest
+        assert mean_time_period(held) is period
+        assert absorption_times(held).period_values is period
+        fresh = self._barrier_start(0.2, self.longest)
+        first, second = mean_time_period(fresh), mean_time_period(fresh)
+        assert len(first) == self.longest + 1
+        assert first is not second
+        assert self._bits(first) == self._bits(second)
+        assert self.records(fresh)[3] is None
 
     def test_warm_value_is_the_cold_one_bit_for_bit(self, cfg_drift):
         rng = np.random.default_rng(31)
         models = [cfg_drift, mirror(cfg_drift), make_model(**NEAR_BALANCE)]
         models += [random_model(rng, branch, N=int(n))
                    for branch in ("DRIFT", "BALANCED")
-                   for n in (2, 3, 10, 100, 1000)]
-        self.memo.cache_clear()
-        absorption_engine._mean_time_constants.cache_clear()
-        cold = [list(map(float.hex, mean_time_period(m))) for m in models]
-        unmemoized = [list(map(float.hex, self.memo.__wrapped__(m)))
-                      for m in models]
-        warm = [list(map(float.hex, absorption_times(m).period_values))
+                   for n in (2, 3, 10, 100, 1000, self.longest + 1)]
+        self.records.cache_clear()
+        cold = [self._bits(mean_time_period(m)) for m in models]
+        warm = [self._bits(absorption_times(m).period_values)
                 for m in models]
-        assert cold == unmemoized == warm
+        per_site = [self._bits([mean_time_any(m, i) for i in range(m.N + 1)])
+                    for m in models]
+        assert cold == warm == per_site
 
-    def test_cache_clear_empties_the_memo(self, cfg_drift, cfg_sym):
-        for m in (cfg_drift, cfg_sym):
-            mean_time_period(m)
-        assert self.memo.cache_info()[0] >= 2
-        self.memo.cache_clear()
-        assert self.memo.cache_info() == (0, 0)
+    def test_cache_clear_drops_held_periods(self, cfg_drift, cfg_sym):
+        held = [mean_time_period(m) for m in (cfg_drift, cfg_sym)]
+        assert [self.records(m)[3] for m in (cfg_drift, cfg_sym)] == held
+        self.records.cache_clear()
+        assert self.records.cache_info().currsize == 0
+        again = [mean_time_period(m) for m in (cfg_drift, cfg_sym)]
+        assert again == held
+        assert all(a is not h for a, h in zip(again, held))
 
-    def test_threads_share_the_memo(self):
+    def test_threads_share_the_records(self):
         # more threads than cores, with a short switch interval, read the
-        # same models in the same order, more than the memo holds: they miss
-        # and store the same model at once and evict what others read.
-        # Every thread gets the serial values and the count stays exact
+        # same models in the same order, more than the cache holds: they
+        # miss and store the same period at once and evict what others
+        # read.  Every thread gets the serial values
         models = [self._barrier_start(0.01 + i * 1e-4, 2 + i % 7)
                   for i in range(700)]
-        want = [self.memo.__wrapped__(m) for m in models]
-        self.memo.cache_clear()
+        want = [tuple(mean_time_any(m, i) for i in range(m.N + 1))
+                for m in models]
+        self.records.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                # read in a cycle longer than the memo, each read misses
+                # read in a cycle longer than the cache, each read misses
                 got = list(pool.map(
                     lambda _: [mean_time_period(m) for m in models * 5],
                     range(4), timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert got == [want * 5] * 4
-        # the count of held values stays exact: once the last 512 models
-        # are read again, the memo holds them alone
-        for m in models[-512:]:
-            mean_time_period(m)
-        assert self.memo.cache_info() == (512, sum(map(len, want[-512:])))
+        # once read again, each of the last 512 models holds its period
+        for m, period in zip(models[-512:], want[-512:]):
+            assert mean_time_period(m) is self.records(m)[3] == period
 
     @pytest.mark.parametrize("raw", FLOAT_RANGE_MODELS[:2])
     def test_refused_period_is_not_held(self, raw):
         m = make_model(**raw)
-        self.memo.cache_clear()
-        with pytest.raises(OverflowError):
-            mean_time_period(m)
-        assert self.memo.cache_info() == (0, 0)
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                mean_time_period(m)
+        assert self.records(m)[3] is None

@@ -22,8 +22,7 @@ import mfbwalk
 from mfbwalk import (absorption_engine, has_barrier_split, load_model,
                      make_model, occupancy_residual, oracle, validate_model,
                      visit_engine)
-from mfbwalk.cli import (ROW_COLUMNS, _merge_dash_values, _UsageError,
-                         build_parser, main, row_layout)
+from mfbwalk.cli import _merge_dash_values, _UsageError, build_parser, main
 from conftest import CFG_DRIFT, CFG_SYM, FLOAT_RANGE_MODELS, model_strategy
 
 SYM_ARGS = ["--p", "0.5", "--q", "0.5", "--p0", "0.25", "--q0", "0.25",
@@ -85,6 +84,14 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def layout_of(command):
+    """The row layout that the parser compiled for ``command``; a command
+    declared without columns fails here."""
+    layout = build_parser().commands[command][0]["layout"]
+    assert layout.columns, f"{command} declares no report columns"
+    return layout
 
 
 def _model_args(raw):
@@ -493,6 +500,22 @@ class TestVerify:
                              capsys)
         assert (code, out) == (2, "")
         assert "--walks" in err
+
+    @pytest.mark.parametrize("bless", [False, True])
+    def test_negative_walks_exits_2_before_any_oracle(
+            self, bless, sym_file, tmp_path, monkeypatch, capsys):
+        # refused like simulate --walks -5, not run with the walker rows
+        # dropped or blessed into a golden without simulate records
+        golden = tmp_path / "g.json"
+        argv = ["verify", "--model", sym_file, "--walks", "-5"]
+        if bless:
+            argv += ["--golden", str(golden), "--bless"]
+        monkeypatch.setattr(oracle, "Battery",
+                            mock.Mock(side_effect=AssertionError))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "invalid request: walks must be >= 0 (got -5)\n"
+        assert not golden.exists()
 
     def test_verify_with_monte_carlo(self, sym_file, capsys):
         code, out, _ = run(["verify", "--model", sym_file,
@@ -1107,7 +1130,8 @@ class TestCompactJson:
         render = mfbwalk.cli._render
 
         def spy(args, model, rows, report):
-            columns = row_layout(args.command).columns
+            assert args.layout is layout_of(args.command)
+            columns = args.layout.columns
             reports.append({"model": model.to_dict(), "quantity": args.command,
                             **report})
             if "rows" in report:
@@ -1192,9 +1216,9 @@ class TestRowLayouts:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
             STDOUT_PINS[name, command, output]
 
-    @pytest.mark.parametrize("command", sorted(ROW_COLUMNS))
+    @pytest.mark.parametrize("command", sorted(build_parser().commands))
     def test_rows_print_as_json_dumps_and_csv_writer(self, command):
-        layout = row_layout(command)
+        layout = layout_of(command)
         row = st.tuples(*[st.one_of(*[FORM_VALUES[form] for form in forms])
                           for forms in layout.forms])
 
@@ -1221,7 +1245,7 @@ class TestVerifyResiduals:
     @staticmethod
     def _assert_rows_equal(m, window):
         battery = oracle.Battery(m)
-        columns = row_layout("verify").columns
+        columns = layout_of("verify").columns
         rows = [dict(zip(columns, row))
                 for row in mfbwalk.cli._verify_rows(battery, window, 0, 42)
                 if row[columns.index("quantity")] == "occupancy_residual"]
