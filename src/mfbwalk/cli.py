@@ -12,13 +12,12 @@ error, 66 model or golden file not found.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
-import operator
 import sys
 import warnings
 from functools import cache
+from typing import Callable, NamedTuple
 
 from . import absorption_engine as ae
 from . import visit_engine as ve
@@ -140,7 +139,8 @@ def build_parser() -> _Parser:
     so one ``main`` call leaves nothing behind for the next.  Each command
     takes the model flags and ``--output`` from one parent parser, names its
     handler as the ``run`` default and compiles its report's columns (name
-    and ``_FORMS``) into the ``layout`` default.  The same call compiles,
+    and ``_FORMS``), with the fixed columns of each group of its rows, into
+    the ``layout`` default.  The same call compiles,
     from each command's own actions, the table that ``_Parser.parse_exact``
     reads: the default namespace and the action of each exact option."""
     common = argparse.ArgumentParser(add_help=False)
@@ -155,9 +155,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mfbwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, *columns):
+    def command(name, run, summary, *columns, groups=None):
         sp = sub.add_parser(name, parents=[common], help=summary)
-        sp.set_defaults(run=run, layout=_Layout(*columns))
+        sp.set_defaults(run=run, layout=_Layout(*columns, groups=groups))
         return sp
 
     sp = command("visits", _cmd_visits, "expected arrivals per site",
@@ -188,7 +188,11 @@ def build_parser() -> _Parser:
 
     sp = command("simulate", _cmd_simulate, "seeded Monte-Carlo estimates",
                  ("kind", str), ("index", int, ""), ("value", float, None),
-                 ("se", float, None, ""))
+                 ("se", float, None, ""),
+                 groups={"mean_steps": {"kind": "mean_steps", "index": ""},
+                         "absorption_frequency": {
+                             "kind": "absorption_frequency", "se": ""},
+                         "visit_mean": {"kind": "visit_mean"}})
     sp.add_argument("--walks", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--step-cap", type=int, default=None)
@@ -201,7 +205,9 @@ def build_parser() -> _Parser:
                  "closed forms vs oracles; golden file upkeep",
                  ("quantity", str), ("index", int, ""), ("closed_form", float),
                  ("oracle", float), ("delta", float), ("tolerance", float),
-                 ("mode", str), ("status", str))
+                 ("mode", str), ("status", str),
+                 groups={quantity: {"quantity": quantity, **fixed}
+                         for quantity, fixed in _VERIFY.items()})
     sp.add_argument("--window", default="-3..3", metavar="A..B")
     sp.add_argument("--walks", type=int, default=0,
                     help="Monte-Carlo walks (0 skips simulation)")
@@ -240,84 +246,133 @@ def _model_from_args(args) -> WalkModel:
     return validate_model(flags)
 
 
-# how a row prints a value of each form, as (JSON, CSV) text: a form is
-# the class of a column's values (identifiers for str), or its one null or
-# empty value, which "%.0s" takes and prints nothing of
-_FORMS = {int: ("%d", "%d"), float: ("%r", "%r"), str: ('"%s"', "%s"),
-          None: ("null%.0s", "%.0s"), "": ('""%.0s', "%.0s")}
+# how a row prints a value of each form, as (JSON, CSV) f-string text of
+# the value ``v``: a form is the class of a column's values (identifiers
+# for str), or its one null or empty value, which prints fixed text
+_FORMS = {int: ("{v}", "{v}"), float: ("{v!r}", "{v!r}"),
+          str: ('"{v}"', "{v}"), None: ("null", ""), "": ('""', "")}
 
 
-class _Layout:
-    """The columns of a report's rows, each given as its name and the forms
-    of ``_FORMS`` its values take, compiled once into row templates: JSON
-    objects with the keys as literal text, and CSV lines.  A column of more
-    than one form has a template per form, keyed by the class of the row's
-    value there (by a tuple of classes where several columns vary), so a
-    row, a tuple in column order, prints with one ``%`` and no choice per
-    value.  The text is what ``json.dumps`` of the row as a dict and
-    ``csv.writer`` print, given Python floats (``%r`` of a numpy float
-    names its type) and identifier strings (printed as they are)."""
+class _Unsigned(NamedTuple):
+    """A fixed column that prints the text of the float column ``of``, a
+    column before it, with its sign stripped, which is the text of its
+    ``abs``: ``repr(abs(x)) == repr(x).lstrip("-")`` for every finite
+    float."""
 
-    def __init__(self, *columns: tuple):
-        self.columns = tuple(name for name, *_ in columns)
-        self.csv_header = ",".join(self.columns) + "\r\n"
-        self.forms = [forms for _, *forms in columns]
-        # the columns of more than one form, whose classes key a row's template
-        self.varying = [i for i, forms in enumerate(self.forms)
-                        if len(forms) > 1]
-        self._floats = [operator.itemgetter(i)
-                        for i, forms in enumerate(self.forms) if float in forms]
-        keys = [json.dumps(name).replace("%", "%%") for name in self.columns]
-        self.templates = {"json": {}, "csv": {}}
-        for forms in itertools.product(*self.forms):
-            shape = tuple(f if isinstance(f, type) else type(f)
-                          for f in map(forms.__getitem__, self.varying))
-            if len(shape) == 1:
-                [shape] = shape
-            pieces = [_FORMS[form] for form in forms]
-            self.templates["json"][shape] = "{%s}" % ", ".join(
-                f"{key}: {text}" for key, (text, _) in zip(keys, pieces))
-            self.templates["csv"][shape] = ",".join(
-                text for _, text in pieces) + "\r\n"
+    of: str
 
-    def lines(self, output: str, rows: list[tuple]) -> list[str]:
-        """Each row's text in ``output`` ("json" or "csv")."""
-        templates = self.templates[output]
-        if not self.varying:
-            template = templates[()]
-            return [template % row for row in rows]
-        if len(self.varying) == 1:
-            [i] = self.varying
-            return [templates[row[i].__class__] % row for row in rows]
-        return [templates[tuple([row[i].__class__ for i in self.varying])] % row
-                for row in rows]
 
-    def finite(self, rows: list[tuple]) -> bool:
-        """Whether every float of ``rows`` is finite.  A column whose sum
+class _Format:
+    """One group of a report's rows, compiled once into a function per
+    output that prints them: a list comprehension over one f-string, so no
+    format is parsed per row.  The group's ``fixed`` columns (name -> value,
+    or :class:`_Unsigned`) are literal text in it; its other columns,
+    ``fields``, are the columns of values it takes, in column order, each
+    of the forms in ``forms``.  A field of one form prints through the
+    form's replacement field; an int or float field that also takes the
+    null or empty value chooses its text by a conditional expression."""
+
+    def __init__(self, columns: tuple, forms: dict, fixed: dict):
+        self.fixed = fixed
+        self.fields = [name for name in columns if name not in fixed]
+        self.forms = [forms[name] for name in self.fields]
+        self._floats = [i for i, f in enumerate(self.forms) if float in f]
+        self.print = {output: self._compile(columns, forms, o)
+                      for o, output in enumerate(("json", "csv"))}
+
+    def _compile(self, columns: tuple, forms: dict, o: int) -> Callable:
+        var = {name: f"c{i}" for i, name in enumerate(self.fields)}
+        unsigned = {u.of for u in self.fixed.values()
+                    if isinstance(u, _Unsigned)}
+        names, parts = {"_r": repr, "_minus": "-", "_empty": ""}, []
+        for name in columns:
+            v = var.get(name)
+            if name in unsigned:
+                text = "{(t%s := _r(%s))}" % (v, v)
+            elif v and len(forms[name]) == 1:
+                text = _FORMS[forms[name][0]][o].replace("{v", "{" + v)
+            elif v:
+                cls, *values = forms[name]
+                text = v if cls is int else f"_r({v})"
+                for j, value in enumerate(values):
+                    names[f"_{v}_{j}"] = _FORMS[value][o]
+                    test = "is None" if value is None else "== _empty"
+                    text = f"_{v}_{j} if {v} {test} else {text}"
+                text = "{%s}" % text
+            elif isinstance(self.fixed[name], _Unsigned):
+                text = "{t%s.lstrip(_minus)}" % var[self.fixed[name].of]
+            else:
+                value = self.fixed[name]
+                form = value if value is None or value == "" else type(value)
+                text = (_FORMS[form][o].format(v=value)
+                        .replace("{", "{{").replace("}", "}}"))
+            parts.append(f"{json.dumps(name)}: {text}" if o == 0 else text)
+        line = ("{{%s}}" % ", ".join(parts) if o == 0
+                else ",".join(parts) + "\r\n")
+        exec(f"def lines(columns):\n    return [f{line!r} for "
+             f"{''.join(v + ', ' for v in var.values())}in zip(*columns)]",
+             names)
+        return names["lines"]
+
+    def finite(self, columns: tuple) -> bool:
+        """Whether every float of ``columns`` is finite.  A column whose sum
         is finite holds no NaN or infinity; only one whose sum is not is
         read value by value.  Null and empty values are skipped."""
-        for get in self._floats:
-            if (not math.isfinite(sum(filter(None, map(get, rows)), 0.0))
-                    and not all(map(math.isfinite,
-                                    filter(None, map(get, rows))))):
+        for i in self._floats:
+            values = columns[i]
+            if (not math.isfinite(sum(filter(None, values), 0.0))
+                    and not all(map(math.isfinite, filter(None, values)))):
                 return False
         return True
 
 
-def _render(args, model: WalkModel, rows: list[tuple], report: dict) -> str:
+class _Layout:
+    """The columns of a report's rows, each given as its name and the forms
+    of ``_FORMS`` its values take, compiled once into a :class:`_Format`
+    per group of rows: ``groups`` maps each group's key to its fixed
+    columns, and a layout declared without groups has one, keyed None, that
+    fixes none.  A report hands its rows over as ``(key, columns)`` pairs,
+    the columns of values of the key's fields, and they print with no
+    format parsed per row.  The text is what ``json.dumps`` of each row as
+    a dict and ``csv.writer`` print, given Python floats (``repr`` of a
+    numpy float names its type) and identifier strings (printed as they
+    are)."""
+
+    def __init__(self, *columns: tuple, groups: dict | None = None):
+        self.columns = tuple(name for name, *_ in columns)
+        self.csv_header = ",".join(self.columns) + "\r\n"
+        forms = {name: tuple(forms) for name, *forms in columns}
+        self.groups = {key: _Format(self.columns, forms, fixed)
+                       for key, fixed in (groups or {None: {}}).items()}
+
+    def lines(self, output: str, groups: list[tuple]) -> list[str]:
+        """The text of each row of ``groups`` in ``output`` ("json" or
+        "csv"), group by group."""
+        lines = []
+        for key, columns in groups:
+            lines += self.groups[key].print[output](columns)
+        return lines
+
+    def finite(self, groups: list[tuple]) -> bool:
+        """Whether every float of ``groups`` is finite."""
+        return all(self.groups[key].finite(columns) for key, columns in groups)
+
+
+def _render(args, model: WalkModel, groups: list[tuple], report: dict) -> str:
     """The text of ``report`` under the header ``{model, quantity}`` as one
-    compact JSON line, or of ``rows`` as CSV; the command's layout renders
-    the rows in both.  ``json.dumps`` without ``indent`` (the C encoder)
-    renders the header alone, with an empty list as its ``rows`` entry, and
-    the rows' text takes that list's place: every quote inside a JSON
-    string is escaped, so the first ``"rows": []`` of the text is that
-    entry.  A report holding a NaN or an infinity raises OverflowError."""
+    compact JSON line, or of its rows as CSV; the command's layout prints
+    the rows, handed over as ``groups`` of :meth:`_Layout.lines`, in both.
+    ``json.dumps`` without ``indent`` (the C encoder) renders the header
+    alone, with an empty list as its ``rows`` entry, and the rows' text
+    takes that list's place: every quote inside a JSON string is escaped,
+    so the first ``"rows": []`` of the text is that entry.  A report
+    holding a NaN or an infinity raises OverflowError."""
     layout = args.layout
     what = f"a value of the {args.command} report"
-    if not layout.finite(rows):
+    if not layout.finite(groups):
         raise beyond_float_range(what)
     if args.output == "csv":
-        return layout.csv_header + "".join(layout.lines("csv", rows))
+        return layout.csv_header + "".join(layout.lines("csv", groups))
     header = {"model": model.to_dict(), "quantity": args.command, **report}
     if "rows" in header:
         header["rows"] = []
@@ -327,13 +382,14 @@ def _render(args, model: WalkModel, rows: list[tuple], report: dict) -> str:
         raise beyond_float_range(what) from None
     if "rows" in header:
         head, _, tail = text.partition('"rows": []')
-        text = f'{head}"rows": [{", ".join(layout.lines("json", rows))}]{tail}'
+        text = (f'{head}"rows": [{", ".join(layout.lines("json", groups))}]'
+                f'{tail}')
     return text + "\n"
 
 
-def _emit(args, model: WalkModel, rows: list[tuple], report: dict) -> int:
+def _emit(args, model: WalkModel, groups: list[tuple], report: dict) -> int:
     """Print the :func:`_render` text of the report."""
-    sys.stdout.write(_render(args, model, rows, report))
+    sys.stdout.write(_render(args, model, groups, report))
     return EXIT_OK
 
 
@@ -342,42 +398,54 @@ def _emit(args, model: WalkModel, rows: list[tuple], report: dict) -> int:
 
 def _cmd_visits(model, args) -> int:
     lo, hi = _parse_window(args.window, model.N)
-    profile = ve.visit_profile(model, lo, hi)
-    s0, n = model.s0, model.N
-    rows = [(site, x, s0 * x if site % n == 0 else None)
-            for site, x in profile.values.items()]
-    return _emit(args, model, rows, {"window": [lo, hi], "rows": rows})
+    values = ve.visit_profile(model, lo, hi).values
+    x = list(values.values())
+    # the window opens on a barrier, so every N-th site from its first is one
+    masses = [None] * len(x)
+    masses[::model.N] = [model.s0 * v for v in x[::model.N]]
+    groups = [(None, (values.keys(), x, masses))]
+    return _emit(args, model, groups, {"window": [lo, hi], "rows": groups})
+
+
+def _barrier_columns(model, window: str, fn) -> tuple:
+    """``window`` as [lo, hi] and the columns ``k``, ``site`` and
+    ``fn(model, k)`` of its barriers."""
+    lo, hi = _parse_window(window)
+    n = model.N
+    return [lo, hi], (range(lo, hi + 1), range(lo * n, hi * n + 1, n),
+                      [fn(model, k) for k in range(lo, hi + 1)])
 
 
 def _cmd_absorb_dist(model, args) -> int:
-    lo, hi = _parse_window(args.window)
-    rows = [(k, k * model.N, ve.absorption_mass(model, k))
-            for k in range(lo, hi + 1)]
-    return _emit(args, model, rows,
-                 {"window": [lo, hi], "rows": rows,
+    window, columns = _barrier_columns(model, args.window, ve.absorption_mass)
+    groups = [(None, columns)]
+    return _emit(args, model, groups,
+                 {"window": window, "rows": groups,
                   "total": ve.total_absorption(model)})
 
 
 def _cmd_reach(model, args) -> int:
     row = (args.src, args.dst,
            ve.reach_probability(model, args.src, args.dst))
-    return _emit(args, model, [row],
+    return _emit(args, model, [(None, [[value] for value in row])],
                  dict(zip(args.layout.columns, row)))
 
 
 def _cmd_mean_time(model, args) -> int:
     if args.i is not None:
-        rows = [(args.i, ae.mean_time_any(model, args.i))]
+        columns = ([args.i], [ae.mean_time_any(model, args.i)])
     else:
-        rows = list(enumerate(ae.mean_time_period(model)))
-    return _emit(args, model, rows, {"rows": rows})
+        period = ae.mean_time_period(model)
+        columns = (range(len(period)), period)
+    groups = [(None, columns)]
+    return _emit(args, model, groups, {"rows": groups})
 
 
 def _cmd_barrier_time(model, args) -> int:
-    lo, hi = _parse_window(args.window)
-    rows = [(k, k * model.N, ae.mean_time_to_barrier(model, k))
-            for k in range(lo, hi + 1)]
-    return _emit(args, model, rows, {"window": [lo, hi], "rows": rows})
+    window, columns = _barrier_columns(model, args.window,
+                                       ae.mean_time_to_barrier)
+    groups = [(None, columns)]
+    return _emit(args, model, groups, {"window": window, "rows": groups})
 
 
 def _caught(fn, *args, **kwargs) -> tuple[object, list[str]]:
@@ -406,77 +474,117 @@ def _cmd_simulate(model, args) -> int:
                    step_cap=args.step_cap, workers=args.workers,
                    window=window)
     mean, se = _defined(stats.mean_steps), _defined(stats.mean_steps_se)
-    rows = [("mean_steps", "", mean, se),
-            *[("absorption_frequency", k, f, "")
-              for k, f in stats.absorption_hist.items()],
-            *[("visit_mean", site, m, _defined(s))
-              for site, (m, s) in stats.visit_means.items()]]
-    return _emit(args, model, rows, {
+    hist, visits = stats.absorption_hist, stats.visit_means
+    groups = [("mean_steps", ([mean], [se])),
+              ("absorption_frequency", (hist.keys(), hist.values())),
+              ("visit_mean", (visits.keys(), [m for m, _ in visits.values()],
+                              [_defined(s) for _, s in visits.values()]))]
+    return _emit(args, model, groups, {
         "walks": stats.walks, "seed": stats.seed, "step_cap": stats.step_cap,
         "mean_steps": mean, "mean_steps_se": se,
         "absorbed": stats.absorbed, "censored": stats.censored,
-        "absorption_hist": {str(k): v for k, v in stats.absorption_hist.items()},
+        "absorption_hist": {str(k): v for k, v in hist.items()},
         "visit_means": {str(j): [m, _defined(s)]
-                        for j, (m, s) in stats.visit_means.items()},
+                        for j, (m, s) in visits.items()},
     })
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _row(quantity, index, closed, reference, tol, mode) -> tuple:
-    """One verify row, in the columns of its layout."""
-    if mode == "rel":
-        delta = abs(closed - reference) / max(abs(reference), 1e-30)
+# verify's quantities in report order, each with the columns its rows share,
+# which its row formatter prints as literal text: the index where it has
+# none, the oracle where it is a constant, the tolerance and the mode of the
+# delta; a residual's delta is the text of its closed form without the sign
+_AGAINST_ONE = {"index": "", "oracle": 1.0, "tolerance": 1e-10, "mode": "abs"}
+_RESIDUAL = {"oracle": 0.0, "delta": _Unsigned("closed_form"),
+             "tolerance": 1e-10, "mode": "abs"}
+_VERIFY = {
+    "total_absorption": _AGAINST_ONE,
+    "conservation": _AGAINST_ONE,
+    "site_visits": {"tolerance": 1e-8, "mode": "rel"},
+    "mean_time_any": {"tolerance": 1e-10, "mode": "rel"},
+    "barrier_recurrence_residual": _RESIDUAL,
+    "occupancy_residual": _RESIDUAL,
+    "mean_time_to_barrier": {"tolerance": 1e-10, "mode": "rel"},
+    "mc_mean_steps": {"index": "", "mode": "abs"},
+    "mc_absorption_frequency": {"mode": "abs"},
+}
+
+
+def _checked(quantity: str, index, closed: list, oracle: list | None = None,
+             tolerance: list | None = None) -> tuple:
+    """The group of ``quantity`` that checks the column ``closed`` against
+    ``oracle``, or its fixed oracle, within ``tolerance``, or its fixed
+    tolerance: its key and its columns of values, the fixed ones left out,
+    its statuses last."""
+    fixed = _VERIFY[quantity]
+    reference = [fixed["oracle"]] * len(closed) if oracle is None else oracle
+    if fixed["mode"] == "rel":
+        deltas = [abs(c - r) / max(abs(r), 1e-30)
+                  for c, r in zip(closed, reference)]
     else:
-        delta = abs(closed - reference)
-    return (quantity, index, closed, reference, delta, tol, mode,
-            "pass" if delta <= tol else "fail")
+        deltas = [abs(c - r) for c, r in zip(closed, reference)]
+    if tolerance is None:
+        tol = fixed["tolerance"]
+        statuses = ["pass" if d <= tol else "fail" for d in deltas]
+    else:
+        statuses = ["pass" if d <= t else "fail"
+                    for d, t in zip(deltas, tolerance)]
+    columns = {"index": index, "closed_form": closed, "oracle": oracle,
+               "delta": deltas, "tolerance": tolerance, "status": statuses}
+    return quantity, tuple(values for name, values in columns.items()
+                           if name not in fixed)
 
 
 def _verify_rows(battery, window: tuple[int, int], walks: int,
                  seed: int) -> list[tuple]:
+    """verify's report rows, a group per quantity as :meth:`_Layout.lines`
+    takes them."""
     from . import oracle
     model = battery.model
     lo, hi = window
-    rows = [_row("total_absorption", "", ve.total_absorption(model), 1.0,
-                 1e-10, "abs")]
+    n = model.N
+    groups = [_checked("total_absorption", None, [ve.total_absorption(model)])]
 
     tv = battery.truncated
-    rows.append(_row("conservation", "", tv.absorbed_mass + tv.leak, 1.0,
-                     1e-10, "abs"))
+    groups.append(_checked("conservation", None,
+                           [tv.absorbed_mass + tv.leak]))
     profile = ve.visit_profile(model, lo, hi)
-    for j, x in profile.values.items():
-        rows.append(_row("site_visits", j, x, tv[j], 1e-8, "rel"))
+    groups.append(_checked("site_visits", profile.values.keys(),
+                           list(profile.values.values()),
+                           tv.sites(lo * n, hi * n)))
 
-    for i, t in enumerate(ae.mean_time_period(model)):
-        rows.append(_row("mean_time_any", i, t, float(battery.period[i]),
-                         1e-10, "rel"))
+    period = ae.mean_time_period(model)
+    groups.append(_checked("mean_time_any", range(len(period)), period,
+                           battery.period.tolist()))
 
-    for k in range(lo, hi + 1):
-        rows.append(_row("barrier_recurrence_residual", k,
-                         ve.barrier_recurrence_residual(model, k), 0.0,
-                         1e-10, "abs"))
-    for j, residual in ve.occupancy_residuals(profile).items():
-        rows.append(_row("occupancy_residual", j, residual, 0.0, 1e-10, "abs"))
+    ks = range(lo, hi + 1)
+    groups.append(_checked("barrier_recurrence_residual", ks,
+                           [ve.barrier_recurrence_residual(model, k)
+                            for k in ks]))
+    residuals = ve.occupancy_residuals(profile)
+    groups.append(_checked("occupancy_residual", residuals.keys(),
+                           list(residuals.values())))
 
-    for k, reference in battery.split.items():
-        rows.append(_row("mean_time_to_barrier", k,
-                         ae.mean_time_to_barrier(model, k), reference,
-                         1e-10, "rel"))
+    split = battery.split
+    groups.append(_checked("mean_time_to_barrier", split.keys(),
+                           [ae.mean_time_to_barrier(model, k) for k in split],
+                           list(split.values())))
 
     if walks > 0:
         stats = _quiet(battery.simulate, walks, seed)
-        m_start = ae.mean_time_any(model, model.i0)
-        rows.append(_row("mc_mean_steps", "", m_start, stats.mean_steps,
-                         4.0 * stats.mean_steps_se, "abs"))
-        for k in oracle.MC_BARRIERS:
-            freq = stats.absorption_hist.get(k, 0.0)
-            se = math.sqrt(max(freq * (1.0 - freq), 1.0 / walks) / walks)
-            rows.append(_row("mc_absorption_frequency", k,
-                             ve.absorption_mass(model, k), freq,
-                             4.0 * se, "abs"))
-    return rows
+        groups.append(_checked("mc_mean_steps", None,
+                               [ae.mean_time_any(model, model.i0)],
+                               [stats.mean_steps],
+                               [4.0 * stats.mean_steps_se]))
+        closed = [ve.absorption_mass(model, k) for k in oracle.MC_BARRIERS]
+        freqs = [stats.absorption_hist.get(k, 0.0) for k in oracle.MC_BARRIERS]
+        groups.append(_checked(
+            "mc_absorption_frequency", oracle.MC_BARRIERS, closed, freqs,
+            [4.0 * math.sqrt(max(f * (1.0 - f), 1.0 / walks) / walks)
+             for f in freqs]))
+    return groups
 
 
 def _formula_discrepancies(battery, window: tuple[int, int]) -> list[str]:
@@ -517,16 +625,16 @@ def _cmd_verify(model, args) -> int:
     if args.bless:
         records = _quiet(battery.records, max(abs(window[0]), abs(window[1])),
                          args.walks, args.seed)
-    rows = _verify_rows(battery, window, args.walks, args.seed)
+    groups = _verify_rows(battery, window, args.walks, args.seed)
     discrepancies = _formula_discrepancies(battery, window)
     golden_mismatches, mismatch_warnings = (
         _caught(battery.mismatches, golden) if golden else ([], []))
-    failed = [row for row in rows if row[-1] == "fail"]
-    ok = not failed and not golden_mismatches
+    ok = (all("fail" not in statuses for _, (*_, statuses) in groups)
+          and not golden_mismatches)
     # the report is rendered before a golden is written, so a run refused
     # on the way leaves none; stderr keeps the order of the steps
-    report = _render(args, model, rows,
-                     {"rows": rows, "formula_discrepancies": discrepancies,
+    report = _render(args, model, groups,
+                     {"rows": groups, "formula_discrepancies": discrepancies,
                       "golden_mismatches": golden_mismatches, "ok": ok})
     if args.bless:
         oracle.write_golden(args.golden, records)

@@ -134,6 +134,15 @@ class TruncatedVisits:
                 f"(K={self.K}, |site| < {half})")
         return float(self.x[half + site])
 
+    def sites(self, first: int, last: int) -> list[float]:
+        """x at sites ``first..last``, in order, read as one slice; where
+        the range reaches the sinks, the ``TruncationInsufficient`` of
+        ``tv[site]`` at its first site that does."""
+        half = self.K * self.model.N
+        if first <= -half or last >= half:
+            self[first if first <= -half else max(first, half)]
+        return self.x[half + first:half + last + 1].tolist()
+
     @property
     def values(self) -> Mapping[int, float]:
         """x by site over the whole lattice, sinks included: a read-only
@@ -765,8 +774,9 @@ class Battery:
                             "value": value, "error_bound": error_bound,
                             "oracle": oracle, "params": params})
 
-        for j in range(-window * N, window * N + 1):
-            record("site_visits", j, tv[j], 10 * tv.tail_bound,
+        sites = range(-window * N, window * N + 1)
+        for j, x in zip(sites, tv.sites(sites[0], sites[-1])):
+            record("site_visits", j, x, 10 * tv.tail_bound,
                    "truncated_solver", {"K": tv.K})
         for i, t in enumerate(self.period.tolist()):
             record("mean_time_any", i, t, 1e-12, "periodic_solve", {})

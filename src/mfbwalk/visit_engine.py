@@ -255,8 +255,7 @@ def visit_profile(model: WalkModel, k_min: int = -3, k_max: int = 3) -> VisitPro
     # sites against the model's
     first, last = sorted((sp.frame_site(k_min * n) // n,
                           sp.frame_site(k_max * n) // n))
-    qint = [sp.qint(i) for i in range(n + 1)]
-    pw = [sp.pow(i) for i in range(n + 1)]
+    qint, pw = sp.qints(n), sp.pows(n)
     left, right = sp.p0 / sp.q, sp.q0 / sp.q
     weights = [(left * pw[i - 1] * qint[n - i], right * qint[i])
                for i in range(1, n)]

@@ -250,9 +250,23 @@ class BarrierSpectrum:
         log_rho = self.log_rho
         return float(n) if log_rho == 0.0 else math.expm1(n * log_rho) / self.qden
 
+    def qints(self, n: int) -> list[float]:
+        """[0], [1], ..., [n]: :meth:`qint` of each, in one pass."""
+        log_rho, qden = self.log_rho, self.qden
+        if log_rho == 0.0:
+            return [float(i) for i in range(n + 1)]
+        return [math.expm1(i * log_rho) / qden for i in range(n + 1)]
+
     def pow(self, n: int) -> float:
         """rho^n, by the one power rule of the closed forms."""
         return _power(self.rho, self.log_rho, n)
+
+    def pows(self, n: int) -> list[float]:
+        """rho^0, rho^1, ..., rho^n: :meth:`pow` of each, in one pass."""
+        rho, log_rho = self.rho, self.log_rho
+        if log_rho > -POWER_CUT:
+            return [math.exp(i * log_rho) for i in range(n + 1)]
+        return [rho ** i for i in range(n + 1)]
 
     def frame_site(self, j: int) -> int:
         """The site of the frame that holds site j of the model."""

@@ -94,6 +94,23 @@ def layout_of(command):
     return layout
 
 
+def row_dicts(layout, groups):
+    """Each row of ``groups``, as a report hands them to its layout, as the
+    dict of the layout's columns: the group's fixed values and its fields'
+    values, and for a column fixed as the unsigned text of another, that
+    column's ``abs``."""
+    dicts = []
+    for key, columns in groups:
+        group = layout.groups[key]
+        for values in zip(*columns):
+            row = {**group.fixed, **dict(zip(group.fields, values))}
+            for name, value in group.fixed.items():
+                if isinstance(value, mfbwalk.cli._Unsigned):
+                    row[name] = abs(row[value.of])
+            dicts.append({name: row[name] for name in layout.columns})
+    return dicts
+
+
 def _model_args(raw):
     return [arg for name, value in raw.items()
             for arg in (f"--{name}", repr(value))]
@@ -696,6 +713,21 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
         assert golden.exists() == (how == "golden")
 
+    @pytest.mark.parametrize("name,window,site,K", [
+        ("cfg-drift", "-40..40", -80, 32), ("cfg-drift", "-1..40", 64, 32),
+        ("cfg-drift", "30..40", 64, 32), ("cfg-sym", "-1..40", 52, 26),
+        ("cfg-sym", "30..40", 60, 26)])
+    def test_window_reaching_the_sinks_names_its_first_site(
+            self, name, window, site, K, capsys):
+        # the oracle column is one slice of the lattice; a window that
+        # reaches the sinks is refused at the first of its sites that does
+        code, out, err = run(["verify", "--model",
+                              str(REPO / "models" / f"{name}.json"),
+                              f"--window={window}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"invalid request: site {site} is not inside the "
+                       f"truncated lattice (K={K}, |site| < {2 * K})\n")
+
     def test_barrier_times_exact_at_n100(self, capsys):
         # m_0 is about 300 here, so a difference quotient in z with a fixed
         # step is far off; the exact derivative agrees to round-off
@@ -1110,7 +1142,7 @@ class TestModuleEntry:
 
 class TestCompactJson:
     """Each JSON report is one ``json.dumps`` line of the report dict, its
-    rows as dicts of the layout's columns."""
+    rows, handed over in groups, as dicts of the layout's columns."""
 
     COMMANDS = [
         ["visits", "--window", "-2..2"],
@@ -1129,14 +1161,13 @@ class TestCompactJson:
         reports = []
         render = mfbwalk.cli._render
 
-        def spy(args, model, rows, report):
+        def spy(args, model, groups, report):
             assert args.layout is layout_of(args.command)
-            columns = args.layout.columns
             reports.append({"model": model.to_dict(), "quantity": args.command,
                             **report})
             if "rows" in report:
-                reports[-1]["rows"] = [dict(zip(columns, row)) for row in rows]
-            return render(args, model, rows, report)
+                reports[-1]["rows"] = row_dicts(args.layout, groups)
+            return render(args, model, groups, report)
 
         monkeypatch.setattr(mfbwalk.cli, "_render", spy)
         code, out, _ = run([*command, "--model", drift_file], capsys)
@@ -1194,7 +1225,9 @@ FORM_VALUES = {
     int: st.integers(),
     float: st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                      st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308,
-                                      -0.0, 0.0, 1e16, -1e16, 1e22, 1.5e300,
+                                      -1e-310, -0.0, 0.0, 1e16, -1e16,
+                                      9999999999999998.0, 1e-5, -1e-5, 1e-4,
+                                      1e22, 1.5e300,
                                       1.7976931348623157e308])),
     str: st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
     None: st.none(),
@@ -1216,23 +1249,36 @@ class TestRowLayouts:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
             STDOUT_PINS[name, command, output]
 
-    @pytest.mark.parametrize("command", sorted(build_parser().commands))
-    def test_rows_print_as_json_dumps_and_csv_writer(self, command):
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command in sorted(build_parser().commands)
+        for key in layout_of(command).groups], ids=str)
+    def test_rows_print_as_json_dumps_and_csv_writer(self, command, key):
+        # each group of rows prints through its own compiled formatter, its
+        # fixed columns written in once; a residual's delta prints as its
+        # closed form's text without the sign, which is its abs
         layout = layout_of(command)
+        group = layout.groups[key]
         row = st.tuples(*[st.one_of(*[FORM_VALUES[form] for form in forms])
-                          for forms in layout.forms])
+                          for forms in group.forms])
 
         @settings(max_examples=150, deadline=None)
         @given(st.lists(row, min_size=1, max_size=6))
         def check(rows):
-            assert layout.finite(rows)
-            assert layout.lines("json", rows) == \
-                [json.dumps(dict(zip(layout.columns, r))) for r in rows]
+            groups = [(key, tuple(zip(*rows)))]
+            dicts = row_dicts(layout, groups)
+            for name, value in group.fixed.items():
+                if isinstance(value, mfbwalk.cli._Unsigned):
+                    # the delta verify computed per row, against the oracle
+                    assert [repr(d[name]) for d in dicts] == \
+                        [repr(abs(d[value.of] - d["oracle"])) for d in dicts]
+            assert layout.finite(groups)
+            assert layout.lines("json", groups) == list(map(json.dumps, dicts))
             table = io.StringIO()
             writer = csv.writer(table)
             writer.writerow(layout.columns)
-            writer.writerows([["" if v is None else v for v in r] for r in rows])
-            assert layout.csv_header + "".join(layout.lines("csv", rows)) == \
+            writer.writerows([["" if v is None else v for v in d.values()]
+                              for d in dicts])
+            assert layout.csv_header + "".join(layout.lines("csv", groups)) == \
                 table.getvalue()
 
         check()
@@ -1245,10 +1291,9 @@ class TestVerifyResiduals:
     @staticmethod
     def _assert_rows_equal(m, window):
         battery = oracle.Battery(m)
-        columns = layout_of("verify").columns
-        rows = [dict(zip(columns, row))
-                for row in mfbwalk.cli._verify_rows(battery, window, 0, 42)
-                if row[columns.index("quantity")] == "occupancy_residual"]
+        groups = mfbwalk.cli._verify_rows(battery, window, 0, 42)
+        rows = [row for row in row_dicts(layout_of("verify"), groups)
+                if row["quantity"] == "occupancy_residual"]
         lo, hi = window
         assert [r["index"] for r in rows] == \
             list(range(lo * m.N + 1, hi * m.N))

@@ -211,6 +211,19 @@ class TestBarrierSpectrum:
             assert sp.qint(n) == want  # bit for bit
         assert sp.qn == sp.qint(m.N)
 
+    @settings(max_examples=100, deadline=None)
+    @given(query_models())
+    def test_tables_hold_the_bits_of_each_value(self, m):
+        # the q-integer and power tables of visit_profile, one pass each
+        for model in (m, make_model(p=.3, q=.3, p0=.3, q0=.3, s0=.2, N=40, i0=3),
+                      make_model(p=.3, q=.29, p0=.3, q0=.3, s0=.2, N=40, i0=3),
+                      make_model(p=.1, q=.4, p0=.3, q0=.3, s0=.2, N=40, i0=3)):
+            sp, n = barrier_spectrum(model), model.N
+            assert [x.hex() for x in sp.qints(n)] == \
+                [sp.qint(i).hex() for i in range(n + 1)]
+            assert [x.hex() for x in sp.pows(n)] == \
+                [sp.pow(i).hex() for i in range(n + 1)]
+
     def test_drift_psi0(self, cfg_drift):
         # frame rho = 1/2, [2] = 3/2: -(0.2 + 0.2 / 2 + 0.2 * 3/2)
         assert barrier_spectrum(cfg_drift).psi0 == pytest.approx(-0.6, rel=1e-14)
