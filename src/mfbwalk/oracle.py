@@ -6,9 +6,10 @@ Nothing in this module evaluates a closed form.  Three oracles live here:
   z-derivative, two right-hand sides of one factored reduction,
 * the exact periodic linear system for mean absorption times, one O(N)
   tridiagonal solve after eliminating the interior onto m_0, and
-* a seeded, counter-based Monte-Carlo walker whose statistics are
-  bit-identical for a given (seed, walks, step_cap) regardless of how the
-  work is partitioned across workers.
+* a seeded, counter-based Monte-Carlo walker, which fills the live walks'
+  rows of one buffer of uniforms in place and compares them with the step
+  probabilities; its statistics are bit-identical for a given (seed, walks,
+  step_cap) regardless of how the work is partitioned across workers.
 
 Both linear systems are solved by one subtraction-free (GTH) cyclic
 reduction in numpy, :class:`_Reduction`, which reads each system as its
@@ -61,8 +62,7 @@ MC_BARRIERS = range(-2, 3)
 # (rows, BLOCK) uniform draw of a Generator on Philox counter
 # (j << 128) | (b << 64), and step t reads column t % BLOCK of block
 # t // BLOCK.  Changing these changes every sampled walk.  The walker draws
-# only the rows of live walks, as the integers behind the uniforms
-# (``_live_draws``), which reads the same stream.
+# only the rows of live walks (``_live_draws``), which reads the same stream.
 _BATCH = 8192
 _BLOCK = 64
 # dead rows between two live ones that a block draw reads through rather
@@ -391,74 +391,55 @@ def _uniform_block(seed: int, batch_index: int, block_index: int,
     return gen.random((rows, _BLOCK))
 
 
-def _philox(seed: int):
-    """A Philox bit generator keyed by ``seed`` and a state for it whose
-    counter is a list, rewritten by :func:`_live_draws` to reach a row."""
-    bitgen = np.random.Philox(key=seed)
-    state = bitgen.state
-    state["state"]["counter"] = [0, 0, 0, 0]
-    return bitgen, state
+def _philox(seed: int) -> np.random.Generator:
+    """A Generator on a Philox keyed by ``seed``; :func:`_live_draws` sets
+    its counter to reach a row."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _live_draws(bitgen, state, batch_index: int, block_index: int,
-                live: np.ndarray) -> np.ndarray:
-    """The integers k behind ``_uniform_block(...)[live]`` (``live``
-    ascending), as int64: ``Generator.random`` returns ``(raw >> 11) *
-    2**-53`` for each raw 64-bit Philox output.
+def _live_draws(gen: np.random.Generator, batch_index: int, block_index: int,
+                live: np.ndarray, out: np.ndarray) -> None:
+    """Fill the rows ``live`` (ascending) of ``out``, a (rows, _BLOCK)
+    buffer, in place with those of ``_uniform_block(...)``.
 
-    A row is 64 outputs, 16 counters of four, so row r starts right after
-    counter ``(batch << 128) | (block << 64) | 16 r``.  Each run of live rows
-    is one ``random_raw`` call from there; gaps of up to ``_BRIDGE`` dead
-    rows are drawn through, longer ones skipped by setting the counter (a
-    state assignment costs a quarter of ``Philox.advance``).
+    A row is 64 uniforms, one per 64-bit Philox output, 16 counters of four,
+    so row r starts right after counter ``(batch << 128) | (block << 64) |
+    16 r``.  Each run of live rows is one ``Generator.random`` call from
+    there into its rows of ``out``; gaps of up to ``_BRIDGE`` dead rows are
+    drawn through, longer ones skipped by setting the counter (a state
+    assignment costs a quarter of ``Philox.advance``).
     """
-    counter = state["state"]["counter"]
-    counter[1:3] = block_index, batch_index
-    # the index in live of the first and the last row of each run
-    cut = np.flatnonzero(np.diff(live) > _BRIDGE + 1)
-    first = np.concatenate(([0], cut + 1))
-    last = np.concatenate((cut, [live.size - 1]))
-    starts, ends = live[first], live[last] + 1
-    runs = []
+    state = gen.bit_generator.state
+    counter = state["state"]["counter"] = [0, block_index, batch_index, 0]
+    cut = np.flatnonzero(np.diff(live) > _BRIDGE + 1)  # ends of all runs but the last
+    starts, ends = live[np.append(-1, cut) + 1], live[np.append(cut, -1)] + 1
     for a, e in zip(starts.tolist(), ends.tolist()):
         counter[0] = _BLOCK // 4 * a
-        bitgen.state = state
-        runs.append(bitgen.random_raw(_BLOCK * (e - a)))
-    raw = (runs[0] if len(runs) == 1 else np.concatenate(runs)).reshape(-1, _BLOCK)
-    k = np.right_shift(raw, 11, out=raw).view(np.int64)
-    if k.shape[0] == live.size:
-        return k
-    # live row r of a run is row r - shift of k, where shift is the run's
-    # start less the rows drawn before it
-    shift = starts - (np.cumsum(ends - starts) - (ends - starts))
-    return k[live - np.repeat(shift, last - first + 1)]
+        gen.bit_generator.state = state
+        gen.random(out=out[a:e])
 
 
 def _step_moves(model: WalkModel) -> tuple[np.ndarray, np.ndarray]:
-    """The five thresholds of a step, two inside and three on a barrier,
-    sorted, and 8 times the move of each draw code inside (row 0) and on a
-    barrier (row 1).
+    """The five step probabilities, two inside and three on a barrier,
+    sorted, as the thresholds of a draw, and 8 times the move of each draw
+    code inside (row 0) and on a barrier (row 1).
 
-    For ``u = k * 2**-53``, ``u < x`` holds exactly when
-    ``k < ceil(x * 2**53)``.  The code of a draw k, the number of edges at or
-    below it, fixes the move at every site: forward, back or hold inside;
-    absorb, forward, back or hold on a barrier.  An absorbing move parks the
-    walk.  Slots 6 and 7 of a row pad it to eight.
+    The code of a uniform u, the number of thresholds x with ``x <= u``, is
+    the complement of the reference rule ``u < x`` and as exact, u being a
+    multiple of 2**-53.  It fixes the move at every site: forward, back or
+    hold inside; absorb, forward, back or hold on a barrier.  An absorbing
+    move parks the walk.  Slots 6 and 7 of a row pad it to eight.
     """
     m = model
-
-    def edge(x):  # thresholds at 1 or above cap at 2**53, which no k reaches
-        return min(math.ceil(x * 2.0 ** 53), 2 ** 53)
-
-    interior = [edge(m.p), edge(m.p + m.q)]
-    barrier = [edge(m.s0), edge(m.s0 + m.p0), edge(m.s0 + m.p0 + m.q0)]
-    edges = sorted(interior + barrier)
-    lowest = [0] + edges                 # the lowest draw of each code
+    interior = [m.p, m.p + m.q]
+    barrier = [m.s0, m.s0 + m.p0, m.s0 + m.p0 + m.q0]
+    thresholds = sorted(interior + barrier)
+    lowest = [0.0] + thresholds          # where each code's draws start
     moves = np.zeros((2, 8), dtype=np.int64)
     moves[0, :6] = np.take([1, -1, 0], np.searchsorted(interior, lowest, "right"))
     moves[1, :6] = np.take([_PARK, 1, -1, 0],
                            np.searchsorted(barrier, lowest, "right"))
-    return np.array(edges, dtype=np.int64), moves << 3
+    return np.array(thresholds), moves << 3
 
 
 def _move_table(moves: np.ndarray, N: int, base: int, sites: int) -> np.ndarray:
@@ -470,14 +451,14 @@ def _move_table(moves: np.ndarray, N: int, base: int, sites: int) -> np.ndarray:
     return np.append(moves.take(barrier, axis=0), _PARK << 3)
 
 
-def _codes(edges: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The code of each draw, the number of edges at or below it, for a
+def _codes(thresholds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The code of each draw, the number of thresholds at or below it, for a
     (walks, steps) slice of a block, as a contiguous (steps, walks) int64
     array.  The slice is copied row by row and classified before it is
     turned: gathering a column of a block touches a cache line per walk.
     A binary search branches at random on random draws; the five
     comparisons and their sum cost a fifth as much beyond a few hundred."""
-    below = np.less_equal(edges[:, None, None], np.ascontiguousarray(draws))
+    below = np.less_equal(thresholds[:, None, None], np.ascontiguousarray(draws))
     codes = below.view(np.uint8).sum(axis=0, dtype=np.uint8)
     return codes.T.astype(np.int64, order="C")
 
@@ -569,20 +550,21 @@ def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
                     step_cap: int, lo: int, hi: int):
     """One batch of walks; returns its closed :class:`_Tally`.
 
-    ``live`` holds the original rows of the live walks in ascending order
-    and ``q`` their sites minus ``base``, the first site of the move table.
-    Each block draws the live rows only.  The steps between two flushes
-    form a segment, which ends with the block or when the record of
-    ``_RECORD`` positions is full.  A segment's draws are classified at
-    once into codes, and ``rec`` holds the walks' positions as ``8 * q``.
-    A step is then three array operations on the live walks: add the codes
-    to the positions, look up the moves and add them.  An absorbed walk
-    stays in the arrays, parked, until the flush at the end of the segment
-    counts the recorded positions and settles it.
+    ``live`` holds the rows of the live walks in ascending order and ``q``
+    their sites minus ``base``, the first site of the move table.  Each
+    block fills the live rows of ``uniforms``, the batch's (rows, _BLOCK)
+    buffer, in place.  The steps between two flushes form a segment, which
+    ends with the block or when the record of ``_RECORD`` positions is
+    full.  A segment's uniforms, ``uniforms[live, off:off + span]``, are
+    compared with the step probabilities at once into codes, and ``rec``
+    holds the walks' positions as ``8 * q``.  A step then adds the codes to
+    the positions, looks up the moves and adds them.  An absorbed walk stays
+    parked until the flush that ends the segment settles it.
     """
-    edges, moves = _step_moves(model)
+    thresholds, moves = _step_moves(model)
     tally = _Tally(model, rows, step_cap, lo, hi)
-    bitgen, state = _philox(seed)
+    gen = _philox(seed)
+    uniforms = np.empty((rows, _BLOCK))
     buf = np.empty(_RECORD + rows, dtype=np.int64)
 
     live = np.arange(rows)
@@ -590,10 +572,7 @@ def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
     q = np.zeros(rows, dtype=np.int64)
     t = 0
     while live.size and t < step_cap:
-        draws = _live_draws(bitgen, state, batch_index, t // _BLOCK, live)
-        # after a flush within the block, picks holds the row in draws of
-        # each live walk
-        picks = None
+        _live_draws(gen, batch_index, t // _BLOCK, live, uniforms)
         # a walk moves at most _BLOCK sites in a block: keep them all
         # inside the table, off its parking entry
         low, high = int(q.min()), int(q.max())
@@ -613,8 +592,9 @@ def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
             rec = buf[:(span + 1) * n].reshape(span + 1, n)
             pos = np.left_shift(q, 3, out=rec[0])
             key, move = np.empty((2, n), dtype=np.int64)
-            block = draws[:, off:off + span]
-            codes = _codes(edges, block if picks is None else block[picks])
+            # a fully live batch copies its rows as a slice, faster than a gather
+            read = slice(None) if live.size == rows else live
+            codes = _codes(thresholds, uniforms[read, off:off + span])
             for code, after in zip(codes, rec[1:]):
                 np.add(pos, code, out=key)
                 table.take(key, mode="clip", out=move)
@@ -624,11 +604,9 @@ def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
             off += span
             if keep is not None:
                 live = live[keep]
-                picks = np.flatnonzero(keep) if picks is None else picks[keep]
                 if not live.size:
                     break
         t += stop
-        draws = None   # release the spent block before the next draw
     return tally.close()
 
 

@@ -311,17 +311,19 @@ def barrier_recurrence_residual(model: WalkModel, k: int) -> float:
     return a * xp + b * x0 + c * xm - rhs
 
 
-def _balance(m: WalkModel, j: int, left: float, x: float,
-             right: float) -> float:
-    """The outflow (p + q) x_j, or (p0 + q0 + s0) x_j on a barrier, minus
-    the inflow into site j from the visits ``left``, ``x``, ``right`` at
-    sites j - 1, j, j + 1; 1 - hold would keep few digits of a tiny p + q."""
-    out = m.p0 + m.q0 + m.s0 if j % m.N == 0 else m.p + m.q
-    from_left = m.p0 if (j - 1) % m.N == 0 else m.p
-    from_right = m.q0 if (j + 1) % m.N == 0 else m.q
-    return (out * x
-            - (from_left * left + from_right * right
-               + (1.0 if j == m.i0 else 0.0)))
+def _residuals(m: WalkModel, x, sites: range) -> dict[int, float]:
+    """The occupancy balance at each of ``sites``, ``x[j]`` the visits at j:
+    the outflow (p + q) x_j, or (p0 + q0 + s0) x_j on a barrier (1 - hold
+    would keep few digits of a tiny p + q), minus the inflow from j - 1 and
+    j + 1 and the time-zero arrival at i0; coefficients picked per j % N."""
+    n = m.N
+    coefficients = {r: (m.p0 + m.q0 + m.s0 if r == 0 else m.p + m.q,
+                        m.p0 if (r - 1) % n == 0 else m.p,
+                        m.q0 if (r + 1) % n == 0 else m.q)
+                    for r in {j % n for j in sites[:n]}}
+    return {j: out * x[j] - (from_left * x[j - 1] + from_right * x[j + 1]
+                             + (1.0 if j == m.i0 else 0.0))
+            for j in sites for out, from_left, from_right in [coefficients[j % n]]}
 
 
 def occupancy_residual(model: WalkModel, j: int) -> float:
@@ -332,15 +334,14 @@ def occupancy_residual(model: WalkModel, j: int) -> float:
     + back_{j+1} x_{j+1} + [j == i0], with barrier coefficients wherever a
     neighbour (or j itself) is a barrier.
     """
-    return _balance(model, j, site_visits(model, j - 1),
-                    site_visits(model, j), site_visits(model, j + 1))
+    x = {i: site_visits(model, i) for i in (j - 1, j, j + 1)}
+    return _residuals(model, x, range(j, j + 1))[j]
 
 
 def occupancy_residuals(profile: VisitProfile) -> dict[int, float]:
     """:func:`occupancy_residual` at every site strictly between the
     profile's outer barriers, read from its values."""
-    x = profile.values
     k_min, k_max = profile.window
     n = profile.model.N
-    return {j: _balance(profile.model, j, x[j - 1], x[j], x[j + 1])
-            for j in range(k_min * n + 1, k_max * n)}
+    return _residuals(profile.model, profile.values,
+                      range(k_min * n + 1, k_max * n))

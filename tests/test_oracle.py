@@ -771,6 +771,16 @@ class TestSimulate:
             stats.mean_steps = 0.0
 
 
+# step probabilities at the edges of the uniforms' grid k * 2**-53: s0 =
+# 1e-20 between its first two points (and s0 + p0 rounds to p0); r0 = 0, so
+# s0 + p0 + q0 == 1.0, with every threshold on the grid; p == s0 + p0 < 1
+EDGE_MODELS = [
+    make_model(p=0.3, q=0.2, p0=0.5, q0=0.25, s0=1e-20, N=3, i0=0),
+    make_model(p=0.25, q=0.5, p0=0.125, q0=0.375, s0=0.5, N=2, i0=0),
+    make_model(p=0.5, q=0.25, p0=0.25, q0=0.125, s0=0.25, N=3, i0=1),
+]
+
+
 def _gapped_rows(gaps, first=0):
     """Ascending rows starting at ``first`` with ``gaps`` dead rows between
     consecutive ones."""
@@ -789,20 +799,27 @@ class TestWalkerKernel:
         ([], 0), ([], 8191),                                 # a single row
     ])
     def test_live_draws_are_rows_of_the_block(self, gaps, first):
-        from mfbwalk.oracle import _live_draws, _philox, _uniform_block
+        from mfbwalk.oracle import _BLOCK, _live_draws, _philox, _uniform_block
         live = _gapped_rows(gaps, first)
+        rows = int(live[-1]) + 1
+        # the rows inside a gap of more than _BRIDGE dead rows, and before
+        # the first live row, are skipped
+        skipped = np.ones(rows, dtype=bool)
+        for a, b in zip(live[:-1].tolist(), live[1:].tolist()):
+            skipped[a:a + 1 if b - a > _BRIDGE + 1 else b] = False
+        skipped[live[-1]] = False
         for seed, batch in [(5, 0), (2 ** 64 - 1, 3)]:
-            bitgen, state = _philox(seed)
-            for block in (0, 1, 7):  # one generator serves a whole batch
-                k = _live_draws(bitgen, state, batch, block, live)
-                assert k.dtype == np.int64
+            gen = _philox(seed)
+            out = np.full((rows, _BLOCK), np.nan)
+            for block in (0, 1, 7):  # one generator and buffer serve a batch
+                _live_draws(gen, batch, block, live, out)
                 np.testing.assert_array_equal(
-                    k * 2.0 ** -53,
-                    _uniform_block(seed, batch, block, int(live[-1]) + 1)[live])
+                    out[live], _uniform_block(seed, batch, block, rows)[live])
+                assert np.isnan(out[skipped]).all()
 
     def test_move_table_is_u_below_x_at_every_edge(self):
         # a step reads the move at 8 * (site - base) + code, where the code of
-        # a draw k counts the merged edges at or below it
+        # a uniform u counts the thresholds x with u >= x
         from mfbwalk.oracle import _PARK, _codes, _move_table, _step_moves
         rng = np.random.default_rng(11)
         models = [random_model(rng, "DRIFT" if i % 2 else "BALANCED")
@@ -811,29 +828,34 @@ class TestWalkerKernel:
                    make_model(p=0.3, q=0.7, p0=0.25, q0=0.5, s0=0.25, N=3, i0=1),
                    make_model(p=1e-6, q=1 - 1e-6, p0=1e-6, q0=1e-6, s0=1 - 2e-6,
                               N=2, i0=0),
-                   # r = 0, and r0 = 0: two edges coincide
+                   # r = 0, and r0 = 0: two thresholds coincide
                    make_model(p=0.5, q=0.5, p0=0.2, q0=0.2, s0=0.3, N=2, i0=0),
-                   make_model(p=0.2, q=0.3, p0=0.35, q0=0.45, s0=0.2, N=4, i0=0)]
+                   make_model(p=0.2, q=0.3, p0=0.35, q0=0.45, s0=0.2, N=4, i0=0),
+                   *EDGE_MODELS]
         assert any(m.r == 0 for m in models) and any(m.r0 == 0 for m in models)
         for m in models:
-            edges, moves = _step_moves(m)
-            assert edges.size == 5 and np.all(np.diff(edges) >= 0)
+            thresholds, moves = _step_moves(m)
+            x = [m.p, m.p + m.q, m.s0, m.s0 + m.p0, m.s0 + m.p0 + m.q0]
+            assert thresholds.tolist() == sorted(x)
+            # the grid points k * 2**-53 next to each threshold, and 0 and
+            # the last one below 1
             k = {0, 2 ** 53 - 1}
-            for x in (m.p, m.p + m.q, m.s0, m.s0 + m.p0, m.s0 + m.p0 + m.q0):
-                edge = math.ceil(x * 2.0 ** 53)
-                k |= {edge - 1, edge, edge + 1}
-            k = np.array(sorted(v for v in k if 0 <= v < 2 ** 53))
-            u = k * 2.0 ** -53
+            for edge in x:
+                first_above = math.ceil(edge * 2.0 ** 53)
+                k |= {first_above - 1, first_above, first_above + 1}
+            u = np.array(sorted(v for v in k if 0 <= v < 2 ** 53)) * 2.0 ** -53
             inside = 2 * (u < m.p) - (u < m.p + m.q)
             on_barrier = np.where(u < m.s0, _PARK, 2 * (u < m.s0 + m.p0)
                                   - (u < m.s0 + m.p0 + m.q0))
             # sites -1 .. N + 1, two barriers among them, from base -1
             table = _move_table(moves, m.N, -1, m.N + 3)
             for walks in (1, 300):
-                # a (walks, steps) slice of a block: step j reads key j // 3
-                block = np.tile(np.repeat(k, 3), (walks, 2))[:, :3 * k.size]
-                codes = _codes(edges, block)
-                assert codes.shape == (3 * k.size, walks)
+                # a (walks, steps) slice of a block: step j reads u[j // 3]
+                block = np.tile(np.repeat(u, 3), (walks, 2))[:, :3 * u.size]
+                codes = _codes(thresholds, block)
+                assert codes.shape == (3 * u.size, walks)
+                np.testing.assert_array_equal(
+                    codes, np.sum([block.T >= v for v in x], axis=0))
                 for site in range(-1, m.N + 2):
                     want = on_barrier if site % m.N == 0 else inside
                     got = table.take(8 * (site + 1) + codes, mode="clip")
@@ -858,13 +880,16 @@ class TestWalkerKernel:
     @pytest.mark.parametrize("step_cap", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("rows", [200, 8192])
     def test_batch_matches_stepwise_without_holds(self, step_cap, rows):
-        # with r = 0 (p + q = 1) or r0 = 0 (s0 + p0 + q0 = 1) two edges of
-        # the step table coincide; random_model never draws such a walk
+        # with r = 0 (p + q = 1) or r0 = 0 (s0 + p0 + q0 = 1) two thresholds of
+        # the step table coincide; random_model never draws such a walk, nor
+        # one of EDGE_MODELS
         models = [make_model(p=0.3, q=0.7, p0=0.25, q0=0.5, s0=0.25, N=3, i0=1),
                   make_model(p=0.5, q=0.5, p0=0.2, q0=0.2, s0=0.3, N=2, i0=0),
-                  make_model(p=0.2, q=0.3, p0=0.35, q0=0.45, s0=0.2, N=4, i0=0)]
+                  make_model(p=0.2, q=0.3, p0=0.35, q0=0.45, s0=0.2, N=4, i0=0),
+                  *EDGE_MODELS]
         assert [(m.r == 0, m.r0 == 0) for m in models] == [
-            (True, True), (True, False), (False, True)]
+            (True, True), (True, False), (False, True),
+            (False, False), (False, True), (False, False)]
         for seed, model in enumerate(models):
             args = (model, seed, 2, rows, step_cap, -2 * model.N, 3 * model.N)
             _assert_batch_matches_stepwise(*args)
