@@ -17,7 +17,7 @@ import math
 import sys
 import warnings
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import absorption_engine as ae
 from . import visit_engine as ve
@@ -187,8 +187,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--window", default="-3..3", metavar="A..B")
 
     sp = command("simulate", _cmd_simulate, "seeded Monte-Carlo estimates",
-                 ("kind", str), ("index", int, ""), ("value", float, None),
-                 ("se", float, None, ""),
+                 ("kind", str), ("index", int), ("value", float, None),
+                 ("se", float, None),
                  groups={"mean_steps": {"kind": "mean_steps", "index": ""},
                          "absorption_frequency": {
                              "kind": "absorption_frequency", "se": ""},
@@ -203,7 +203,7 @@ def build_parser() -> _Parser:
 
     sp = command("verify", _cmd_verify,
                  "closed forms vs oracles; golden file upkeep",
-                 ("quantity", str), ("index", int, ""), ("closed_form", float),
+                 ("quantity", str), ("index", int), ("closed_form", float),
                  ("oracle", float), ("delta", float), ("tolerance", float),
                  ("mode", str), ("status", str),
                  groups={quantity: {"quantity": quantity, **fixed}
@@ -248,29 +248,20 @@ def _model_from_args(args) -> WalkModel:
 
 # how a row prints a value of each form, as (JSON, CSV) f-string text of
 # the value ``v``: a form is the class of a column's values (identifiers
-# for str), or its one null or empty value, which prints fixed text
+# for str), or None, or the empty text that a group may fix as a column
 _FORMS = {int: ("{v}", "{v}"), float: ("{v!r}", "{v!r}"),
           str: ('"{v}"', "{v}"), None: ("null", ""), "": ('""', "")}
-
-
-class _Unsigned(NamedTuple):
-    """A fixed column that prints the text of the float column ``of``, a
-    column before it, with its sign stripped, which is the text of its
-    ``abs``: ``repr(abs(x)) == repr(x).lstrip("-")`` for every finite
-    float."""
-
-    of: str
 
 
 class _Format:
     """One group of a report's rows, compiled once into a function per
     output that prints them: a list comprehension over one f-string, so no
-    format is parsed per row.  The group's ``fixed`` columns (name -> value,
-    or :class:`_Unsigned`) are literal text in it; its other columns,
-    ``fields``, are the columns of values it takes, in column order, each
-    of the forms in ``forms``.  A field of one form prints through the
-    form's replacement field; an int or float field that also takes the
-    null or empty value chooses its text by a conditional expression."""
+    format is parsed per row.  The group's ``fixed`` columns (name ->
+    value) are literal text in it; its other columns, ``fields``, are the
+    columns of values it takes, in column order, each of the forms in
+    ``forms``.  A field of one form prints through the form's replacement
+    field; a number field that may be null chooses its text by one
+    conditional expression."""
 
     def __init__(self, columns: tuple, forms: dict, fixed: dict):
         self.fixed = fixed
@@ -282,30 +273,19 @@ class _Format:
 
     def _compile(self, columns: tuple, forms: dict, o: int) -> Callable:
         var = {name: f"c{i}" for i, name in enumerate(self.fields)}
-        unsigned = {u.of for u in self.fixed.values()
-                    if isinstance(u, _Unsigned)}
-        names, parts = {"_r": repr, "_minus": "-", "_empty": ""}, []
+        names, parts = {"_r": repr, "_null": _FORMS[None][o]}, []
         for name in columns:
             v = var.get(name)
-            if name in unsigned:
-                text = "{(t%s := _r(%s))}" % (v, v)
-            elif v and len(forms[name]) == 1:
-                text = _FORMS[forms[name][0]][o].replace("{v", "{" + v)
-            elif v:
-                cls, *values = forms[name]
-                text = v if cls is int else f"_r({v})"
-                for j, value in enumerate(values):
-                    names[f"_{v}_{j}"] = _FORMS[value][o]
-                    test = "is None" if value is None else "== _empty"
-                    text = f"_{v}_{j} if {v} {test} else {text}"
-                text = "{%s}" % text
-            elif isinstance(self.fixed[name], _Unsigned):
-                text = "{t%s.lstrip(_minus)}" % var[self.fixed[name].of]
-            else:
+            if v is None:
                 value = self.fixed[name]
                 form = value if value is None or value == "" else type(value)
                 text = (_FORMS[form][o].format(v=value)
                         .replace("{", "{{").replace("}", "}}"))
+            elif len(forms[name]) == 1:
+                text = _FORMS[forms[name][0]][o].replace("{v", "{" + v)
+            else:  # (int or float, None)
+                number = v if forms[name][0] is int else f"_r({v})"
+                text = "{_null if %s is None else %s}" % (v, number)
             parts.append(f"{json.dumps(name)}: {text}" if o == 0 else text)
         line = ("{{%s}}" % ", ".join(parts) if o == 0
                 else ",".join(parts) + "\r\n")
@@ -317,7 +297,7 @@ class _Format:
     def finite(self, columns: tuple) -> bool:
         """Whether every float of ``columns`` is finite.  A column whose sum
         is finite holds no NaN or infinity; only one whose sum is not is
-        read value by value.  Null and empty values are skipped."""
+        read value by value.  Null values are skipped."""
         for i in self._floats:
             values = columns[i]
             if (not math.isfinite(sum(filter(None, values), 0.0))
@@ -494,11 +474,9 @@ def _cmd_simulate(model, args) -> int:
 
 # verify's quantities in report order, each with the columns its rows share,
 # which its row formatter prints as literal text: the index where it has
-# none, the oracle where it is a constant, the tolerance and the mode of the
-# delta; a residual's delta is the text of its closed form without the sign
+# none, the oracle where it is a constant, the delta's tolerance and mode
 _AGAINST_ONE = {"index": "", "oracle": 1.0, "tolerance": 1e-10, "mode": "abs"}
-_RESIDUAL = {"oracle": 0.0, "delta": _Unsigned("closed_form"),
-             "tolerance": 1e-10, "mode": "abs"}
+_RESIDUAL = {"oracle": 0.0, "tolerance": 1e-10, "mode": "abs"}
 _VERIFY = {
     "total_absorption": _AGAINST_ONE,
     "conservation": _AGAINST_ONE,

@@ -469,12 +469,12 @@ class _Tally:
 
     Visit counts are kept per walk, in the smallest unsigned dtype that
     holds step_cap + 1 arrivals, over the reach plus a pad column on each
-    side for the sites outside.  A walk's row is its row in the batch: a
-    flush compacts only ``row_start``, the counter offsets of the live
-    walks, and a settled walk's row takes no further counts.  :meth:`close`
-    folds every row into the exact ``visit_sum`` and ``visit_sum_sq`` and
-    releases the counts, and :meth:`merge` adds the closed tally to a
-    simulation's running total.
+    side for the sites outside.  A walk's row is its row in the batch, so
+    a flush counts the live walks at the rows it is handed, and a settled
+    walk's row takes no further counts.  :meth:`close` folds every row
+    into the exact ``visit_sum`` and ``visit_sum_sq`` and releases the
+    counts, and :meth:`merge` adds the closed tally to a simulation's
+    running total.
     """
 
     def __init__(self, model: WalkModel, rows: int, step_cap: int,
@@ -488,19 +488,19 @@ class _Tally:
         if 0 <= model.i0 - self.first_site < self.width:
             # the time-zero arrival at the start site
             self.counts[:, model.i0 - self.first_site + 1] = 1
-        self.row_start = np.arange(rows) * (self.width + 2)
         # int64 squares cannot overflow while step_cap stays below ~3e7 per
         # batch; beyond that use Python integers (still exact)
         self.sum_dtype = np.int64 if step_cap <= 30_000_000 else object
         self.sum_steps = self.sum_steps_sq = self.censored = 0
         self.barriers = [np.zeros(0, dtype=np.int64)]
 
-    def flush(self, P: np.ndarray, base: int, t0: int):
+    def flush(self, P: np.ndarray, base: int, t0: int, live: np.ndarray):
         """Settle the walks parked in ``P`` and count its positions.
 
-        ``P[i]`` holds the positions (site - base) of the live walks after
-        step t0 + i; it is overwritten.  Returns the positions of the walks
-        left alive and their mask, None when all of them are.
+        ``P[i]`` holds the positions (site - base) of the live walks, the
+        batch rows ``live``, after step t0 + i; it is overwritten.  Returns
+        the positions of the walks left alive and their mask, None when all
+        of them are.
         """
         dead = P[-1] > _PARK // 2
         gone = np.flatnonzero(dead)
@@ -518,21 +518,19 @@ class _Tally:
 
         pad = self.first_site - 1 - base
         np.clip(P, pad, pad + self.width + 1, out=P)
-        P += self.row_start - pad
+        P += live * (self.width + 2) - pad
         np.add.at(self.counts.reshape(-1), P.reshape(-1), self.one)
-        if gone.size:
-            self.row_start = self.row_start[keep]
         return q, keep
 
-    def close(self) -> "_Tally":
+    def close(self, censored: int) -> "_Tally":
         """Fold the counts of every walk, one exact integer reduction per
-        sum, count the censored walks, those still live, and release the
-        counts."""
-        self.censored = self.row_start.size
+        sum, keep the number of ``censored`` walks, those still live, and
+        release the counts."""
+        self.censored = censored
         c = self.counts[:, 1:-1]
         self.visit_sum = np.add.reduce(c, axis=0, dtype=self.sum_dtype)
         self.visit_sum_sq = np.einsum("ij,ij->j", c, c, dtype=self.sum_dtype)
-        self.counts = self.row_start = None
+        self.counts = None
         return self
 
     def merge(self, other: "_Tally") -> "_Tally":
@@ -600,14 +598,14 @@ def _simulate_batch(model: WalkModel, seed: int, batch_index: int, rows: int,
                 table.take(key, mode="clip", out=move)
                 pos = np.add(pos, move, out=after)
             P = np.right_shift(rec[1:], 3, out=rec[1:])
-            q, keep = tally.flush(P, base, t + off)
+            q, keep = tally.flush(P, base, t + off, live)
             off += span
             if keep is not None:
                 live = live[keep]
                 if not live.size:
                     break
         t += stop
-    return tally.close()
+    return tally.close(live.size)
 
 
 def simulate(model: WalkModel, walks: int, seed: int,

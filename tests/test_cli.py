@@ -97,16 +97,12 @@ def layout_of(command):
 def row_dicts(layout, groups):
     """Each row of ``groups``, as a report hands them to its layout, as the
     dict of the layout's columns: the group's fixed values and its fields'
-    values, and for a column fixed as the unsigned text of another, that
-    column's ``abs``."""
+    values."""
     dicts = []
     for key, columns in groups:
         group = layout.groups[key]
         for values in zip(*columns):
             row = {**group.fixed, **dict(zip(group.fields, values))}
-            for name, value in group.fixed.items():
-                if isinstance(value, mfbwalk.cli._Unsigned):
-                    row[name] = abs(row[value.of])
             dicts.append({name: row[name] for name in layout.columns})
     return dicts
 
@@ -1231,7 +1227,6 @@ FORM_VALUES = {
                                       1.7976931348623157e308])),
     str: st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
     None: st.none(),
-    "": st.just(""),
 }
 
 
@@ -1254,8 +1249,7 @@ class TestRowLayouts:
         for key in layout_of(command).groups], ids=str)
     def test_rows_print_as_json_dumps_and_csv_writer(self, command, key):
         # each group of rows prints through its own compiled formatter, its
-        # fixed columns written in once; a residual's delta prints as its
-        # closed form's text without the sign, which is its abs
+        # fixed columns written in once
         layout = layout_of(command)
         group = layout.groups[key]
         row = st.tuples(*[st.one_of(*[FORM_VALUES[form] for form in forms])
@@ -1266,11 +1260,6 @@ class TestRowLayouts:
         def check(rows):
             groups = [(key, tuple(zip(*rows)))]
             dicts = row_dicts(layout, groups)
-            for name, value in group.fixed.items():
-                if isinstance(value, mfbwalk.cli._Unsigned):
-                    # the delta verify computed per row, against the oracle
-                    assert [repr(d[name]) for d in dicts] == \
-                        [repr(abs(d[value.of] - d["oracle"])) for d in dicts]
             assert layout.finite(groups)
             assert layout.lines("json", groups) == list(map(json.dumps, dicts))
             table = io.StringIO()
@@ -1286,7 +1275,8 @@ class TestRowLayouts:
 
 class TestVerifyResiduals:
     """verify's occupancy rows, read from the window's visit profile, equal
-    the per-site residual bit for bit."""
+    the per-site residual bit for bit, and a residual row's delta is the
+    residual's abs."""
 
     @staticmethod
     def _assert_rows_equal(m, window):
@@ -1299,6 +1289,16 @@ class TestVerifyResiduals:
             list(range(lo * m.N + 1, hi * m.N))
         for r in rows:
             assert r["closed_form"] == occupancy_residual(m, r["index"])
+        # a residual's delta is the abs of its closed form against the 0.0
+        # oracle, also at a signed zero, a subnormal and a negative residual
+        closed = [r["closed_form"] for r in rows] + [
+            -0.0, 0.0, 5e-324, -5e-324, -2.5e-11, -1e-10]
+        for quantity in ("barrier_recurrence_residual", "occupancy_residual"):
+            group = mfbwalk.cli._checked(quantity, range(len(closed)), closed)
+            for r in row_dicts(layout_of("verify"), [group]):
+                assert repr(r["delta"]) == \
+                    repr(abs(r["closed_form"] - r["oracle"])) == \
+                    repr(r["closed_form"]).lstrip("-")
 
     @settings(max_examples=50, deadline=None)
     @given(model_strategy())
